@@ -158,7 +158,12 @@ def cmd_cv(args) -> int:
     payload = report.to_dict()
     payload["case"] = ds.schema.case.value
     payload["band_mode"] = ds.band_mode.value
-    payload["extraction"] = {"frame_size": ds.frame_size, "hop": ds.hop, "q": ds.q}
+    payload["extraction"] = {
+        "frame_size": ds.frame_size,
+        "hop": ds.hop,
+        "q": ds.q,
+        "window": ds.window,
+    }
     _write_json(args.out, payload)
     csv_path = Path(args.out).with_suffix(".csv")
     _write_metric_csv(
@@ -248,19 +253,17 @@ def cmd_predict(args) -> int:
             raise ConfigurationError(f"--band {args.band} requires --lb")
         if band_mode in (BandMode.UPPER_ONLY, BandMode.CONCATENATED) and args.ub is None:
             raise ConfigurationError(f"--band {args.band} requires --ub")
-        hop = args.hop if args.hop is not None else args.frame_size
-        task = (
-            0,
-            "cli-input",
-            str(args.lb),
-            str(args.ub),
-            band_mode.value,
-            args.frame_size,
-            hop,
-            args.q,
-            args.window,
+        rows = dataset_mod.extract_pair(
+            args.lb,
+            args.ub,
+            (band_mode,),
+            frame_size=args.frame_size,
+            hop=args.hop,
+            q=args.q,
+            window=args.window,
+            name="cli-input",
         )
-        _, values = dataset_mod._extract_entry(task)
+        values = rows[band_mode]
         features = values[None, :]
         source = str(args.lb or args.ub)
     probs = gbdt.predict_proba(model, features)

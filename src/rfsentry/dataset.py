@@ -9,9 +9,12 @@ container so round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import itertools
 import json
 import logging
+import os
 import re
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -505,6 +508,7 @@ class LabeledDataset:
     frame_size: int = 0
     hop: int = 0
     q: int = 0
+    window: str = "rectangular"
 
     def __post_init__(self) -> None:
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -533,35 +537,111 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-def _extract_entry(task) -> tuple[int, np.ndarray]:
-    (index, segment_id, lb_path, ub_path, mode_value, frame_size, hop, q, window) = task
-    mode = BandMode(mode_value)
+def pool_workers(jobs: int, tasks: int) -> int:
+    """Worker processes for a pool: min(jobs, tasks, CPUs), at least one."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+_NEEDS_LOWER = (BandMode.LOWER_ONLY, BandMode.CONCATENATED)
+_NEEDS_UPPER = (BandMode.UPPER_ONLY, BandMode.CONCATENATED)
+
+
+def extract_pair(
+    lb_path,
+    ub_path,
+    modes,
+    frame_size: int = 2048,
+    hop: int | None = None,
+    q: int = 8,
+    window: str = "rectangular",
+    name: str = "segment pair",
+) -> dict[BandMode, np.ndarray]:
+    """One feature row per band mode for one (lower, upper) band-file pair.
+
+    Each band file a mode needs is parsed once, the lower band first;
+    its samples are released before the upper band is read. A degenerate
+    upper band joins at scale 1. Failures surface as DataError naming
+    ``name``.
+    """
     try:
         lb = ub = None
-        if mode in (BandMode.LOWER_ONLY, BandMode.CONCATENATED):
+        if any(mode in _NEEDS_LOWER for mode in modes):
             record = load_segment(lb_path, Band.LOWER)
             lb = segment_spectrum(record.samples, Band.LOWER, frame_size, hop, window)
-        if mode in (BandMode.UPPER_ONLY, BandMode.CONCATENATED):
+            del record
+        if any(mode in _NEEDS_UPPER for mode in modes):
             record = load_segment(ub_path, Band.UPPER)
             ub = segment_spectrum(record.samples, Band.UPPER, frame_size, hop, window)
-        if mode is BandMode.CONCATENATED:
-            try:
-                scale = compute_scaling_factor(lb, ub, q)
-            except DegenerateSpectrumError:
-                log.warning(
-                    "entry %d (%s): degenerate upper band, falling back to scale 1",
-                    index,
-                    segment_id,
-                )
-                scale = 1.0
-            vector = concatenate_bands(lb, ub, scale)
-        else:
-            vector = single_band_feature(lb if mode is BandMode.LOWER_ONLY else ub)
-        return index, vector.values
+        rows = {}
+        for mode in modes:
+            if mode is BandMode.CONCATENATED:
+                try:
+                    scale = compute_scaling_factor(lb, ub, q)
+                except DegenerateSpectrumError:
+                    log.warning("%s: degenerate upper band, falling back to scale 1", name)
+                    scale = 1.0
+                rows[mode] = concatenate_bands(lb, ub, scale).values
+            else:
+                rows[mode] = single_band_feature(lb if mode is BandMode.LOWER_ONLY else ub).values
+        return rows
     except (RfSentryError, OSError) as exc:
-        raise DataError(
-            f"feature extraction failed for entry {index} ({segment_id}): {exc}"
-        ) from exc
+        raise DataError(f"feature extraction failed for {name}: {exc}") from exc
+
+
+def build_datasets(
+    manifest: Manifest,
+    modes,
+    case: Case,
+    frame_size: int = 2048,
+    hop: int | None = None,
+    q: int = 8,
+    window: str = "rectangular",
+    jobs: int = 1,
+) -> dict[BandMode, LabeledDataset]:
+    """One dataset per band mode from a single pass over the manifest.
+
+    Rows follow manifest order. Any failing entry aborts the build; rows
+    are never silently skipped.
+    """
+    if not manifest.entries:
+        raise InsufficientDataError("manifest has no entries")
+    if not _is_power_of_two(frame_size):
+        raise ConfigurationError(f"frame size must be a power of two, got {frame_size}")
+    if hop is None:
+        hop = frame_size
+    modes = tuple(modes)
+    n = len(manifest.entries)
+    features = {m: np.empty((n, m.feature_length(frame_size)), dtype=np.float64) for m in modes}
+    paths = [manifest.resolve(entry) for entry in manifest.entries]
+    args = (
+        [str(lb) for lb, _ in paths],
+        [str(ub) for _, ub in paths],
+        *(itertools.repeat(value) for value in (modes, frame_size, hop, q, window)),
+        [f"entry {i} ({entry.segment_id})" for i, entry in enumerate(manifest.entries)],
+    )
+    workers = pool_workers(jobs, n)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        rows = pool.map(extract_pair, *args) if pool else map(extract_pair, *args)
+        for index, row in enumerate(rows):
+            for mode in modes:
+                features[mode][index] = row[mode]
+    labels = np.array(
+        [label_from_case3(e.case3).for_case(case) for e in manifest.entries], dtype=np.int64
+    )
+    schema = LabelSchema.for_case(case)
+    return {
+        mode: LabeledDataset(
+            features=features[mode],
+            labels=labels,
+            schema=schema,
+            band_mode=mode,
+            frame_size=frame_size,
+            hop=hop,
+            q=q,
+            window=window,
+        )
+        for mode in modes
+    }
 
 
 def build_dataset(
@@ -574,61 +654,19 @@ def build_dataset(
     window: str = "rectangular",
     jobs: int = 1,
 ) -> LabeledDataset:
-    """Extract one feature row per manifest entry, in manifest order.
-
-    Any failing entry aborts the build; rows are never silently skipped.
-    """
-    if not manifest.entries:
-        raise InsufficientDataError("manifest has no entries")
-    if not _is_power_of_two(frame_size):
-        raise ConfigurationError(f"frame size must be a power of two, got {frame_size}")
-    if hop is None:
-        hop = frame_size
-    schema = LabelSchema.for_case(case)
-    tasks = []
-    for index, entry in enumerate(manifest.entries):
-        lb_path, ub_path = manifest.resolve(entry)
-        tasks.append(
-            (
-                index,
-                entry.segment_id,
-                str(lb_path),
-                str(ub_path),
-                band_mode.value,
-                frame_size,
-                hop,
-                q,
-                window,
-            )
-        )
-    features = np.empty((len(tasks), band_mode.feature_length(frame_size)), dtype=np.float64)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, values in pool.map(_extract_entry, tasks):
-                features[index] = values
-    else:
-        for task in tasks:
-            index, values = _extract_entry(task)
-            features[index] = values
-    labels = np.array(
-        [label_from_case3(e.case3).for_case(case) for e in manifest.entries], dtype=np.int64
-    )
-    return LabeledDataset(
-        features=features,
-        labels=labels,
-        schema=schema,
-        band_mode=band_mode,
-        frame_size=frame_size,
-        hop=hop,
-        q=q,
-    )
+    """Extract one feature row per manifest entry, in manifest order."""
+    return build_datasets(
+        manifest, (band_mode,), case, frame_size, hop, q, window, jobs
+    )[band_mode]
 
 
 _FEATURES_MAGIC = b"RFDS"
-_FEATURES_VERSION = 1
-_FEATURES_HEADER = struct.Struct("<4sHBBIIIII")
+_FEATURES_VERSION = 2
+_FEATURES_HEADER = struct.Struct("<4sHBBBIIIII")
 _BAND_MODE_CODES = {BandMode.LOWER_ONLY: 0, BandMode.UPPER_ONLY: 1, BandMode.CONCATENATED: 2}
 _BAND_MODE_FROM_CODE = {v: k for k, v in _BAND_MODE_CODES.items()}
+_WINDOW_CODES = {"rectangular": 0, "hann": 1}
+_WINDOW_FROM_CODE = {v: k for k, v in _WINDOW_CODES.items()}
 
 
 def save_features(dataset: LabeledDataset, path) -> None:
@@ -638,6 +676,7 @@ def save_features(dataset: LabeledDataset, path) -> None:
         _FEATURES_VERSION,
         dataset.schema.case.value,
         _BAND_MODE_CODES[dataset.band_mode],
+        _WINDOW_CODES[dataset.window],
         dataset.n_rows,
         dataset.n_features,
         dataset.frame_size,
@@ -658,7 +697,7 @@ def load_features(path) -> LabeledDataset:
         buf = fh.read()
     if len(buf) < _FEATURES_HEADER.size:
         raise FormatError(f"{path}: feature container is truncated")
-    magic, version, case_value, band_code, n_rows, n_cols, frame_size, hop, q = (
+    magic, version, case_value, band_code, window_code, n_rows, n_cols, frame_size, hop, q = (
         _FEATURES_HEADER.unpack_from(buf, 0)
     )
     if magic != _FEATURES_MAGIC:
@@ -668,8 +707,9 @@ def load_features(path) -> LabeledDataset:
     try:
         case = Case(case_value)
         band_mode = _BAND_MODE_FROM_CODE[band_code]
+        window = _WINDOW_FROM_CODE[window_code]
     except (ValueError, KeyError):
-        raise FormatError(f"{path}: bad case or band code in header") from None
+        raise FormatError(f"{path}: bad case, band or window code in header") from None
     expected = _FEATURES_HEADER.size + 2 * n_rows + 8 * n_rows * n_cols
     if len(buf) != expected:
         raise FormatError(
@@ -691,4 +731,5 @@ def load_features(path) -> LabeledDataset:
         frame_size=frame_size,
         hop=hop,
         q=q,
+        window=window,
     )

@@ -245,8 +245,9 @@ def cross_validate(
             raise ConfigurationError(f"fold {fold} has no test rows")
 
     confusions: list[np.ndarray | None] = [None] * k
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = dataset_mod.pool_workers(jobs, k)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
                     _fold_confusion,
@@ -488,24 +489,26 @@ def compare_bands(
 ) -> BandComparison:
     """Run lower-only, upper-only and concatenated CV plus the two t-tests.
 
-    All three runs share one fold partition (same labels, K and seed),
-    which the paired t-tests require.
+    The three layouts come from one extraction pass, so each band file is
+    parsed once. All three runs share one fold partition (same labels, K
+    and seed), which the paired t-tests require.
     """
     schema = dataset_mod.LabelSchema.for_case(case)
     train_config = dataclasses.replace(train_config, n_classes=schema.n_classes)
-    reports: dict[BandMode, CvReport] = {}
-    for mode in (BandMode.LOWER_ONLY, BandMode.UPPER_ONLY, BandMode.CONCATENATED):
-        ds = dataset_mod.build_dataset(
-            manifest,
-            mode,
-            case,
-            frame_size=frame_size,
-            hop=hop,
-            q=q,
-            window=window,
-            jobs=jobs,
-        )
-        reports[mode] = cross_validate(ds, train_config, k=k, seed=seed, jobs=jobs)
+    datasets = dataset_mod.build_datasets(
+        manifest,
+        (BandMode.LOWER_ONLY, BandMode.UPPER_ONLY, BandMode.CONCATENATED),
+        case,
+        frame_size=frame_size,
+        hop=hop,
+        q=q,
+        window=window,
+        jobs=jobs,
+    )
+    reports = {
+        mode: cross_validate(ds, train_config, k=k, seed=seed, jobs=jobs)
+        for mode, ds in datasets.items()
+    }
     fingerprints = {rep.fold_fingerprint for rep in reports.values()}
     if len(fingerprints) != 1:
         raise ConfigurationError("band runs produced different fold partitions")

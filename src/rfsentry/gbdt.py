@@ -30,19 +30,6 @@ from .errors import (
     TrainingError,
 )
 
-try:
-    from numba import njit
-
-    USE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    USE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -177,53 +164,14 @@ def split_gain(
     ) - gamma
 
 
-@njit(cache=True)
-def _scan_splits_jit(order_t, member, g, h, values_t, g_total, h_total, lam, mcw, out_score, out_thr):
+def _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw, out_score, out_thr):
     """Per-feature best candidate score gl^2/(hl+lam) + gr^2/(hr+lam).
 
     Candidates sit at midpoints between consecutive distinct values of
-    the node's rows; a strict improvement test keeps the lowest
-    threshold on score ties. The parent term and gamma are constant per
-    node and applied by the caller.
+    the node's rows; argmax keeps the lowest threshold on score ties.
+    The parent term and gamma are constant per node and applied by the
+    caller.
     """
-    d, n = order_t.shape
-    for f in range(d):
-        best = -np.inf
-        best_thr = np.nan
-        gl = 0.0
-        hl = 0.0
-        have_prev = False
-        prev_v = 0.0
-        for j in range(n):
-            r = order_t[f, j]
-            if not member[r]:
-                continue
-            v = values_t[f, r]
-            if have_prev and v > prev_v:
-                thr = 0.5 * (prev_v + v)
-                gr = g_total - gl
-                hr = h_total - hl
-                if (
-                    thr > prev_v
-                    and hl >= mcw
-                    and hr >= mcw
-                    and hl + lam > 0.0
-                    and hr + lam > 0.0
-                ):
-                    score = gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                    if score > best:
-                        best = score
-                        best_thr = thr
-            gl += g[r]
-            hl += h[r]
-            prev_v = v
-            have_prev = True
-        out_score[f] = best
-        out_thr[f] = best_thr
-
-
-def _scan_splits_numpy(order_t, member, g, h, values_t, g_total, h_total, lam, mcw, out_score, out_thr):
-    """Vectorized fallback; selects the same candidates as the jit scan."""
     d, n = order_t.shape
     mask = member[order_t]
     m = int(np.count_nonzero(member))
@@ -276,8 +224,7 @@ def _find_split(
     d = order_t.shape[0]
     out_score = np.empty(d, dtype=np.float64)
     out_thr = np.empty(d, dtype=np.float64)
-    scan = _scan_splits_jit if USE_NUMBA else _scan_splits_numpy
-    scan(
+    _scan_splits(
         order_t,
         member,
         g,
@@ -308,7 +255,11 @@ def _grow_tree(
     h: np.ndarray,
     config: TrainConfig,
 ) -> TreeNode:
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    """Depth-first growth from an explicit stack, left child first."""
+    root = TreeNode()
+    pending = [(root, np.arange(features.shape[0]), 0)]
+    while pending:
+        node, idx, depth = pending.pop()
         g_total = float(g[idx].sum())
         h_total = float(h[idx].sum())
         if depth < config.max_depth:
@@ -319,13 +270,13 @@ def _grow_tree(
                 left_idx = idx[go_left]
                 right_idx = idx[~go_left]
                 if left_idx.size and right_idx.size:
-                    node = TreeNode(feature_index=feature, threshold=threshold)
-                    node.left = grow(left_idx, depth + 1)
-                    node.right = grow(right_idx, depth + 1)
-                    return node
-        return TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda))
-
-    return grow(np.arange(features.shape[0]), 0)
+                    node.feature_index, node.threshold = feature, threshold
+                    node.left, node.right = TreeNode(), TreeNode()
+                    pending.append((node.right, right_idx, depth + 1))
+                    pending.append((node.left, left_idx, depth + 1))
+                    continue
+        node.weight = leaf_weight(g_total, h_total, config.reg_lambda)
+    return root
 
 
 def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,22 +469,46 @@ def _write_nodes(tree: TreeNode, out: bytearray) -> None:
         _write_nodes(tree.right, out)
 
 
-def _read_node(buf: memoryview, offset: int) -> tuple[TreeNode, int]:
-    (kind,) = struct.unpack_from("<B", buf, offset)
-    offset += 1
-    if kind == 0:
-        (weight,) = struct.unpack_from("<d", buf, offset)
-        return TreeNode(weight=weight), offset + 8
-    if kind != 1:
-        raise FormatError(f"unknown tree node kind {kind}")
-    feature, threshold, default = struct.unpack_from("<IdB", buf, offset)
-    offset += struct.calcsize("<IdB")
-    node = TreeNode(
-        feature_index=int(feature), threshold=threshold, default_left=default == 0
-    )
-    node.left, offset = _read_node(buf, offset)
-    node.right, offset = _read_node(buf, offset)
-    return node, offset
+_SPLIT = struct.Struct("<IdB")
+
+
+def _read_tree(
+    buf: memoryview, offset: int, feature_dim: int, max_depth: int
+) -> tuple[TreeNode, int, int]:
+    """Rebuild one pre-order node stream without recursion.
+
+    Returns the root, the offset past the tree and its node count. A
+    split on a feature the model lacks, or a split at max_depth, is a
+    FormatError: the trainer never writes either.
+    """
+    root = TreeNode()
+    pending = [(root, 0)]
+    count = 0
+    while pending:
+        node, depth = pending.pop()
+        (kind,) = struct.unpack_from("<B", buf, offset)
+        offset += 1
+        count += 1
+        if kind == 0:
+            (node.weight,) = struct.unpack_from("<d", buf, offset)
+            offset += 8
+            continue
+        if kind != 1:
+            raise FormatError(f"unknown tree node kind {kind}")
+        feature, node.threshold, default = _SPLIT.unpack_from(buf, offset)
+        offset += _SPLIT.size
+        if feature >= feature_dim:
+            raise FormatError(
+                f"node splits on feature {feature} but the model has {feature_dim} features"
+            )
+        if depth >= max_depth:
+            raise FormatError(f"tree is deeper than the stored max_depth {max_depth}")
+        node.feature_index = int(feature)
+        node.default_left = default == 0
+        node.left, node.right = TreeNode(), TreeNode()
+        pending.append((node.right, depth + 1))
+        pending.append((node.left, depth + 1))
+    return root, offset, count
 
 
 def save_model(model: GbdtModel, path) -> None:
@@ -569,28 +544,15 @@ def load_model(path) -> GbdtModel:
         for _ in range(n_trees):
             rnd, class_id, node_count = struct.unpack_from("<HHI", buf, offset)
             offset += struct.calcsize("<HHI")
-            tree, offset = _read_node(buf, offset)
-            if _count_nodes(tree) != node_count:
+            tree, offset, count = _read_tree(buf, offset, feature_dim, config.max_depth)
+            if count != node_count:
                 raise FormatError("tree node count mismatch")
             trees.append((int(rnd), int(class_id), tree))
     except struct.error as exc:
         raise FormatError(f"model file is truncated: {exc}") from None
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after model payload")
-    for _, _, tree in trees:
-        for node in _walk(tree):
-            if not node.is_leaf and node.feature_index >= feature_dim:
-                raise FormatError(
-                    f"node splits on feature {node.feature_index} but the model "
-                    f"has {feature_dim} features"
-                )
     return GbdtModel(
         config=config, feature_dim=int(feature_dim), base_score=base_score, trees=trees
     )
 
-
-def _walk(tree: TreeNode):
-    yield tree
-    if not tree.is_leaf:
-        yield from _walk(tree.left)
-        yield from _walk(tree.right)

@@ -1,15 +1,15 @@
 """Magnitude-spectrum feature extraction from RF signal-strength recordings.
 
-A recording is cut into power-of-two frames, each frame is transformed
-with a radix-2 FFT, the one-sided magnitude spectra are averaged into a
-single vector per segment, and the two receiver bands are finally joined
-with a scale factor chosen so the concatenation has no seam step.
+A recording is cut into power-of-two frames through one strided view,
+the frame matrix is transformed row-wise with ``np.fft``, the one-sided
+magnitude spectra are averaged into a single vector per segment, and the
+two receiver bands are finally joined with a scale factor chosen so the
+concatenation has no seam step.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,43 +128,17 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@functools.lru_cache(maxsize=32)
-def _twiddles(half: int) -> np.ndarray:
-    return np.exp(-1j * np.pi * np.arange(half) / half)
-
-
-def _fft_radix2(frames: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time FFT over the last axis (length 2^k)."""
+def _mean_magnitude(frames: np.ndarray) -> np.ndarray:
+    """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2."""
     n = frames.shape[-1]
-    out = np.asarray(frames, dtype=np.complex128)[..., _bit_reversal(n)]
-    lead = out.shape[:-1]
-    half = 1
-    while half < n:
-        tw = _twiddles(half)
-        blocks = out.reshape(*lead, n // (2 * half), 2, half)
-        even = blocks[..., 0, :]
-        odd = blocks[..., 1, :] * tw
-        out = np.concatenate((even + odd, even - odd), axis=-1).reshape(*lead, n)
-        half *= 2
-    return out
+    return np.abs(np.fft.fft(frames, axis=-1)[:, : n // 2]).mean(axis=0)
 
 
 def dft(frame: SampleFrame | np.ndarray) -> np.ndarray:
     """N-point transform X[k] = sum_n x[n] exp(-i 2 pi n k / N) of a real frame."""
     if not isinstance(frame, SampleFrame):
         frame = SampleFrame(np.asarray(frame))
-    return _fft_radix2(frame.samples)
+    return np.fft.fft(frame.samples)
 
 
 def one_sided_magnitude(spectrum: np.ndarray, band: Band) -> MagnitudeSpectrum:
@@ -178,23 +152,30 @@ def one_sided_magnitude(spectrum: np.ndarray, band: Band) -> MagnitudeSpectrum:
     return MagnitudeSpectrum(np.abs(spectrum[: n // 2]), band=band, frame_size=n)
 
 
-def frame_segment(samples: np.ndarray, frame_size: int, hop: int) -> list[SampleFrame]:
-    """Cut a sample stream into frames; a trailing remainder is discarded."""
+def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
+    """Read-only (count, frame_size) strided view; frame i starts at i * hop."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
-    if not _is_power_of_two(frame_size) or frame_size < 2:
-        raise InvalidFrameError(f"frame size must be a power of two >= 2, got {frame_size}")
+    if not _is_power_of_two(frame_size) or not (2 <= frame_size <= MAX_FRAME_SIZE):
+        raise InvalidFrameError(
+            f"frame size must be a power of two in [2, {MAX_FRAME_SIZE}], got {frame_size}"
+        )
     if hop < 1:
         raise ConfigurationError(f"hop must be >= 1, got {hop}")
     if samples.shape[0] < frame_size:
         raise InsufficientDataError(
             f"segment has {samples.shape[0]} samples, need at least {frame_size}"
         )
-    count = (samples.shape[0] - frame_size) // hop + 1
-    return [
-        SampleFrame(samples[i * hop : i * hop + frame_size]) for i in range(count)
-    ]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
+    if not np.isfinite(frames).all():
+        raise InvalidFrameError("frame contains non-finite samples")
+    return frames
+
+
+def frame_segment(samples: np.ndarray, frame_size: int, hop: int) -> list[SampleFrame]:
+    """Cut a sample stream into frames; a trailing remainder is discarded."""
+    return [SampleFrame(row) for row in _frame_matrix(samples, frame_size, hop)]
 
 
 def average_spectrum(frames: list[SampleFrame], band: Band) -> MagnitudeSpectrum:
@@ -205,8 +186,7 @@ def average_spectrum(frames: list[SampleFrame], band: Band) -> MagnitudeSpectrum
     if any(len(f) != n for f in frames):
         raise ShapeError("all frames must share the same length")
     stacked = np.stack([f.samples for f in frames])
-    mags = np.abs(_fft_radix2(stacked)[:, : n // 2])
-    return MagnitudeSpectrum(mags.mean(axis=0), band=band, frame_size=n)
+    return MagnitudeSpectrum(_mean_magnitude(stacked), band=band, frame_size=n)
 
 
 def window_values(name: str, frame_size: int) -> np.ndarray | None:
@@ -232,11 +212,11 @@ def segment_spectrum(
     """
     if hop is None:
         hop = frame_size
-    frames = frame_segment(samples, frame_size, hop)
+    frames = _frame_matrix(samples, frame_size, hop)
     win = window_values(window, frame_size)
     if win is not None:
-        frames = [SampleFrame(f.samples * win) for f in frames]
-    return average_spectrum(frames, band)
+        frames = frames * win
+    return MagnitudeSpectrum(_mean_magnitude(frames), band=band, frame_size=frame_size)
 
 
 def compute_scaling_factor(

@@ -183,6 +183,35 @@ class TestCv:
         assert code == 4
 
 
+class TestWindowProvenance:
+    def test_hann_cache_and_cv_report_name_the_window(self, corpus_dir, tmp_path):
+        cache = tmp_path / "hann.rfds"
+        code = main(
+            [
+                "features",
+                "--manifest",
+                str(corpus_dir / "manifest.json"),
+                "--case",
+                "1",
+                "--frame-size",
+                "1024",
+                "--window",
+                "hann",
+                "--out",
+                str(cache),
+            ]
+        )
+        assert code == 0
+        assert load_features(cache).window == "hann"
+        report = tmp_path / "cv.json"
+        code = main(
+            ["cv", "--features", str(cache), *FAST_TRAIN, "--k-folds", "4", "--out", str(report)]
+        )
+        assert code == 0
+        extraction = json.loads(report.read_text())["extraction"]
+        assert extraction == {"frame_size": 1024, "hop": 1024, "q": 8, "window": "hann"}
+
+
 class TestCompare:
     def test_structure(self, corpus_dir, tmp_path):
         out = tmp_path / "compare.json"
@@ -285,6 +314,14 @@ class TestTrainPredict:
         )
         assert code == 0
         assert "row 0:" in capsys.readouterr().out
+
+    def test_predict_missing_lower_band_file_is_data_error(self, lower_cache, corpus_dir, tmp_path):
+        model_path = tmp_path / "model.rfgb"
+        assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0
+        manifest = load_manifest(corpus_dir / "manifest.json")
+        _, ub_path = manifest.resolve(manifest.entries[0])
+        argv = ["predict", "--model", str(model_path), "--lb", str(tmp_path / "absent.csv")]
+        assert main([*argv, "--ub", str(ub_path), "--band", "lower", "--frame-size", "1024"]) == 3
 
     def test_predict_without_input_is_config_error(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"

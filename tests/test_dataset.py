@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,15 @@ from rfsentry.dataset import (
     ManifestEntry,
     SegmentRecord,
     build_dataset,
+    build_datasets,
     build_dronerf_manifest,
     class_tone_bins,
+    extract_pair,
     label_from_case3,
     load_features,
     load_manifest,
     load_segment,
+    pool_workers,
     save_features,
     save_manifest,
     synth_segment,
@@ -349,6 +355,42 @@ class TestBuildDataset:
         assert ds.features[0, :256].any()
 
 
+class TestMultiModeExtraction:
+    def test_modes_match_single_mode_builds(self, small_corpus):
+        modes = (BandMode.CONCATENATED, BandMode.UPPER_ONLY, BandMode.LOWER_ONLY)
+        joint = build_datasets(small_corpus, modes, Case.II, frame_size=1024)
+        assert tuple(joint) == modes
+        for mode in modes:
+            alone = build_dataset(small_corpus, mode, Case.II, frame_size=1024)
+            np.testing.assert_array_equal(joint[mode].features, alone.features)
+            np.testing.assert_array_equal(joint[mode].labels, alone.labels)
+            assert joint[mode].band_mode is mode
+        both = joint[BandMode.CONCATENATED].features
+        np.testing.assert_array_equal(both[:, :512], joint[BandMode.LOWER_ONLY].features)
+        _, ub_path = small_corpus.resolve(small_corpus.entries[0])
+        ub = segment_spectrum(load_segment(ub_path, Band.UPPER).samples, Band.UPPER, 1024)
+        np.testing.assert_array_equal(joint[BandMode.UPPER_ONLY].features[0], ub.bins)
+
+    def test_missing_lower_band_is_data_error(self, small_corpus, tmp_path):
+        _, ub_path = small_corpus.resolve(small_corpus.entries[0])
+        with pytest.raises(DataError, match="feature extraction failed for probe"):
+            extract_pair(
+                tmp_path / "absent.csv", ub_path, (BandMode.CONCATENATED,), name="probe"
+            )
+        rows = extract_pair(
+            tmp_path / "absent.csv", ub_path, (BandMode.UPPER_ONLY,), frame_size=1024
+        )
+        assert rows[BandMode.UPPER_ONLY].shape == (512,)
+
+    def test_pool_workers_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert pool_workers(10**9, 10**9) == cpus
+        assert pool_workers(10**9, 3) == min(3, cpus)
+        assert pool_workers(1, 10**9) == 1
+        assert pool_workers(0, 5) == 1
+        assert pool_workers(-4, 5) == 1
+
+
 class TestFeatureCache:
     def roundtrip(self, tmp_path, ds):
         path = tmp_path / "cache.rfds"
@@ -363,6 +405,24 @@ class TestFeatureCache:
         assert loaded.schema == ds.schema
         assert loaded.band_mode is ds.band_mode
         assert (loaded.frame_size, loaded.hop, loaded.q) == (1024, 1024, 8)
+        assert loaded.window == "rectangular"
+
+    def test_window_round_trips(self, small_corpus, tmp_path):
+        ds = build_dataset(
+            small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024, window="hann"
+        )
+        assert ds.window == "hann"
+        _, loaded = self.roundtrip(tmp_path, ds)
+        assert loaded.window == "hann"
+        np.testing.assert_array_equal(loaded.features, ds.features)
+
+    def test_version_1_cache_rejected(self, tmp_path):
+        header = struct.pack("<4sHBBIIIII", b"RFDS", 1, 1, 0, 2, 4, 8, 8, 8)
+        body = np.zeros(2, dtype="<u2").tobytes() + np.ones(8, dtype="<f8").tobytes()
+        path = tmp_path / "old.rfds"
+        path.write_bytes(header + body)
+        with pytest.raises(FormatError, match="version 1"):
+            load_features(path)
 
     def test_truncated_file(self, small_corpus, tmp_path):
         ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
@@ -389,9 +449,9 @@ class TestFeatureCache:
         ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
         path, _ = self.roundtrip(tmp_path, ds)
         data = bytearray(path.read_bytes())
-        data[4:6] = (2).to_bytes(2, "little")
+        data[4:6] = (3).to_bytes(2, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version 2"):
+        with pytest.raises(FormatError, match="version 3"):
             load_features(path)
 
 

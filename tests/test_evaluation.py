@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import rfsentry.dataset as dataset_mod
 from rfsentry.dataset import Case, LabeledDataset, LabelSchema, build_dataset
 from rfsentry.errors import ConfigurationError, EmptyEvaluationError, ShapeError
 from rfsentry.evaluation import (
@@ -18,7 +19,7 @@ from rfsentry.evaluation import (
     t_critical,
 )
 from rfsentry.gbdt import TrainConfig
-from rfsentry.spectrum import BandMode
+from rfsentry.spectrum import Band, BandMode
 
 
 def fold_class_counts(assignment, labels):
@@ -323,6 +324,30 @@ class TestCompareBands:
         assert set(payload["ttests"]) == {"lb_vs_ub", "lb_vs_both"}
         for block in payload["ttests"].values():
             assert {"mean_diff", "t_stat", "dof", "ci_low", "ci_high", "rejected"} <= set(block)
+
+    def test_each_band_file_parsed_once(self, small_corpus, monkeypatch):
+        seen = []
+        real = dataset_mod.load_segment
+
+        def counting(path, band):
+            seen.append((str(path), band))
+            return real(path, band)
+
+        monkeypatch.setattr(dataset_mod, "load_segment", counting)
+        config = TrainConfig(n_rounds=1, max_depth=1)
+        compare_bands(small_corpus, Case.I, config, k=2, seed=0, frame_size=1024)
+        n = len(small_corpus.entries)
+        assert len(seen) == len(set(seen)) == 2 * n
+        assert [band for _, band in seen[:2]] == [Band.LOWER, Band.UPPER]
+
+    def test_parallel_report_is_identical(self, small_corpus, comparison):
+        config = TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5)
+        parallel = compare_bands(
+            small_corpus, Case.I, config, k=5, seed=4, frame_size=1024, jobs=2
+        )
+        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
+            comparison.to_dict(), sort_keys=True
+        )
 
     def test_csv_rows_cover_folds_and_metrics(self, comparison):
         rows = metric_csv_rows(

