@@ -54,7 +54,6 @@ def _train_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--lambda", dest="reg_lambda", type=float, default=1.0, help="L2 leaf penalty")
     group.add_argument("--gamma", type=float, default=0.0, help="per-leaf split penalty")
     group.add_argument("--min-child-weight", type=float, default=1.0, help="minimum child hessian sum")
-    group.add_argument("--seed-train", type=int, default=0, help="training seed")
 
 
 def _case_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -77,7 +76,6 @@ def _train_config(args, n_classes: int) -> gbdt.TrainConfig:
         gamma=args.gamma,
         min_child_weight=args.min_child_weight,
         n_classes=n_classes,
-        seed=args.seed_train,
     )
 
 

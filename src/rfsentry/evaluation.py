@@ -115,20 +115,6 @@ class MetricSet:
     undefined_precision: int = 0
     undefined_recall: int = 0
 
-    # For single-label classification the micro averages all collapse to
-    # accuracy, so they are exposed as views rather than stored.
-    @property
-    def micro_precision(self) -> float:
-        return self.accuracy
-
-    @property
-    def micro_recall(self) -> float:
-        return self.accuracy
-
-    @property
-    def micro_f1(self) -> float:
-        return self.accuracy
-
     def values(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 

@@ -12,12 +12,17 @@ and a leaf's value is -G/(H+lambda). The two-class case trains a single
 tree per round on the positive class and mirrors its output on the
 negative class, which reproduces the two-tree softmax model at half the
 cost.
+
+A forest is one set of flat node arrays (:class:`Tree`), each tree's
+nodes in pre-order so a split's left child directly follows it.
+Prediction walks all rows through all trees together, one level per
+step, and the model container stores the arrays as they are.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -42,7 +47,6 @@ class TrainConfig:
     gamma: float = 0.0
     min_child_weight: float = 1.0
     n_classes: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_rounds < 0:
@@ -60,58 +64,70 @@ class TrainConfig:
 
 
 @dataclass
-class TreeNode:
-    """Binary regression tree node; a node without children is a leaf.
+class Tree:
+    """Node arrays of one or more regression trees, each in pre-order.
 
-    Rows with feature value strictly below the threshold go left.
-    default_left is kept for container-format stability; inputs are
-    dense so it is never consulted.
+    Node i is a leaf when feature[i] is -1 and then predicts value[i].
+    Otherwise rows whose feature value is strictly below threshold[i]
+    go to the left child i + 1 and the others to right[i], an index
+    into the same arrays. Leaves hold threshold 0 and right -1, splits
+    hold value 0.
     """
 
-    feature_index: int = -1
-    threshold: float = 0.0
-    default_left: bool = True
-    weight: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    right: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def __post_init__(self) -> None:
+        self.feature = np.asarray(self.feature, dtype=np.int32)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.right = np.asarray(self.right, dtype=np.int32)
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        """Evaluate the tree on a (n, d) matrix, returning n leaf values."""
-        out = np.empty(features.shape[0], dtype=np.float64)
-        stack = [(self, np.arange(features.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = node.weight
-            else:
-                go_left = features[rows, node.feature_index] < node.threshold
-                stack.append((node.left, rows[go_left]))
-                stack.append((node.right, rows[~go_left]))
-        return out
+    @classmethod
+    def from_rows(cls, nodes: list[list]) -> "Tree":
+        """Arrays from a list of [feature, threshold, value, right] rows."""
+        return cls(*np.reshape(np.array(nodes, dtype=np.float64), (-1, 4)).T)
 
-    def leaves(self) -> list["TreeNode"]:
-        if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
+    def __len__(self) -> int:
+        return self.feature.shape[0]
+
+    def apply(self, features: np.ndarray, roots=(0,)) -> np.ndarray:
+        """Leaf values of the trees rooted at `roots`, shape (n_rows, n_roots).
+
+        Every row walks every tree at once, one level per step. For the
+        walk a leaf becomes its own right child with threshold -inf, so
+        a row that has reached a leaf stays there.
+        """
+        n, d = features.shape
+        split = self.feature >= 0
+        feature = np.maximum(self.feature, 0)
+        threshold = np.where(split, self.threshold, -np.inf)
+        right = np.where(split, self.right, np.arange(len(self)))
+        cells, row_start = features.ravel(), np.arange(n)[:, None] * d
+        node = np.tile(np.asarray(roots, dtype=np.intp), (n, 1))
+        while split[node].any():
+            go_left = cells[row_start + feature[node]] < threshold[node]
+            node = np.where(go_left, node + 1, right[node])
+        return self.value[node]
 
 
 @dataclass
 class GbdtModel:
-    """Trained forest: (round, class_id, tree) triples plus configuration.
+    """Trained forest: one `Tree` of node arrays plus configuration.
 
-    objective_history holds the regularized training objective before
-    any round and after each round; it is diagnostic only and is not
-    serialized.
+    trees lists (round, class_id, nodes) per tree, where nodes is the
+    range of the tree's entries in the forest arrays. objective_history
+    holds the regularized training objective before any round and after
+    each round; it is diagnostic only and is not serialized.
     """
 
     config: TrainConfig
     feature_dim: int
     base_score: float = 0.0
-    trees: list[tuple[int, int, TreeNode]] = field(default_factory=list)
+    forest: Tree = field(default_factory=lambda: Tree([], [], [], []))
+    trees: list[tuple[int, int, range]] = field(default_factory=list)
     objective_history: list[float] = field(default_factory=list)
 
 
@@ -164,22 +180,18 @@ def split_gain(
     ) - gamma
 
 
-def _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw, out_score, out_thr):
-    """Per-feature best candidate score gl^2/(hl+lam) + gr^2/(hr+lam).
+def _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw):
+    """Per-feature best candidate score gl^2/(hl+lam) + gr^2/(hr+lam) and its threshold.
 
     Candidates sit at midpoints between consecutive distinct values of
-    the node's rows; argmax keeps the lowest threshold on score ties.
+    the node's rows (at least two); argmax keeps the lowest threshold on
+    score ties, and a feature without a valid candidate scores -inf.
     The parent term and gamma are constant per node and applied by the
     caller.
     """
-    d, n = order_t.shape
-    mask = member[order_t]
+    d = order_t.shape[0]
     m = int(np.count_nonzero(member))
-    out_score.fill(-np.inf)
-    out_thr.fill(np.nan)
-    if m < 2:
-        return
-    rows = order_t[mask].reshape(d, m)
+    rows = order_t[member[order_t]].reshape(d, m)
     vals = np.take_along_axis(values_t, rows, axis=1)
     gl = np.cumsum(g[rows], axis=1)[:, :-1]
     hl = np.cumsum(h[rows], axis=1)[:, :-1]
@@ -201,9 +213,7 @@ def _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw, ou
     score[~valid] = -np.inf
     pos = np.argmax(score, axis=1)
     take = np.arange(d)
-    out_score[:] = score[take, pos]
-    out_thr[:] = thr[take, pos]
-    out_thr[~np.isfinite(out_score)] = np.nan
+    return score[take, pos], thr[take, pos]
 
 
 def _find_split(
@@ -218,33 +228,18 @@ def _find_split(
 ) -> tuple[int, float] | None:
     if idx.shape[0] < 2:
         return None
-    n = order_t.shape[1]
-    member = np.zeros(n, dtype=np.bool_)
+    member = np.zeros(order_t.shape[1], dtype=np.bool_)
     member[idx] = True
-    d = order_t.shape[0]
-    out_score = np.empty(d, dtype=np.float64)
-    out_thr = np.empty(d, dtype=np.float64)
-    _scan_splits(
-        order_t,
-        member,
-        g,
-        h,
-        values_t,
-        g_total,
-        h_total,
-        config.reg_lambda,
-        config.min_child_weight,
-        out_score,
-        out_thr,
-    )
-    feature = int(np.argmax(out_score))
-    score = out_score[feature]
+    lam, mcw = config.reg_lambda, config.min_child_weight
+    scores, thresholds = _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw)
+    feature = int(np.argmax(scores))
+    score = scores[feature]
     if not np.isfinite(score):
         return None
-    gain = 0.5 * (score - g_total * g_total / (h_total + config.reg_lambda)) - config.gamma
+    gain = 0.5 * (score - g_total * g_total / (h_total + lam)) - config.gamma
     if not gain > 0.0:
         return None
-    return feature, float(out_thr[feature])
+    return feature, float(thresholds[feature])
 
 
 def _grow_tree(
@@ -254,12 +249,22 @@ def _grow_tree(
     g: np.ndarray,
     h: np.ndarray,
     config: TrainConfig,
-) -> TreeNode:
-    """Depth-first growth from an explicit stack, left child first."""
-    root = TreeNode()
-    pending = [(root, np.arange(features.shape[0]), 0)]
+    nodes: list[list],
+    scale: float,
+) -> np.ndarray:
+    """Depth-first growth from an explicit stack, left child first.
+
+    Appends the tree to `nodes` in pre-order, one [feature, threshold,
+    value, right] row per node, with `right` counting from the start of
+    `nodes` and leaf values multiplied by `scale`. Returns the leaf
+    value each training row lands in.
+    """
+    out = np.empty(features.shape[0], dtype=np.float64)
+    pending = [(np.arange(features.shape[0]), 0, -1)]
     while pending:
-        node, idx, depth = pending.pop()
+        idx, depth, parent = pending.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
         g_total = float(g[idx].sum())
         h_total = float(h[idx].sum())
         if depth < config.max_depth:
@@ -270,13 +275,14 @@ def _grow_tree(
                 left_idx = idx[go_left]
                 right_idx = idx[~go_left]
                 if left_idx.size and right_idx.size:
-                    node.feature_index, node.threshold = feature, threshold
-                    node.left, node.right = TreeNode(), TreeNode()
-                    pending.append((node.right, right_idx, depth + 1))
-                    pending.append((node.left, left_idx, depth + 1))
+                    pending.append((right_idx, depth + 1, len(nodes)))
+                    pending.append((left_idx, depth + 1, -1))
+                    nodes.append([feature, threshold, 0.0, -1])
                     continue
-        node.weight = leaf_weight(g_total, h_total, config.reg_lambda)
-    return root
+        weight = leaf_weight(g_total, h_total, config.reg_lambda) * scale
+        out[idx] = weight
+        nodes.append([-1, 0.0, weight, -1])
+    return out
 
 
 def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +294,7 @@ def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_tree(
     features: np.ndarray, g: np.ndarray, h: np.ndarray, config: TrainConfig
-) -> TreeNode:
+) -> Tree:
     """Grow one regression tree on per-row gradient/hessian statistics.
 
     Leaf values are unscaled; the training loop applies the learning
@@ -297,7 +303,9 @@ def build_tree(
     """
     features, g, h = _check_training_arrays(features, g, h)
     values_t, order_t = _presort(features)
-    return _grow_tree(features, values_t, order_t, g, h, config)
+    nodes = []
+    _grow_tree(features, values_t, order_t, g, h, config, nodes, 1.0)
+    return Tree.from_rows(nodes)
 
 
 def _check_training_arrays(
@@ -313,16 +321,10 @@ def _check_training_arrays(
     return features, g, h
 
 
-def _scale_leaves(tree: TreeNode, factor: float) -> None:
-    for leaf in tree.leaves():
-        leaf.weight *= factor
-
-
-def _penalty(tree: TreeNode, config: TrainConfig) -> float:
-    leaves = tree.leaves()
-    return config.gamma * len(leaves) + 0.5 * config.reg_lambda * sum(
-        leaf.weight**2 for leaf in leaves
-    )
+def _penalty(nodes: list[list], start: int, config: TrainConfig) -> float:
+    """gamma per leaf plus lambda/2 times the squared leaf values, from node start on."""
+    leaves = [w for f, _, w, _ in nodes[start:] if f < 0]
+    return config.gamma * len(leaves) + 0.5 * config.reg_lambda * sum(w**2 for w in leaves)
 
 
 def _logloss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -362,6 +364,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
 
     class_ids = (1,) if binary else tuple(range(k))
     onehot = labels[:, None] == np.arange(k)[None, :]
+    nodes = []
     for rnd in range(config.n_rounds):
         p = softmax(logits)
         grad = p - onehot
@@ -369,30 +372,38 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
         for c in class_ids:
             g_c = np.ascontiguousarray(grad[:, c])
             h_c = np.ascontiguousarray(hess[:, c])
-            tree = _grow_tree(features, values_t, order_t, g_c, h_c, config)
-            _scale_leaves(tree, config.learning_rate)
-            out = tree.apply(features)
+            start = len(nodes)
+            out = _grow_tree(
+                features, values_t, order_t, g_c, h_c, config, nodes, config.learning_rate
+            )
             if binary:
                 logits[:, 1] += out
                 logits[:, 0] -= out
             else:
                 logits[:, c] += out
-            model.trees.append((rnd, c, tree))
-            penalty += _penalty(tree, config)
+            model.trees.append((rnd, c, range(start, len(nodes))))
+            penalty += _penalty(nodes, start, config)
         model.objective_history.append((_logloss(logits, labels) + penalty) / n)
+    model.forest = Tree.from_rows(nodes)
     return model
 
 
 def _accumulate_logits(model: GbdtModel, features: np.ndarray) -> np.ndarray:
-    logits = np.full((features.shape[0], model.config.n_classes), model.base_score)
-    binary = model.config.n_classes == 2
-    for _, class_id, tree in model.trees:
-        out = tree.apply(features)
-        if binary:
-            logits[:, 1] += out
-            logits[:, 0] -= out
-        else:
-            logits[:, class_id] += out
+    """Base score plus each tree's output, added in forest order per class.
+
+    ufunc.at adds unbuffered in index order, so the sums are
+    bit-identical to adding one tree at a time.
+    """
+    n, k = features.shape[0], model.config.n_classes
+    leaf = model.forest.apply(features, [nodes.start for _, _, nodes in model.trees])
+    logits = np.full((n, k), model.base_score)
+    rows = np.broadcast_to(np.arange(n)[:, None], leaf.shape)
+    if k == 2:
+        np.add.at(logits, (rows, 1), leaf)
+        np.subtract.at(logits, (rows, 0), leaf)
+    else:
+        class_ids = np.array([c for _, c, _ in model.trees], dtype=np.intp)
+        np.add.at(logits, (rows, class_ids), leaf)
     return logits
 
 
@@ -419,140 +430,112 @@ def predict(model: GbdtModel, features: np.ndarray) -> int | np.ndarray:
 
 
 _MAGIC = b"RFGB"
-_VERSION = 1
-_HEADER = struct.Struct("<4sH")
-_CONFIG = struct.Struct("<ididddiq")
-
-
-def _pack_config(config: TrainConfig) -> bytes:
-    return _CONFIG.pack(
-        config.n_rounds,
-        config.learning_rate,
-        config.max_depth,
-        config.reg_lambda,
-        config.gamma,
-        config.min_child_weight,
-        config.n_classes,
-        config.seed,
-    )
-
-
-def _unpack_config(buf: memoryview, offset: int) -> tuple[TrainConfig, int]:
-    values = _CONFIG.unpack_from(buf, offset)
-    config = TrainConfig(
-        n_rounds=values[0],
-        learning_rate=values[1],
-        max_depth=values[2],
-        reg_lambda=values[3],
-        gamma=values[4],
-        min_child_weight=values[5],
-        n_classes=values[6],
-        seed=values[7],
-    )
-    return config, offset + _CONFIG.size
-
-
-def _count_nodes(tree: TreeNode) -> int:
-    if tree.is_leaf:
-        return 1
-    return 1 + _count_nodes(tree.left) + _count_nodes(tree.right)
-
-
-def _write_nodes(tree: TreeNode, out: bytearray) -> None:
-    if tree.is_leaf:
-        out += struct.pack("<Bd", 0, tree.weight)
-    else:
-        out += struct.pack(
-            "<BIdB", 1, tree.feature_index, tree.threshold, 0 if tree.default_left else 1
-        )
-        _write_nodes(tree.left, out)
-        _write_nodes(tree.right, out)
-
-
-_SPLIT = struct.Struct("<IdB")
-
-
-def _read_tree(
-    buf: memoryview, offset: int, feature_dim: int, max_depth: int
-) -> tuple[TreeNode, int, int]:
-    """Rebuild one pre-order node stream without recursion.
-
-    Returns the root, the offset past the tree and its node count. A
-    split on a feature the model lacks, or a split at max_depth, is a
-    FormatError: the trainer never writes either.
-    """
-    root = TreeNode()
-    pending = [(root, 0)]
-    count = 0
-    while pending:
-        node, depth = pending.pop()
-        (kind,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        count += 1
-        if kind == 0:
-            (node.weight,) = struct.unpack_from("<d", buf, offset)
-            offset += 8
-            continue
-        if kind != 1:
-            raise FormatError(f"unknown tree node kind {kind}")
-        feature, node.threshold, default = _SPLIT.unpack_from(buf, offset)
-        offset += _SPLIT.size
-        if feature >= feature_dim:
-            raise FormatError(
-                f"node splits on feature {feature} but the model has {feature_dim} features"
-            )
-        if depth >= max_depth:
-            raise FormatError(f"tree is deeper than the stored max_depth {max_depth}")
-        node.feature_index = int(feature)
-        node.default_left = default == 0
-        node.left, node.right = TreeNode(), TreeNode()
-        pending.append((node.right, depth + 1))
-        pending.append((node.left, depth + 1))
-    return root, offset, count
+_VERSION = 2
+# magic, version, the TrainConfig fields in order, base score, feature dim, tree count
+_PREFIX = struct.Struct("<4sH ididddi dII")
+_TABLE = np.dtype([("round", "<u2"), ("class_id", "<u2"), ("nodes", "<u4")])
+_NODE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"), ("right", "<i4"))
+_NODE_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _NODE_ARRAYS)
 
 
 def save_model(model: GbdtModel, path) -> None:
-    """Write the forest to a little-endian binary container."""
-    out = bytearray()
-    out += _HEADER.pack(_MAGIC, _VERSION)
-    out += _pack_config(model.config)
-    out += struct.pack("<dII", model.base_score, model.feature_dim, len(model.trees))
-    for rnd, class_id, tree in model.trees:
-        out += struct.pack("<HHI", rnd, class_id, _count_nodes(tree))
-        _write_nodes(tree, out)
+    """Write the forest to a little-endian binary container.
+
+    The tree table holds (round, class, node count) per tree; the node
+    arrays follow whole, so the trees must tile the forest in order.
+    """
+    table = np.array([(rnd, c, len(nodes)) for rnd, c, nodes in model.trees], dtype=_TABLE)
+    head = _PREFIX.pack(
+        _MAGIC, _VERSION, *astuple(model.config), model.base_score, model.feature_dim, len(table)
+    )
+    parts = [head, table.tobytes()]
+    parts += [getattr(model.forest, name).astype(dtype).tobytes() for name, dtype in _NODE_ARRAYS]
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(b"".join(parts))
+
+
+def _check_forest(forest: Tree, starts, stops, feature_dim: int, max_depth: int) -> None:
+    """Reject node arrays that the trainer cannot have written.
+
+    Feature indices lie in [-1, feature_dim); a split's right child lies
+    past its left child and inside its tree; and walking each tree level
+    by level from its root reaches every node exactly once, with no split
+    at max_depth. The walk stops as soon as it has made more visits than
+    there are nodes, so a corrupt table cannot make it run long.
+    """
+    if (starts == stops).any():
+        raise FormatError("tree table lists a tree with no nodes")
+    bad = (forest.feature < -1) | (forest.feature >= feature_dim)
+    if bad.any():
+        feature = forest.feature[bad][0]
+        raise FormatError(f"node splits on feature {feature}; the model has {feature_dim} features")
+    split = forest.feature >= 0
+    index = np.arange(len(forest))
+    end = np.repeat(stops, stops - starts)
+    bad = split & ((forest.right <= index + 1) | (forest.right >= end))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise FormatError(f"split {i} has right child {forest.right[i]} not in ({i + 1}, {end[i]})")
+    level, visits, n_visits = starts, [starts], starts.size
+    for depth in range(max_depth + 1):
+        level = level[split[level]]
+        if not level.size:
+            break
+        if depth == max_depth:
+            raise FormatError(f"tree is deeper than the stored max_depth {max_depth}")
+        level = np.concatenate([level + 1, forest.right[level]])
+        n_visits += level.size
+        if n_visits > len(forest):
+            raise FormatError("a node is the child of more than one split")
+        visits.append(level)
+    if (np.bincount(np.concatenate(visits), minlength=len(forest)) != 1).any():
+        raise FormatError("a node is unreachable or the child of more than one split")
 
 
 def load_model(path) -> GbdtModel:
-    """Read a model container; predictions round-trip bit-exactly."""
+    """Read a model container; predictions round-trip bit-exactly.
+
+    Sizes are checked against the file length before any array is read,
+    and the arrays are checked before the model is returned; any
+    violation is a FormatError.
+    """
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    if len(buf) < _HEADER.size:
-        raise FormatError("model file is truncated")
-    magic, version = _HEADER.unpack_from(buf, 0)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported model container version {version}")
-    offset = _HEADER.size
+        buf = fh.read()
+    if buf[:4] != _MAGIC:
+        raise FormatError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
     try:
-        config, offset = _unpack_config(buf, offset)
-        base_score, feature_dim, n_trees = struct.unpack_from("<dII", buf, offset)
-        offset += struct.calcsize("<dII")
-        trees = []
-        for _ in range(n_trees):
-            rnd, class_id, node_count = struct.unpack_from("<HHI", buf, offset)
-            offset += struct.calcsize("<HHI")
-            tree, offset, count = _read_tree(buf, offset, feature_dim, config.max_depth)
-            if count != node_count:
-                raise FormatError("tree node count mismatch")
-            trees.append((int(rnd), int(class_id), tree))
+        _, version, *fields, base_score, feature_dim, n_trees = _PREFIX.unpack_from(buf)
     except struct.error as exc:
         raise FormatError(f"model file is truncated: {exc}") from None
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after model payload")
-    return GbdtModel(
-        config=config, feature_dim=int(feature_dim), base_score=base_score, trees=trees
-    )
-
+    if version != _VERSION:
+        raise FormatError(f"unsupported model container version {version}; retrain the model")
+    try:
+        config = TrainConfig(*fields)
+    except ConfigurationError as exc:
+        raise FormatError(f"model file holds an invalid training configuration: {exc}") from None
+    offset = _PREFIX.size
+    if len(buf) < offset + n_trees * _TABLE.itemsize:
+        raise FormatError(f"model file is truncated: no room for a table of {n_trees} trees")
+    table = np.frombuffer(buf, dtype=_TABLE, count=n_trees, offset=offset)
+    offset += table.nbytes
+    if (table["class_id"] >= config.n_classes).any():
+        raise FormatError(f"tree table names a class outside [0, {config.n_classes})")
+    stops = np.cumsum(table["nodes"], dtype=np.int64)
+    total = int(stops[-1]) if n_trees else 0
+    extra = len(buf) - offset - _NODE_BYTES * total
+    if extra < 0:
+        raise FormatError(f"model file is truncated: the tree table's node counts sum to {total}")
+    if extra > 0:
+        raise FormatError(f"{extra} trailing bytes after the tree table's node counts ({total})")
+    arrays = {}
+    for name, dtype in _NODE_ARRAYS:
+        arrays[name] = np.frombuffer(buf, dtype=dtype, count=total, offset=offset)
+        offset += arrays[name].nbytes
+    forest = Tree(**arrays)
+    starts = stops - table["nodes"]
+    _check_forest(forest, starts, stops, feature_dim, config.max_depth)
+    trees = [
+        (int(rnd), int(c), range(int(a), int(b)))
+        for rnd, c, a, b in zip(table["round"], table["class_id"], starts, stops)
+    ]
+    return GbdtModel(config, int(feature_dim), base_score, forest, trees)

@@ -155,17 +155,17 @@ def test_criterion_3_gbdt_numeric_core():
         x = trial_rng.normal(size=n)
         y = trial_rng.integers(0, 2, n)
         model = train(x[:, None], y, config)
-        _, _, tree = model.trees[0]
+        forest, root = model.forest, model.trees[0][2].start
         g = 0.5 - (y == 1)  # softmax gradients at the uniform start
         h = np.full(n, 0.25)
         best = _exhaustive_stump(x, g.astype(float), h, config.reg_lambda)
         if best is None or not best[0] > 0:
-            assert tree.is_leaf
+            assert forest.feature[root] == -1
             continue
-        assert not tree.is_leaf
-        assert tree.threshold == best[1]
-        assert tree.left.weight == pytest.approx(best[2], rel=1e-12)
-        assert tree.right.weight == pytest.approx(best[3], rel=1e-12)
+        assert forest.feature[root] != -1
+        assert forest.threshold[root] == best[1]
+        assert forest.value[root + 1] == pytest.approx(best[2], rel=1e-12)
+        assert forest.value[forest.right[root]] == pytest.approx(best[3], rel=1e-12)
     ok(
         "criterion 3: softmax grad/hess vs finite differences (1e-6), "
         "leaf weights beat a 1e4 grid, stumps match exhaustive search"

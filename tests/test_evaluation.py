@@ -138,12 +138,6 @@ class TestMetrics:
                 assert 0.0 <= value <= 1.0
             assert m.accuracy == pytest.approx(np.trace(matrix) / matrix.sum())
 
-    def test_micro_views_equal_accuracy(self):
-        m = metrics(np.array([[3, 1], [2, 4]]))
-        assert m.micro_precision == m.accuracy
-        assert m.micro_recall == m.accuracy
-        assert m.micro_f1 == m.accuracy
-
     def test_empty_matrix(self):
         with pytest.raises(EmptyEvaluationError):
             metrics(np.zeros((3, 3), dtype=int))

@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rfsentry.gbdt as gbdt
+from rfsentry.cli import main
 from rfsentry.errors import (
     ConfigurationError,
     DegenerateLeafError,
@@ -15,7 +17,7 @@ from rfsentry.errors import (
 from rfsentry.gbdt import (
     GbdtModel,
     TrainConfig,
-    TreeNode,
+    Tree,
     build_tree,
     leaf_weight,
     load_model,
@@ -164,24 +166,24 @@ def stump_config(**overrides):
 class TestBuildTree:
     def test_all_zero_gradients_give_zero_leaf(self):
         tree = build_tree(np.arange(4.0)[:, None], np.zeros(4), np.ones(4), stump_config())
-        assert tree.is_leaf
-        assert tree.weight == 0.0
+        assert len(tree) == 1 and tree.feature[0] == -1
+        assert tree.value[0] == 0.0
 
     def test_hand_derived_stump(self):
         # Candidates 1.5 / 2.5 / 3.5 have gains 2/3, 2, 2/3; midpoint 2.5
         # wins, leaving mean gradients of -1 and +1 per side.
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         tree = build_tree(x, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), stump_config())
-        assert tree.feature_index == 0
-        assert tree.threshold == pytest.approx(2.5)
-        assert tree.left.weight == pytest.approx(1.0)
-        assert tree.right.weight == pytest.approx(-1.0)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(2.5)
+        assert tree.value[1] == pytest.approx(1.0)
+        assert tree.value[tree.right[0]] == pytest.approx(-1.0)
 
     def test_tie_breaks_to_lowest_feature(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         duplicated = np.hstack([x, x])
         tree = build_tree(duplicated, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), stump_config())
-        assert tree.feature_index == 0
+        assert tree.feature[0] == 0
 
     def test_xor_pattern_depth_two(self):
         # Exact-greedy needs a slightly asymmetric corner weight; a
@@ -189,7 +191,7 @@ class TestBuildTree:
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         target = np.array([-1.0, 1.0, 1.0, -1.5])
         tree = build_tree(x, -target, np.ones(4), stump_config(max_depth=2))
-        outputs = tree.apply(x)
+        outputs = tree.apply(x)[:, 0]
         assert (np.sign(outputs) == np.sign(target)).all()
         np.testing.assert_allclose(outputs, target)
 
@@ -204,29 +206,32 @@ class TestBuildTree:
             tree = build_tree(x[:, None], g, h, stump_config(reg_lambda=lam))
             best = enumerate_best_stump(x, g, h, lam, 0.0)
             assert best is not None and best[0] > 0
-            assert tree.threshold == pytest.approx(best[1])
-            assert tree.left.weight == pytest.approx(best[2])
-            assert tree.right.weight == pytest.approx(best[3])
+            assert tree.threshold[0] == pytest.approx(best[1])
+            assert tree.value[1] == pytest.approx(best[2])
+            assert tree.value[tree.right[0]] == pytest.approx(best[3])
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(200, 3))
         g = rng.normal(size=200)
         tree = build_tree(x, g, np.ones(200), stump_config(max_depth=3))
-
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tree) <= 3
+        depth = np.zeros(len(tree), dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0):  # pre-order: parents come first
+            depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
+        assert depth.max() <= 3
 
     def test_min_child_weight_blocks_small_leaves(self):
         x = np.arange(6.0)[:, None]
         g = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         tree = build_tree(x, g, np.ones(6), stump_config(min_child_weight=2.0))
-        if not tree.is_leaf:
-            assert min(tree.apply(x).size for _ in [0]) >= 0
-            left = (x[:, 0] < tree.threshold).sum()
-            assert left >= 2 and (6 - left) >= 2
+        # Unconstrained, the best cut isolates row 0; with unit hessians the
+        # weight floor forces at least two rows into each leaf.
+        assert tree.feature[0] == 0
+        left = (x[:, 0] < tree.threshold[0]).sum()
+        assert left >= 2 and (6 - left) >= 2
+        out = tree.apply(x)[:, 0]
+        leaf_rows = [(out == tree.value[1]).sum(), (out == tree.value[tree.right[0]]).sum()]
+        assert leaf_rows == [2, 4]
 
 
 def blobs(seed, n_per_class=40, n_classes=3, dim=5, spread=1.0):
@@ -276,8 +281,7 @@ class TestTrain:
             hess = p * (1.0 - p)
             for c in (0, 1):
                 tree = build_tree(features, grad[:, c], hess[:, c], config)
-                gbdt._scale_leaves(tree, config.learning_rate)
-                logits[:, c] += tree.apply(features)
+                logits[:, c] += tree.apply(features)[:, 0] * config.learning_rate
         reference = gbdt.softmax(logits)
         np.testing.assert_allclose(predict_proba(model, features), reference, atol=1e-9)
 
@@ -341,9 +345,9 @@ class TestPredict:
             n_rounds=1, max_depth=1, min_child_weight=0.0, n_classes=2, learning_rate=0.5
         )
         model = train(x, y, config)
-        _, _, tree = model.trees[0]
-        below = predict_proba(model, np.array([tree.threshold - 0.25]))
-        above = predict_proba(model, np.array([tree.threshold + 0.25]))
+        threshold = model.forest.threshold[model.trees[0][2].start]
+        below = predict_proba(model, np.array([threshold - 0.25]))
+        above = predict_proba(model, np.array([threshold + 0.25]))
         np.testing.assert_allclose(
             predict_proba(model, np.array([[-5.0], [0.49], [0.51], [99.0]])),
             np.vstack([below, below, above, above]),
@@ -361,6 +365,29 @@ class TestPredict:
         batch = predict(model, features)
         singles = np.array([predict(model, row) for row in features])
         np.testing.assert_array_equal(batch, singles)
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_forest_walk_matches_per_row_loop(self, n_classes):
+        features, labels = blobs(45 + n_classes, n_classes=n_classes, spread=2.0)
+        model = train(features, labels, TrainConfig(n_rounds=5, max_depth=4, n_classes=n_classes))
+        forest = model.forest
+        probe = np.random.default_rng(46).normal(scale=4.0, size=(60, features.shape[1]))
+        roots = [nodes.start for _, _, nodes in model.trees]
+        leaf = forest.apply(probe, roots)
+
+        logits = np.zeros((len(probe), n_classes))
+        for r, row in enumerate(probe):
+            for t, (_, class_id, _) in enumerate(model.trees):
+                i = roots[t]
+                while forest.feature[i] >= 0:
+                    i = i + 1 if row[forest.feature[i]] < forest.threshold[i] else forest.right[i]
+                assert leaf[r, t] == forest.value[i]
+                if n_classes == 2:
+                    logits[r, 1] += forest.value[i]
+                    logits[r, 0] -= forest.value[i]
+                else:
+                    logits[r, class_id] += forest.value[i]
+        np.testing.assert_array_equal(predict_proba(model, probe), gbdt.softmax(logits))
 
     def test_dimension_mismatch(self):
         features, labels = blobs(44)
@@ -431,13 +458,11 @@ class TestModelIO:
             load_model(path)
 
     def test_out_of_range_feature_index_rejected(self, tmp_path):
-        tree = TreeNode(feature_index=10, threshold=0.5)
-        tree.left = TreeNode(weight=-1.0)
-        tree.right = TreeNode(weight=1.0)
         model = GbdtModel(
             config=TrainConfig(n_rounds=1, n_classes=2),
             feature_dim=5,
-            trees=[(0, 1, tree)],
+            forest=Tree.from_rows([[10, 0.5, 0.0, 2], [-1, 0.0, -1.0, -1], [-1, 0.0, 1.0, -1]]),
+            trees=[(0, 1, range(3))],
         )
         path = tmp_path / "model.rfgb"
         save_model(model, path)
@@ -445,33 +470,57 @@ class TestModelIO:
             load_model(path)
 
     @staticmethod
-    def chain_model_bytes(depth, max_depth, feature_dim=3):
-        """A one-tree model whose splits all go left, packed by hand."""
-        config = struct.pack("<ididddiq", 1, 0.3, max_depth, 1.0, 0.0, 1.0, 2, 0)
-        nodes = bytearray()
-        for _ in range(depth):
-            nodes += struct.pack("<BIdB", 1, 0, 0.5, 0)
-        nodes += struct.pack("<Bd", 0, -1.0)
-        for _ in range(depth):
-            nodes += struct.pack("<Bd", 0, 1.0)
+    def chain_model_bytes(depth, max_depth, feature_dim=3, version=2, nodes=None, right=None):
+        """A one-tree model whose splits all go left, packed by hand.
+
+        nodes overrides the node count in the tree table and right the
+        right-child array; both default to the true chain's.
+        """
+        config = struct.pack("<ididddi", 1, 0.3, max_depth, 1.0, 0.0, 1.0, 2)
+        n = 2 * depth + 1
+        feature = [0] * depth + [-1] * (depth + 1)
+        threshold = [0.5] * depth + [0.0] * (depth + 1)
+        value = [0.0] * depth + [-1.0] + [1.0] * depth
+        if right is None:
+            right = [2 * depth - i for i in range(depth)] + [-1] * (depth + 1)
         return (
-            struct.pack("<4sH", b"RFGB", 1)
+            struct.pack("<4sH", b"RFGB", version)
             + config
             + struct.pack("<dII", 0.0, feature_dim, 1)
-            + struct.pack("<HHI", 0, 1, 2 * depth + 1)
-            + bytes(nodes)
+            + struct.pack("<HHI", 0, 1, n if nodes is None else nodes)
+            + struct.pack(f"<{n}i", *feature)
+            + struct.pack(f"<{n}d", *threshold)
+            + struct.pack(f"<{n}d", *value)
+            + struct.pack(f"<{n}i", *right)
         )
 
     def test_deep_tree_loads_without_recursion(self, tmp_path):
         path = tmp_path / "deep.rfgb"
         path.write_bytes(self.chain_model_bytes(depth=5000, max_depth=5000))
         model = load_model(path)
-        node, depth = model.trees[0][2], 0
-        while not node.is_leaf:
-            node, depth = node.left, depth + 1
-        assert depth == 5000 and node.weight == -1.0
+        forest = model.forest
+        node, depth = model.trees[0][2].start, 0
+        while forest.feature[node] >= 0:
+            node, depth = node + 1, depth + 1
+        assert depth == 5000 and forest.value[node] == -1.0
         probe = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(model.trees[0][2].apply(probe), [-1.0, 1.0])
+        np.testing.assert_array_equal(forest.apply(probe)[:, 0], [-1.0, 1.0])
+
+    def test_deep_tree_saves_without_recursion(self, tmp_path):
+        data = self.chain_model_bytes(depth=5000, max_depth=5000)
+        path = tmp_path / "deep.rfgb"
+        path.write_bytes(data)
+        model = load_model(path)
+        again = tmp_path / "again.rfgb"
+        save_model(model, again)
+        assert again.read_bytes() == data
+        restored = load_model(again)
+        for name in ("feature", "threshold", "value", "right"):
+            expected = getattr(model.forest, name)
+            np.testing.assert_array_equal(getattr(restored.forest, name), expected)
+        assert restored.trees == model.trees
+        probe = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(restored.forest.apply(probe)[:, 0], [-1.0, 1.0])
 
     def test_tree_deeper_than_max_depth_rejected(self, tmp_path):
         path = tmp_path / "deep.rfgb"
@@ -481,11 +530,62 @@ class TestModelIO:
         with pytest.raises(FormatError, match="max_depth 4"):
             load_model(path)
 
-    def test_node_count_mismatch_rejected(self, tmp_path):
-        data = bytearray(self.chain_model_bytes(depth=2, max_depth=2))
-        header = struct.calcsize("<4sH") + struct.calcsize("<ididddiq") + struct.calcsize("<dII")
-        struct.pack_into("<I", data, header + 4, 4)
-        path = tmp_path / "count.rfgb"
+    def test_invalid_stored_config_is_format_error(self, tmp_path):
+        path = tmp_path / "config.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=0, max_depth=0))
+        with pytest.raises(FormatError, match="max_depth must be >= 1"):
+            load_model(path)
+
+    def test_class_outside_model_rejected(self, tmp_path):
+        data = bytearray(self.chain_model_bytes(depth=1, max_depth=1))
+        struct.pack_into("<H", data, gbdt._PREFIX.size + 2, 2)  # the tree's class id
+        path = tmp_path / "class.rfgb"
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="node count"):
+        with pytest.raises(FormatError, match="class outside"):
+            load_model(path)
+
+    def test_node_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "count.rfgb"
+        for claimed in (4, 6):
+            path.write_bytes(self.chain_model_bytes(depth=2, max_depth=2, nodes=claimed))
+            with pytest.raises(FormatError, match="node count"):
+                load_model(path)
+
+    def test_huge_node_count_rejected_without_allocating(self, tmp_path):
+        data = self.chain_model_bytes(depth=1, max_depth=1, nodes=2**32 - 1)
+        assert len(data) < 150
+        path = tmp_path / "huge.rfgb"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=2, max_depth=2, version=1))
+        with pytest.raises(FormatError, match="version 1"):
+            load_model(path)
+        # The model is read before the (absent) feature cache, so exit 3.
+        argv = ["predict", "--model", str(path), "--features", str(tmp_path / "absent.rfds")]
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize(
+        "right, message",
+        [
+            ([99, 4, -1, -1, -1], "right child"),
+            ([1, 4, -1, -1, -1], "right child"),
+            ([4, 5, -1, -1, -1], "right child"),
+            ([3, 3, -1, -1, -1], "more than one split"),  # node 3 shared, node 4 unreached
+        ],
+    )
+    def test_bad_right_child_rejected(self, tmp_path, right, message):
+        # depth-2 chain: splits 0 and 1, leaves 2-4; right children lie in (i + 1, 5).
+        path = tmp_path / "right.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=2, max_depth=2, right=right))
+        with pytest.raises(FormatError, match=message):
             load_model(path)
