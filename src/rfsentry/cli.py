@@ -24,7 +24,7 @@ from . import dataset as dataset_mod
 from . import evaluation, gbdt
 from .dataset import Case, LabelSchema
 from .errors import ConfigurationError, RfSentryError
-from .spectrum import BandMode
+from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, BandMode
 
 log = logging.getLogger(__name__)
 
@@ -38,9 +38,13 @@ _BAND_CHOICES = {"lower": BandMode.LOWER_ONLY, "upper": BandMode.UPPER_ONLY, "bo
 
 def _extraction_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("feature extraction")
-    group.add_argument("--frame-size", type=int, default=2048, help="analysis frame length N")
+    group.add_argument(
+        "--frame-size", type=int, default=DEFAULT_FRAME_SIZE, help="analysis frame length N"
+    )
     group.add_argument("--hop", type=int, default=None, help="frame hop (default: frame size)")
-    group.add_argument("--q", type=int, default=8, help="boundary bins for the seam scale factor")
+    group.add_argument(
+        "--q", type=int, default=DEFAULT_SEAM_BINS, help="boundary bins for the seam scale factor"
+    )
     group.add_argument(
         "--window", choices=("rectangular", "hann"), default="rectangular", help="analysis window"
     )
@@ -247,9 +251,9 @@ def cmd_predict(args) -> int:
         if args.lb is None and args.ub is None:
             raise ConfigurationError("predict needs --features, or --lb/--ub segment files")
         band_mode = _BAND_CHOICES[args.band]
-        if band_mode in (BandMode.LOWER_ONLY, BandMode.CONCATENATED) and args.lb is None:
+        if band_mode in dataset_mod.NEEDS_LOWER and args.lb is None:
             raise ConfigurationError(f"--band {args.band} requires --lb")
-        if band_mode in (BandMode.UPPER_ONLY, BandMode.CONCATENATED) and args.ub is None:
+        if band_mode in dataset_mod.NEEDS_UPPER and args.ub is None:
             raise ConfigurationError(f"--band {args.band} requires --ub")
         rows = dataset_mod.extract_pair(
             args.lb,

@@ -35,13 +35,14 @@ from .errors import (
     ShapeError,
 )
 from .spectrum import (
+    DEFAULT_FRAME_SIZE,
+    DEFAULT_SEAM_BINS,
     Band,
     BandMode,
     _is_power_of_two,
     compute_scaling_factor,
     concatenate_bands,
     segment_spectrum,
-    single_band_feature,
 )
 
 log = logging.getLogger(__name__)
@@ -175,7 +176,10 @@ _TOKEN_RE = re.compile(r"[^,\s]+")
 def load_segment(path, band: Band) -> SegmentRecord:
     """Read one band file: comma-separated and/or one value per line."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from None
     if not text.strip():
         raise InsufficientDataError(f"{path}: file contains no samples")
     tokens = re.split(r"[,\s]+", text.strip())
@@ -214,8 +218,9 @@ class ManifestEntry:
     case3: int
 
     def __post_init__(self) -> None:
-        if not self.lb_path or not self.ub_path:
-            raise SchemaError("manifest entry must carry both band paths")
+        paths = (self.lb_path, self.ub_path)
+        if not all(isinstance(p, str) and p and "\0" not in p for p in paths):
+            raise SchemaError("manifest entry band paths must be non-empty strings without NUL")
         label_from_case3(self.case3)
 
     @property
@@ -271,10 +276,12 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not valid JSON text: {exc}") from None
     if not isinstance(payload, dict) or "entries" not in payload or "source" not in payload:
         raise SchemaError(f"{path}: manifest needs 'source' and 'entries' keys")
+    if not isinstance(payload["entries"], list):
+        raise SchemaError(f"{path}: manifest 'entries' must be a list")
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:
@@ -283,7 +290,7 @@ def load_manifest(path) -> Manifest:
                     lb_path=raw["lb_path"], ub_path=raw["ub_path"], case3=int(raw["label"])
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
             raise SchemaError(f"{path}: bad manifest entry {i}: {exc}") from None
     return Manifest(
         entries=tuple(entries),
@@ -405,7 +412,7 @@ def synth_segment(
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
     index: int = 0,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
 ) -> tuple[SegmentRecord, SegmentRecord]:
     """Deterministic synthetic (lower, upper) segment pair for one class.
 
@@ -453,7 +460,7 @@ def write_synthetic_corpus(
     n_per_class: int,
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
 ) -> Manifest:
     """Write segment files for all 10 classes plus a manifest referencing them."""
     if n_per_class < 1:
@@ -542,17 +549,18 @@ def pool_workers(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-_NEEDS_LOWER = (BandMode.LOWER_ONLY, BandMode.CONCATENATED)
-_NEEDS_UPPER = (BandMode.UPPER_ONLY, BandMode.CONCATENATED)
+# The band modes that read each band file.
+NEEDS_LOWER = (BandMode.LOWER_ONLY, BandMode.CONCATENATED)
+NEEDS_UPPER = (BandMode.UPPER_ONLY, BandMode.CONCATENATED)
 
 
 def extract_pair(
     lb_path,
     ub_path,
     modes,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
     hop: int | None = None,
-    q: int = 8,
+    q: int = DEFAULT_SEAM_BINS,
     window: str = "rectangular",
     name: str = "segment pair",
 ) -> dict[BandMode, np.ndarray]:
@@ -565,11 +573,11 @@ def extract_pair(
     """
     try:
         lb = ub = None
-        if any(mode in _NEEDS_LOWER for mode in modes):
+        if any(mode in NEEDS_LOWER for mode in modes):
             record = load_segment(lb_path, Band.LOWER)
             lb = segment_spectrum(record.samples, Band.LOWER, frame_size, hop, window)
             del record
-        if any(mode in _NEEDS_UPPER for mode in modes):
+        if any(mode in NEEDS_UPPER for mode in modes):
             record = load_segment(ub_path, Band.UPPER)
             ub = segment_spectrum(record.samples, Band.UPPER, frame_size, hop, window)
         rows = {}
@@ -580,9 +588,9 @@ def extract_pair(
                 except DegenerateSpectrumError:
                     log.warning("%s: degenerate upper band, falling back to scale 1", name)
                     scale = 1.0
-                rows[mode] = concatenate_bands(lb, ub, scale).values
+                rows[mode] = concatenate_bands(lb, ub, scale)
             else:
-                rows[mode] = single_band_feature(lb if mode is BandMode.LOWER_ONLY else ub).values
+                rows[mode] = (lb if mode is BandMode.LOWER_ONLY else ub).bins
         return rows
     except (RfSentryError, OSError) as exc:
         raise DataError(f"feature extraction failed for {name}: {exc}") from exc
@@ -592,9 +600,9 @@ def build_datasets(
     manifest: Manifest,
     modes,
     case: Case,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
     hop: int | None = None,
-    q: int = 8,
+    q: int = DEFAULT_SEAM_BINS,
     window: str = "rectangular",
     jobs: int = 1,
 ) -> dict[BandMode, LabeledDataset]:
@@ -648,9 +656,9 @@ def build_dataset(
     manifest: Manifest,
     band_mode: BandMode,
     case: Case,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
     hop: int | None = None,
-    q: int = 8,
+    q: int = DEFAULT_SEAM_BINS,
     window: str = "rectangular",
     jobs: int = 1,
 ) -> LabeledDataset:

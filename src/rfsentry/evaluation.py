@@ -8,8 +8,10 @@ asserted through fold fingerprints.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -25,7 +27,7 @@ from .errors import (
     EmptyEvaluationError,
     ShapeError,
 )
-from .spectrum import BandMode
+from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, BandMode
 
 log = logging.getLogger(__name__)
 
@@ -230,28 +232,16 @@ def cross_validate(
         if folds.test_rows(fold).size == 0:
             raise ConfigurationError(f"fold {fold} has no test rows")
 
-    confusions: list[np.ndarray | None] = [None] * k
+    args = (
+        itertools.repeat(dataset.features),
+        itertools.repeat(dataset.labels),
+        itertools.repeat(folds.fold_of),
+        range(k),
+        itertools.repeat(train_config),
+    )
     workers = dataset_mod.pool_workers(jobs, k)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _fold_confusion,
-                    dataset.features,
-                    dataset.labels,
-                    folds.fold_of,
-                    fold,
-                    train_config,
-                ): fold
-                for fold in range(k)
-            }
-            for future, fold in futures.items():
-                confusions[fold] = future.result()
-    else:
-        for fold in range(k):
-            confusions[fold] = _fold_confusion(
-                dataset.features, dataset.labels, folds.fold_of, fold, train_config
-            )
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        confusions = list(pool.map(_fold_confusion, *args) if pool else map(_fold_confusion, *args))
 
     per_fold = [metrics(c) for c in confusions]
     mean = {}
@@ -467,9 +457,9 @@ def compare_bands(
     k: int = 10,
     seed: int = 0,
     alpha: float = 0.05,
-    frame_size: int = 2048,
+    frame_size: int = DEFAULT_FRAME_SIZE,
     hop: int | None = None,
-    q: int = 8,
+    q: int = DEFAULT_SEAM_BINS,
     window: str = "rectangular",
     jobs: int = 1,
 ) -> BandComparison:

@@ -1,10 +1,12 @@
 """Magnitude-spectrum feature extraction from RF signal-strength recordings.
 
-A recording is cut into power-of-two frames through one strided view,
-the frame matrix is transformed row-wise with ``np.fft``, the one-sided
-magnitude spectra are averaged into a single vector per segment, and the
-two receiver bands are finally joined with a scale factor chosen so the
-concatenation has no seam step.
+There is one path from samples to features. ``segment_spectrum`` cuts a
+segment into power-of-two frames through one strided view, transforms
+the frame matrix row-wise with ``np.fft`` and averages the one-sided
+magnitudes into a ``MagnitudeSpectrum`` per band. A single-band feature
+row is that spectrum's ``bins``; ``compute_scaling_factor`` and
+``concatenate_bands`` join the two bands into one row with no seam step.
+``dft`` is the plain transform of one frame.
 """
 
 from __future__ import annotations
@@ -52,46 +54,17 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class SampleFrame:
-    """One fixed-length window of real signal-strength samples."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise InvalidFrameError(f"frame must be 1-D, got shape {samples.shape}")
-        n = samples.shape[0]
-        if not _is_power_of_two(n) or not (2 <= n <= MAX_FRAME_SIZE):
-            raise InvalidFrameError(
-                f"frame length must be a power of two in [2, {MAX_FRAME_SIZE}], got {n}"
-            )
-        if not np.isfinite(samples).all():
-            raise InvalidFrameError("frame contains non-finite samples")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
 class MagnitudeSpectrum:
-    """One-sided magnitude spectrum of a real frame: bins 0 .. N/2 - 1."""
+    """One band's averaged one-sided magnitude spectrum: bins 0 .. N/2 - 1."""
 
     bins: np.ndarray
     band: Band
-    frame_size: int
 
     def __post_init__(self) -> None:
         bins = np.asarray(self.bins, dtype=np.float64)
-        if bins.ndim != 1:
-            raise ShapeError(f"spectrum bins must be 1-D, got shape {bins.shape}")
-        if not _is_power_of_two(self.frame_size):
-            raise ShapeError(f"frame_size must be a power of two, got {self.frame_size}")
-        if bins.shape[0] != self.frame_size // 2:
+        if bins.ndim != 1 or not _is_power_of_two(bins.shape[0]):
             raise ShapeError(
-                f"expected {self.frame_size // 2} bins for frame size "
-                f"{self.frame_size}, got {bins.shape[0]}"
+                f"spectrum bins must be 1-D with a power-of-two length, got shape {bins.shape}"
             )
         if not np.isfinite(bins).all() or (bins < 0).any():
             raise ShapeError("magnitude bins must be finite and non-negative")
@@ -101,59 +74,17 @@ class MagnitudeSpectrum:
         return self.bins.shape[0]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Per-segment feature vector with its band layout and seam scale."""
-
-    values: np.ndarray
-    band_mode: BandMode
-    scaling_factor: float | None = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ShapeError(f"feature vector must be 1-D, got shape {values.shape}")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ShapeError("feature values must be finite and non-negative")
-        if self.band_mode is BandMode.CONCATENATED:
-            if self.scaling_factor is None:
-                raise ShapeError("concatenated features require a scaling factor")
-            if values.shape[0] % 2 != 0:
-                raise ShapeError("concatenated feature length must be even")
-        elif self.scaling_factor is not None:
-            raise ShapeError("scaling factor only applies to concatenated features")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def _mean_magnitude(frames: np.ndarray) -> np.ndarray:
     """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2."""
     n = frames.shape[-1]
     return np.abs(np.fft.fft(frames, axis=-1)[:, : n // 2]).mean(axis=0)
 
 
-def dft(frame: SampleFrame | np.ndarray) -> np.ndarray:
-    """N-point transform X[k] = sum_n x[n] exp(-i 2 pi n k / N) of a real frame."""
-    if not isinstance(frame, SampleFrame):
-        frame = SampleFrame(np.asarray(frame))
-    return np.fft.fft(frame.samples)
-
-
-def one_sided_magnitude(spectrum: np.ndarray, band: Band) -> MagnitudeSpectrum:
-    """Keep |X[k]| for k = 0 .. N/2 - 1 (the Nyquist bin is dropped)."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.ndim != 1:
-        raise ShapeError(f"spectrum must be 1-D, got shape {spectrum.shape}")
-    n = spectrum.shape[0]
-    if not _is_power_of_two(n) or n < 2:
-        raise ShapeError(f"spectrum length must be a power of two >= 2, got {n}")
-    return MagnitudeSpectrum(np.abs(spectrum[: n // 2]), band=band, frame_size=n)
-
-
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
-    """Read-only (count, frame_size) strided view; frame i starts at i * hop."""
+    """Read-only (count, frame_size) strided view; frame i starts at i * hop.
+
+    A trailing remainder shorter than a frame is discarded.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
@@ -173,20 +104,15 @@ def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     return frames
 
 
-def frame_segment(samples: np.ndarray, frame_size: int, hop: int) -> list[SampleFrame]:
-    """Cut a sample stream into frames; a trailing remainder is discarded."""
-    return [SampleFrame(row) for row in _frame_matrix(samples, frame_size, hop)]
+def dft(frame: np.ndarray) -> np.ndarray:
+    """N-point transform X[k] = sum_n x[n] exp(-i 2 pi n k / N) of a real frame.
 
-
-def average_spectrum(frames: list[SampleFrame], band: Band) -> MagnitudeSpectrum:
-    """Element-wise mean of the frames' one-sided magnitude spectra."""
-    if len(frames) == 0:
-        raise InsufficientDataError("cannot average an empty list of frames")
-    n = len(frames[0])
-    if any(len(f) != n for f in frames):
-        raise ShapeError("all frames must share the same length")
-    stacked = np.stack([f.samples for f in frames])
-    return MagnitudeSpectrum(_mean_magnitude(stacked), band=band, frame_size=n)
+    N must be a power of two in [2, MAX_FRAME_SIZE] and every sample finite.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1:
+        raise InvalidFrameError(f"frame must be 1-D, got shape {frame.shape}")
+    return np.fft.fft(_frame_matrix(frame, frame.shape[0], 1)[0])
 
 
 def window_values(name: str, frame_size: int) -> np.ndarray | None:
@@ -216,7 +142,7 @@ def segment_spectrum(
     win = window_values(window, frame_size)
     if win is not None:
         frames = frames * win
-    return MagnitudeSpectrum(_mean_magnitude(frames), band=band, frame_size=frame_size)
+    return MagnitudeSpectrum(_mean_magnitude(frames), band=band)
 
 
 def compute_scaling_factor(
@@ -239,21 +165,12 @@ def compute_scaling_factor(
     return tail / head
 
 
-def concatenate_bands(
-    lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float
-) -> FeatureVector:
-    """Join the two bands as [LB bins, s * UB bins]."""
+def concatenate_bands(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float) -> np.ndarray:
+    """Join the two bands into one feature row [LB bins, s * UB bins]."""
     _check_band_pair(lb, ub)
     if not np.isfinite(s) or s <= 0:
         raise ConfigurationError(f"scaling factor must be finite and positive, got {s}")
-    values = np.concatenate((lb.bins, s * ub.bins))
-    return FeatureVector(values, BandMode.CONCATENATED, scaling_factor=float(s))
-
-
-def single_band_feature(spectrum: MagnitudeSpectrum) -> FeatureVector:
-    """Wrap one band's spectrum as a feature vector."""
-    mode = BandMode.LOWER_ONLY if spectrum.band is Band.LOWER else BandMode.UPPER_ONLY
-    return FeatureVector(spectrum.bins, mode)
+    return np.concatenate((lb.bins, s * ub.bins))
 
 
 def _check_band_pair(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum) -> None:

@@ -19,12 +19,10 @@ from rfsentry.evaluation import paired_ttest, stratified_kfold
 from rfsentry.gbdt import TrainConfig, leaf_weight, softmax_grad_hess, train
 from rfsentry.spectrum import (
     Band,
-    BandMode,
     compute_scaling_factor,
     concatenate_bands,
     dft,
     segment_spectrum,
-    single_band_feature,
 )
 
 E2E_SEED_DATA = 202406
@@ -67,15 +65,14 @@ def test_criterion_2_feature_dimensions_and_seam_continuity():
     lb_record, ub_record = synth_segment(3, 8, length=4096, index=0)
     lb = segment_spectrum(lb_record.samples, Band.LOWER, frame_size=2048)
     ub = segment_spectrum(ub_record.samples, Band.UPPER, frame_size=2048)
-    assert len(single_band_feature(lb)) == 1024
-    assert len(single_band_feature(ub)) == 1024
+    assert len(lb.bins) == 1024
+    assert len(ub.bins) == 1024
     for q in (4, 8, 16):
         scale = compute_scaling_factor(lb, ub, q=q)
-        vec = concatenate_bands(lb, ub, scale)
-        assert len(vec) == 2048
-        assert vec.band_mode is BandMode.CONCATENATED
-        lb_tail = vec.values[1024 - q : 1024].mean()
-        ub_head = vec.values[1024 : 1024 + q].mean()
+        row = concatenate_bands(lb, ub, scale)
+        assert len(row) == 2048
+        lb_tail = row[1024 - q : 1024].mean()
+        ub_head = row[1024 : 1024 + q].mean()
         assert abs(lb_tail - ub_head) <= 1e-9 * lb_tail
     ok("criterion 2: 1024/1024/2048 feature dimensions and seam continuity (1e-9)")
 

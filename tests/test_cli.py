@@ -339,3 +339,44 @@ class TestTrainPredict:
                 == 0
             )
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestMalformedInputs:
+    """Malformed manifests and band files exit 3 with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            b"5",
+            b'[{"lb_path": 5, "ub_path": "a_ub.csv", "label": 0}]',
+            b'[{"lb_path": "a\\u0000_lb.csv", "ub_path": "a_ub.csv", "label": 0}]',
+            b'[{"lb_path": "a_lb.csv", "ub_path": "a_ub.csv", "label": Infinity}]',
+            b"[\xff]",
+            b"[" * 100_000,
+        ],
+        ids=[
+            "entries-not-a-list",
+            "path-not-a-string",
+            "path-with-nul",
+            "label-infinite",
+            "not-text",
+            "nested-too-deep",
+        ],
+    )
+    def test_malformed_manifest(self, entries, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"source": "Synthetic", "entries": ' + entries + b"}")
+        out = tmp_path / "out.rfds"
+        assert main(["features", "--manifest", str(path), "--case", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_band_file_not_text(self, lower_cache, tmp_path, capsys):
+        model_path = tmp_path / "model.rfgb"
+        assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0
+        lb_path = tmp_path / "lb.csv"
+        lb_path.write_bytes(b"\xff\xfe1,2,3\n")
+        capsys.readouterr()
+        argv = ["predict", "--model", str(model_path), "--lb", str(lb_path), "--frame-size", "1024"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")

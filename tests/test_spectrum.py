@@ -10,18 +10,11 @@ from rfsentry.errors import (
 )
 from rfsentry.spectrum import (
     Band,
-    BandMode,
-    FeatureVector,
     MagnitudeSpectrum,
-    SampleFrame,
-    average_spectrum,
     compute_scaling_factor,
     concatenate_bands,
     dft,
-    frame_segment,
-    one_sided_magnitude,
     segment_spectrum,
-    single_band_feature,
 )
 
 
@@ -36,9 +29,17 @@ def naive_dft(x):
     return out
 
 
+def reference_spectrum(samples, frame_size, hop=None, window=None):
+    """Mean one-sided |naive_dft| over explicit slices samples[i*hop : i*hop + N]."""
+    hop = frame_size if hop is None else hop
+    weights = np.ones(frame_size) if window is None else window
+    starts = range(0, len(samples) - frame_size + 1, hop)
+    frames = [samples[i : i + frame_size] * weights for i in starts]
+    return np.mean([np.abs(naive_dft(frame))[: frame_size // 2] for frame in frames], axis=0)
+
+
 def make_spectrum(bins, band):
-    bins = np.asarray(bins, dtype=np.float64)
-    return MagnitudeSpectrum(bins, band=band, frame_size=2 * bins.shape[0])
+    return MagnitudeSpectrum(bins, band=band)
 
 
 class TestDft:
@@ -112,90 +113,89 @@ class TestDft:
 
 
 class TestOneSidedMagnitude:
+    """Each frame keeps |X[k]| for k = 0 .. N/2 - 1; the Nyquist bin is dropped."""
+
     def test_half_length(self):
-        spectrum = dft(np.random.default_rng(0).normal(size=2048))
-        mag = one_sided_magnitude(spectrum, Band.LOWER)
-        assert len(mag) == 1024
-        assert mag.frame_size == 2048
+        spectrum = segment_spectrum(np.random.default_rng(0).normal(size=2048), Band.LOWER)
+        assert len(spectrum) == 1024
 
     def test_zero_spectrum(self):
-        mag = one_sided_magnitude(np.zeros(16, dtype=complex), Band.UPPER)
-        np.testing.assert_array_equal(mag.bins, np.zeros(8))
+        spectrum = segment_spectrum(np.zeros(16), Band.UPPER, frame_size=16)
+        np.testing.assert_array_equal(spectrum.bins, np.zeros(8))
 
     def test_single_tone_bins(self):
         x = np.cos(2 * np.pi * 3 * np.arange(8) / 8)
-        mag = one_sided_magnitude(dft(x), Band.LOWER)
-        np.testing.assert_allclose(mag.bins, [0, 0, 0, 4], atol=1e-12)
+        spectrum = segment_spectrum(x, Band.LOWER, frame_size=8)
+        np.testing.assert_allclose(spectrum.bins, [0, 0, 0, 4], atol=1e-12)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
-            one_sided_magnitude(np.zeros((4, 4), dtype=complex), Band.LOWER)
+            MagnitudeSpectrum(np.zeros((4, 4)), Band.LOWER)
         with pytest.raises(ShapeError):
-            one_sided_magnitude(np.zeros(12, dtype=complex), Band.LOWER)
+            MagnitudeSpectrum(np.zeros(6), Band.LOWER)
 
 
 class TestFrameSegment:
+    """Frame i is samples[i * hop : i * hop + N]; a trailing remainder is discarded."""
+
     def test_million_sample_segment_frame_count(self):
-        frames = frame_segment(np.zeros(1_000_000), 2048, 2048)
-        assert len(frames) == 488
+        # Frame i holds the constant i, and the 576-sample remainder holds 488.
+        # The mean DC bin is N * mean(0..487); a 489th frame would give N * 244.
+        samples = np.repeat(np.arange(489.0), 2048)[:1_000_000]
+        bins = segment_spectrum(samples, Band.LOWER, 2048, 2048).bins
+        assert bins[0] == pytest.approx(2048 * 243.5, rel=1e-12)
+        np.testing.assert_allclose(bins[1:], 0.0, atol=1e-9 * bins[0])
 
     def test_identity_case(self):
-        samples = np.random.default_rng(1).normal(size=2048)
-        frames = frame_segment(samples, 2048, 9999)
-        assert len(frames) == 1
-        np.testing.assert_array_equal(frames[0].samples, samples)
+        samples = np.random.default_rng(1).normal(size=256)
+        spectrum = segment_spectrum(samples, Band.LOWER, 256, 9999)
+        expected = np.abs(naive_dft(samples))[:128]
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-9)
 
     def test_overlap_matches_index_arithmetic(self):
         samples = np.random.default_rng(2).normal(size=4096)
-        frames = frame_segment(samples, 2048, 1024)
-        assert len(frames) == 3
-        for i, frame in enumerate(frames):
-            np.testing.assert_array_equal(frame.samples, samples[i * 1024 : i * 1024 + 2048])
+        spectrum = segment_spectrum(samples, Band.LOWER, 2048, 1024)
+        expected = np.mean(
+            [np.abs(naive_dft(samples[i : i + 2048]))[:1024] for i in (0, 1024, 2048)], axis=0
+        )
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-9)
 
     def test_trailing_remainder_discarded(self):
-        frames = frame_segment(np.arange(10.0), 4, 4)
-        assert len(frames) == 2
-        np.testing.assert_array_equal(frames[1].samples, [4, 5, 6, 7])
+        spectrum = segment_spectrum(np.arange(10.0), Band.LOWER, 4, 4)
+        expected = (np.abs(naive_dft([0, 1, 2, 3])) + np.abs(naive_dft([4, 5, 6, 7])))[:2] / 2
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-12)
 
     def test_too_short_segment(self):
         with pytest.raises(InsufficientDataError):
-            frame_segment(np.zeros(100), 128, 128)
+            segment_spectrum(np.zeros(100), Band.LOWER, 128, 128)
 
     def test_bad_hop(self):
         with pytest.raises(ConfigurationError):
-            frame_segment(np.zeros(256), 128, 0)
+            segment_spectrum(np.zeros(256), Band.LOWER, 128, 0)
 
 
 class TestAverageSpectrum:
+    """The segment spectrum is the element-wise mean of the frames' spectra."""
+
     def test_single_frame_is_identity(self):
-        frame = SampleFrame(np.random.default_rng(5).normal(size=64))
-        avg = average_spectrum([frame], Band.LOWER)
-        direct = one_sided_magnitude(dft(frame), Band.LOWER)
-        np.testing.assert_array_equal(avg.bins, direct.bins)
+        samples = np.random.default_rng(5).normal(size=64)
+        spectrum = segment_spectrum(samples, Band.LOWER, frame_size=64)
+        np.testing.assert_allclose(spectrum.bins, np.abs(dft(samples))[:32], rtol=1e-12)
 
     def test_mean_of_identical_frames_is_idempotent(self):
-        frame = SampleFrame(np.random.default_rng(6).normal(size=64))
-        one = average_spectrum([frame], Band.LOWER)
-        two = average_spectrum([frame, frame], Band.LOWER)
+        samples = np.random.default_rng(6).normal(size=64)
+        one = segment_spectrum(samples, Band.LOWER, frame_size=64)
+        two = segment_spectrum(np.tile(samples, 2), Band.LOWER, frame_size=64)
         np.testing.assert_allclose(two.bins, one.bins, rtol=1e-12)
 
     def test_matches_explicit_accumulation(self):
-        rng = np.random.default_rng(7)
-        frames = [SampleFrame(rng.normal(size=128)) for _ in range(10)]
-        avg = average_spectrum(frames, Band.UPPER)
+        samples = np.random.default_rng(7).normal(size=10 * 128)
+        spectrum = segment_spectrum(samples, Band.UPPER, frame_size=128)
         acc = np.zeros(64)
-        for frame in frames:
-            acc += np.abs(naive_dft(frame.samples))[:64]
-        acc /= len(frames)
-        np.testing.assert_allclose(avg.bins, acc, rtol=1e-9)
-
-    def test_empty_list(self):
-        with pytest.raises(InsufficientDataError):
-            average_spectrum([], Band.LOWER)
-
-    def test_mixed_lengths(self):
-        with pytest.raises(ShapeError):
-            average_spectrum([SampleFrame(np.zeros(8)), SampleFrame(np.zeros(16))], Band.LOWER)
+        for i in range(10):
+            acc += np.abs(naive_dft(samples[128 * i : 128 * (i + 1)]))[:64]
+        acc /= 10
+        np.testing.assert_allclose(spectrum.bins, acc, rtol=1e-9)
 
 
 class TestScalingFactor:
@@ -247,25 +247,23 @@ class TestConcatenateBands:
     def test_lengths(self):
         lb = make_spectrum(np.ones(1024), Band.LOWER)
         ub = make_spectrum(np.ones(1024), Band.UPPER)
-        vec = concatenate_bands(lb, ub, 1.0)
-        assert len(vec) == 2048
-        assert vec.band_mode is BandMode.CONCATENATED
-        assert vec.scaling_factor == 1.0
+        row = concatenate_bands(lb, ub, 1.0)
+        assert row.shape == (2048,)
 
     def test_zero_upper_band_tail(self):
         lb_bins = np.random.default_rng(11).uniform(0.0, 1.0, 16)
         lb = make_spectrum(lb_bins, Band.LOWER)
         ub = make_spectrum(np.zeros(16), Band.UPPER)
-        vec = concatenate_bands(lb, ub, 1.0)
-        np.testing.assert_array_equal(vec.values[:16], lb_bins)
-        np.testing.assert_array_equal(vec.values[16:], np.zeros(16))
+        row = concatenate_bands(lb, ub, 1.0)
+        np.testing.assert_array_equal(row[:16], lb_bins)
+        np.testing.assert_array_equal(row[16:], np.zeros(16))
 
     def test_scale_applies_to_upper_only(self):
         lb = make_spectrum(np.ones(16), Band.LOWER)
         ub_bins = np.random.default_rng(12).uniform(0.0, 1.0, 16)
         ub = make_spectrum(ub_bins, Band.UPPER)
-        vec = concatenate_bands(lb, ub, 2.0)
-        np.testing.assert_allclose(vec.values[16:], 2.0 * ub_bins)
+        row = concatenate_bands(lb, ub, 2.0)
+        np.testing.assert_allclose(row[16:], 2.0 * ub_bins)
 
     def test_length_mismatch(self):
         lb = make_spectrum(np.ones(16), Band.LOWER)
@@ -286,37 +284,35 @@ class TestConcatenateBands:
             lb = make_spectrum(rng.uniform(0.5, 4.0, 1024), Band.LOWER)
             ub = make_spectrum(rng.uniform(0.5, 4.0, 1024), Band.UPPER)
             scale = compute_scaling_factor(lb, ub, q=q)
-            vec = concatenate_bands(lb, ub, scale)
-            lb_tail = vec.values[1024 - q : 1024].mean()
-            ub_head = vec.values[1024 : 1024 + q].mean()
+            row = concatenate_bands(lb, ub, scale)
+            lb_tail = row[1024 - q : 1024].mean()
+            ub_head = row[1024 : 1024 + q].mean()
             assert abs(lb_tail - ub_head) <= 1e-9 * lb_tail
 
 
 class TestFeatureVector:
+    """A single-band feature row is a spectrum's bins; a joined row is both bands."""
+
     def test_feature_lengths_at_default_frame_size(self):
         rng = np.random.default_rng(14)
-        lb = make_spectrum(rng.uniform(0.1, 1.0, 1024), Band.LOWER)
-        ub = make_spectrum(rng.uniform(0.1, 1.0, 1024), Band.UPPER)
-        assert len(single_band_feature(lb)) == 1024
-        assert single_band_feature(lb).band_mode is BandMode.LOWER_ONLY
-        assert len(single_band_feature(ub)) == 1024
-        assert single_band_feature(ub).band_mode is BandMode.UPPER_ONLY
-        assert len(concatenate_bands(lb, ub, 1.0)) == 2048
-
-    def test_scaling_factor_presence_rules(self):
-        with pytest.raises(ShapeError):
-            FeatureVector(np.ones(8), BandMode.LOWER_ONLY, scaling_factor=1.0)
-        with pytest.raises(ShapeError):
-            FeatureVector(np.ones(8), BandMode.CONCATENATED, scaling_factor=None)
+        lb = segment_spectrum(rng.normal(size=4096), Band.LOWER)
+        ub = segment_spectrum(rng.normal(size=4096), Band.UPPER)
+        assert lb.bins.shape == ub.bins.shape == (1024,)
+        row = concatenate_bands(lb, ub, 1.0)
+        np.testing.assert_array_equal(row, np.concatenate((lb.bins, ub.bins)))
 
 
 class TestSegmentSpectrum:
     def test_default_reduction_is_plain_mean(self):
-        rng = np.random.default_rng(15)
-        samples = rng.normal(size=1024)
-        direct = average_spectrum(frame_segment(samples, 256, 256), Band.LOWER)
+        samples = np.random.default_rng(15).normal(size=1024)
         reduced = segment_spectrum(samples, Band.LOWER, frame_size=256)
-        np.testing.assert_array_equal(reduced.bins, direct.bins)
+        np.testing.assert_allclose(reduced.bins, reference_spectrum(samples, 256), rtol=1e-9)
+
+    def test_hann_window_matches_weighted_reference(self):
+        samples = np.random.default_rng(17).normal(size=1024)
+        hann = segment_spectrum(samples, Band.LOWER, frame_size=256, hop=128, window="hann")
+        expected = reference_spectrum(samples, 256, 128, window=np.hanning(256))
+        np.testing.assert_allclose(hann.bins, expected, rtol=1e-9)
 
     def test_hann_window_changes_output(self):
         samples = np.random.default_rng(16).normal(size=1024)
