@@ -14,9 +14,11 @@ import enum
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import struct
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,44 +172,101 @@ class SegmentRecord:
         object.__setattr__(self, "samples", samples)
 
 
-_TOKEN_RE = re.compile(r"[^,\s]+")
+# Band-file grammar: a token is a maximal run of bytes other than commas
+# and ASCII whitespace, and must be a decimal float literal (or inf/nan,
+# which are then rejected as non-finite).
+_SEPARATORS = b", \t\n\r\x0b\x0c"
+_SEPARATORS_TO_SPACE = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
+_TOKEN_RE = re.compile(r"[^,\s]+", re.ASCII)
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+)
+# Bytes of band-file text read and parsed at a time.
+_CHUNK_BYTES = 1 << 21
 
 
 def load_segment(path, band: Band) -> SegmentRecord:
-    """Read one band file: comma-separated and/or one value per line."""
+    """Read one band file: comma-separated and/or one value per line.
+
+    Any run of commas and ASCII whitespace separates two tokens, and
+    separators at either end are ignored. Each token must be a decimal
+    float literal with a finite value; otherwise the ParseError names
+    the first bad token by offset and line.
+
+    Memory is bounded: the file is read ``_CHUNK_BYTES`` at a time, each
+    chunk is parsed in C and no per-token Python object is made. Parsing
+    holds at most two chunks of text (plus the longest token) besides
+    the parsed values, which are joined once at the end, so the peak is
+    about 16 bytes per sample plus two chunks.
+    """
     path = Path(path)
+    samples = _parse_chunks(path)
+    if samples is None:
+        _raise_token_error(path)
+    if samples.size == 0:
+        raise InsufficientDataError(f"{path}: file contains no samples")
+    return SegmentRecord(segment_id=path.stem, band=band, samples=samples)
+
+
+def _parse_chunks(path: Path) -> np.ndarray | None:
+    """All samples of a well-formed band file, or None at the first bad token."""
+    pieces, tail, more = [], b"", True
+    with open(path, "rb") as fh:
+        while more:
+            block = tail + fh.read(_CHUNK_BYTES).translate(_SEPARATORS_TO_SPACE)
+            more = len(block) > len(tail)
+            # Cut after the last separator; a token split by the chunk end carries over.
+            cut = block.rfind(b" ") + 1 if more else len(block)
+            tail, block = block[cut:], block[:cut]
+            piece = _parse_piece(block)
+            del block  # at most two chunks are alive while the next one is read
+            if piece is None:
+                return None
+            pieces.append(piece)
+    return np.concatenate(pieces)
+
+
+def _parse_piece(text: bytes) -> np.ndarray | None:
+    """Parse space-separated float literals; None if one is bad or non-finite."""
+    if not text or text.isspace():
+        # np.fromstring reads a lone run of whitespace as one bogus value.
+        return np.empty(0)
+    with warnings.catch_warnings():
+        # numpy < 2 warns and returns the values before an unparseable
+        # token; numpy 2 raises ValueError.
+        warnings.filterwarnings("error", "string or file could not be read", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if np.isfinite(values).all() else None
+
+
+def _raise_token_error(path: Path) -> None:
+    """Re-read a file the chunked parser rejected and name the first bad token.
+
+    An invalid token anywhere takes precedence over a non-finite one.
+    """
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a text file: {exc}") from None
-    if not text.strip():
-        raise InsufficientDataError(f"{path}: file contains no samples")
-    tokens = re.split(r"[,\s]+", text.strip())
-    try:
-        samples = np.asarray(tokens, dtype=np.float64)
-    except ValueError:
-        _raise_token_error(path, text)
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        _raise_token_error(path, text, finite_check=True)
-    return SegmentRecord(segment_id=path.stem, band=band, samples=samples)
-
-
-def _raise_token_error(path: Path, text: str, finite_check: bool = False) -> None:
+    non_finite = None
     for offset, match in enumerate(_TOKEN_RE.finditer(text), start=1):
         token = match.group()
-        try:
-            value = float(token)
-        except ValueError:
+        if not _NUMBER_RE.fullmatch(token):
             line = text.count("\n", 0, match.start()) + 1
             raise ParseError(
                 f"{path}: invalid numeric token {token!r} at offset {offset} (line {line})"
-            ) from None
-        if finite_check and not np.isfinite(value):
-            line = text.count("\n", 0, match.start()) + 1
-            raise ParseError(
-                f"{path}: non-finite sample {token!r} at offset {offset} (line {line})"
             )
+        if non_finite is None and not math.isfinite(float(token)):
+            non_finite = (offset, match)
+    if non_finite is not None:
+        offset, match = non_finite
+        line = text.count("\n", 0, match.start()) + 1
+        raise ParseError(
+            f"{path}: non-finite sample {match.group()!r} at offset {offset} (line {line})"
+        )
     raise ParseError(f"{path}: could not parse numeric data")
 
 
@@ -285,12 +344,11 @@ def load_manifest(path) -> Manifest:
     entries = []
     for i, raw in enumerate(payload["entries"]):
         try:
-            entries.append(
-                ManifestEntry(
-                    lb_path=raw["lb_path"], ub_path=raw["ub_path"], case3=int(raw["label"])
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
+            label = raw["label"]
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise SchemaError(f"label must be an integer, got {label!r}")
+            entries.append(ManifestEntry(lb_path=raw["lb_path"], ub_path=raw["ub_path"], case3=label))
+        except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: bad manifest entry {i}: {exc}") from None
     return Manifest(
         entries=tuple(entries),

@@ -371,6 +371,19 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["3.9", "true", '"7"'], ids=["label-float", "label-bool", "label-string"])
+    def test_non_integer_label(self, corpus_dir, tmp_path, capsys, label):
+        # The band files exist, so only the label can fail the run.
+        lb, ub = (json.dumps(str(corpus_dir / f"03_000_{band}.csv")) for band in ("lb", "ub"))
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            f'{{"source": "Synthetic", "entries": [{{"lb_path": {lb}, "ub_path": {ub}, "label": {label}}}]}}'
+        )
+        out = tmp_path / "out.rfds"
+        assert main(["features", "--manifest", str(path), "--case", "3", "--out", str(out)]) == 3
+        assert "bad manifest entry 0: label must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_band_file_not_text(self, lower_cache, tmp_path, capsys):
         model_path = tmp_path / "model.rfgb"
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0

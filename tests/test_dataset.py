@@ -1,9 +1,12 @@
 import os
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from rfsentry import dataset as dataset_mod
 from rfsentry.dataset import (
     Case,
     CaseLabels,
@@ -86,6 +89,70 @@ class TestLoadSegment:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_segment(tmp_path / "nope.csv", Band.LOWER)
+
+    def test_outer_separators_ignored(self, tmp_path):
+        path = tmp_path / "seg.csv"
+        path.write_text(",\t1.0, 2.5,\r\n-0.25,\n")
+        np.testing.assert_array_equal(load_segment(path, Band.LOWER).samples, [1.0, 2.5, -0.25])
+        path.write_text(", ,\n,")
+        with pytest.raises(InsufficientDataError):
+            load_segment(path, Band.LOWER)
+
+    @pytest.mark.parametrize(
+        "text, offset, line",
+        [("1.0,1_0", 2, 1), ("1.0\n\u0661\n", 2, 2), ("1.0 nan(1)", 2, 1), ("0x10", 1, 1)],
+        ids=["underscore", "arabic-indic-digit", "nan-payload", "hex"],
+    )
+    def test_only_decimal_literals_accepted(self, tmp_path, text, offset, line):
+        # float() accepts the first two; the band-file grammar does not.
+        path = tmp_path / "seg.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"invalid numeric token .* at offset {offset} \\(line {line}\\)"):
+            load_segment(path, Band.LOWER)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 13])
+    def test_tokens_straddling_chunks(self, tmp_path, monkeypatch, chunk_bytes):
+        samples = np.random.default_rng(3).normal(size=40) * 10.0 ** np.arange(-20, 20)
+        path = tmp_path / "seg.csv"
+        path.write_text(" ,".join(map(repr, samples.tolist())) + "\n")
+        monkeypatch.setattr(dataset_mod, "_CHUNK_BYTES", chunk_bytes)
+        assert load_segment(path, Band.LOWER).samples.tobytes() == samples.tobytes()
+        path.write_text("1.0,\n2.0,\n3.0,\n2.0e\n")
+        with pytest.raises(ParseError, match="'2.0e' at offset 4 \\(line 4\\)"):
+            load_segment(path, Band.LOWER)
+
+    def test_numpy_1_unparseable_token_warning(self, tmp_path, monkeypatch):
+        # numpy < 2 warns and returns the samples before the bad token.
+        def fromstring_numpy_1(text, sep):
+            warnings.warn(
+                "string or file could not be read to its end due to unmatched data; "
+                "this will raise a ValueError in the future.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return np.array([1.0])
+
+        monkeypatch.setattr(np, "fromstring", fromstring_numpy_1)
+        path = tmp_path / "seg.csv"
+        path.write_text("1.0,abc,2.0")
+        with pytest.raises(ParseError, match="'abc' at offset 2"):
+            load_segment(path, Band.LOWER)
+
+    def test_parse_memory_bound(self, tmp_path):
+        n = 1 << 18
+        samples = np.random.default_rng(4).normal(size=n)
+        path = tmp_path / "seg.csv"
+        path.write_text(",".join(map(repr, samples.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            parsed = load_segment(path, Band.LOWER).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tobytes() == samples.tobytes()
+        # Parsed chunks plus their concatenation, and two chunks of text;
+        # no per-token Python objects (those alone take over 50 bytes each).
+        assert peak <= 16 * n + 2 * dataset_mod._CHUNK_BYTES + (1 << 20)
 
 
 class TestLabelHierarchy:

@@ -3,13 +3,18 @@ raises an RfSentryError subclass, never another exception type."""
 
 import contextlib
 import json
+import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsentry.dataset import load_manifest, load_segment
-from rfsentry.errors import RfSentryError
+from rfsentry import dataset, gbdt
+from rfsentry.dataset import load_features, load_manifest, load_segment
+from rfsentry.errors import InsufficientDataError, ParseError, RfSentryError
 from rfsentry.spectrum import Band
 
 BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -64,3 +69,107 @@ def test_manifest_json(scratch, payload):
     path.write_text(json.dumps(payload))
     with contextlib.suppress(RfSentryError):
         load_manifest(path)
+
+
+separators = st.lists(st.sampled_from([",", " ", "\t", "\r\n", "\n"]), min_size=1, max_size=3).map(
+    "".join
+)
+chunk_sizes = st.sampled_from([1, 2, 3, 7, 64, dataset._CHUNK_BYTES])
+
+
+@BOUNDARY
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    data=st.data(),
+    chunk_bytes=chunk_sizes,
+)
+def test_band_file_round_trip(scratch, values, data, chunk_bytes):
+    seps = data.draw(st.lists(separators, min_size=len(values) + 1, max_size=len(values) + 1))
+    # Separators before the first and after the last value are optional.
+    seps[0] = data.draw(st.sampled_from(["", seps[0]]))
+    seps[-1] = data.draw(st.sampled_from(["", seps[-1]]))
+    text = seps[0] + "".join(repr(v) + sep for v, sep in zip(values, seps[1:]))
+    path = scratch / "band.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes):
+        samples = load_segment(path, Band.LOWER).samples
+    assert samples.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+def reference_parse(text):
+    """The band-file grammar spelled out: split on commas and whitespace, float() each token."""
+    tokens = [(m.group(), text.count("\n", 0, m.start()) + 1) for m in re.finditer(r"[^,\s]+", text)]
+    values = []
+    for offset, (token, line) in enumerate(tokens, start=1):
+        try:
+            values.append(float(token))
+        except ValueError:
+            return f"invalid numeric token {token!r} at offset {offset} (line {line})"
+    for offset, ((token, line), value) in enumerate(zip(tokens, values), start=1):
+        if not math.isfinite(value):
+            return f"non-finite sample {token!r} at offset {offset} (line {line})"
+    return np.array(values, dtype=np.float64)
+
+
+@BOUNDARY
+@given(text=st.text(alphabet="0123456789+-.eEnaif, \n", max_size=40), chunk_bytes=chunk_sizes)
+def test_band_file_matches_reference(scratch, text, chunk_bytes):
+    path = scratch / "band.csv"
+    path.write_bytes(text.encode())
+    expected = reference_parse(text)
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes):
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as info:
+                load_segment(path, Band.LOWER)
+            assert str(info.value) == f"{path}: {expected}"
+        elif expected.size == 0:
+            with pytest.raises(InsufficientDataError):
+                load_segment(path, Band.LOWER)
+        else:
+            assert load_segment(path, Band.LOWER).samples.tobytes() == expected.tobytes()
+
+
+LOADERS = {"rfds": load_features, "rfgb": gbdt.load_model}
+
+
+@pytest.fixture(scope="module")
+def valid_containers(scratch):
+    """One small valid feature cache and model, as bytes."""
+    ds = dataset.LabeledDataset(
+        features=np.arange(12.0).reshape(3, 4),
+        labels=[0, 1, 0],
+        schema=dataset.LabelSchema.for_case(dataset.Case.I),
+        band_mode=dataset.BandMode.LOWER_ONLY,
+        frame_size=8,
+        hop=8,
+        q=2,
+    )
+    dataset.save_features(ds, scratch / "valid.rfds")
+    config = gbdt.TrainConfig(n_rounds=2, max_depth=2, min_child_weight=0.0, n_classes=3)
+    x = np.arange(24.0).reshape(8, 3)
+    gbdt.save_model(gbdt.train(x, np.arange(8) % 3, config), scratch / "valid.rfgb")
+    return {kind: (scratch / f"valid.{kind}").read_bytes() for kind in LOADERS}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@BOUNDARY
+@given(
+    tail=st.none() | st.binary(max_size=256),
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
+    cut=st.integers(0, 64),
+)
+def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
+    """The valid magic and version then arbitrary bytes, or the valid file
+    with bytes overwritten and the last ``cut`` removed."""
+    valid = valid_containers[kind]
+    if tail is not None:
+        data = valid[:6] + tail
+    else:
+        data = bytearray(valid[: len(valid) - cut])
+        for position, value in edits:
+            if data:
+                data[position % len(data)] = value
+    path = scratch / f"container.{kind}"
+    path.write_bytes(bytes(data))
+    with contextlib.suppress(RfSentryError):
+        LOADERS[kind](path)
