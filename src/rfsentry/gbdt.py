@@ -13,6 +13,17 @@ tree per round on the positive class and mirrors its output on the
 negative class, which reproduces the two-tree softmax model at half the
 cost.
 
+The scan follows exact greedy search over presorted columns. Each fit
+sorts every feature once and builds one workspace of flat (d x n)
+buffers that every node of every tree reuses through out= arguments.
+A node scans a (d, m) block of its rows in per-feature sorted order;
+when it splits, the block is stably partitioned in place into its
+children's blocks, so a node costs d x m rather than d x n. A node
+whose hessian sum is below twice min_child_weight is not scanned: any
+left side with hl >= min_child_weight leaves less than that on the
+right. Every sum is taken in the same order as a plain per-node scan,
+so the trees are bit-identical to one.
+
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
 Prediction walks all rows through all trees together, one level per
@@ -21,6 +32,7 @@ step, and the model container stores the arrays as they are.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import astuple, dataclass, field
 
@@ -57,8 +69,10 @@ class TrainConfig:
             )
         if self.max_depth < 1:
             raise ConfigurationError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
-            raise ConfigurationError("reg_lambda, gamma and min_child_weight must be >= 0")
+        for name in ("reg_lambda", "gamma", "min_child_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
         if self.n_classes < 2:
             raise ConfigurationError(f"n_classes must be >= 2, got {self.n_classes}")
 
@@ -180,72 +194,130 @@ def split_gain(
     ) - gamma
 
 
-def _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw):
-    """Per-feature best candidate score gl^2/(hl+lam) + gr^2/(hr+lam) and its threshold.
+class _ScanState:
+    """Buffers of the exact split scan, built once per fit and reused by
+    every node of every tree.
 
-    Candidates sit at midpoints between consecutive distinct values of
-    the node's rows (at least two); argmax keeps the lowest threshold on
-    score ties, and a feature without a valid candidate scores -inf.
-    The parent term and gamma are constant per node and applied by the
-    caller.
+    The root's rows never change, so its stable per-feature order and
+    sorted values, shape (d, n), and which gaps between consecutive
+    sorted values can hold a threshold are computed once. A node works on
+    a (d, m) block of row ids and sorted values, one row per feature.
+    When it splits, the block is stably partitioned in place into
+    [left | right] through a scratch buffer, so each child's block keeps
+    its rows in sorted order and a node costs d x m, not d x n. Blocks
+    live in two flat (d x n) arrays; a child's block is the part of its
+    parent's that it takes, so depth-first growth never overwrites a
+    block that is still pending. Every temporary is written with out=.
+    Row ids stay intp: np.take casts any other index dtype to a fresh
+    intp array on each call.
     """
-    d = order_t.shape[0]
-    m = int(np.count_nonzero(member))
-    rows = order_t[member[order_t]].reshape(d, m)
-    vals = np.take_along_axis(values_t, rows, axis=1)
-    gl = np.cumsum(g[rows], axis=1)[:, :-1]
-    hl = np.cumsum(h[rows], axis=1)[:, :-1]
-    gr = g_total - gl
-    hr = h_total - hl
-    left_v = vals[:, :-1]
-    right_v = vals[:, 1:]
-    thr = 0.5 * (left_v + right_v)
-    valid = (
-        (right_v > left_v)
-        & (thr > left_v)
-        & (hl >= mcw)
-        & (hr >= mcw)
-        & (hl + lam > 0.0)
-        & (hr + lam > 0.0)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = gl * gl / (hl + lam) + gr * gr / (hr + lam)
-    score[~valid] = -np.inf
-    pos = np.argmax(score, axis=1)
-    take = np.arange(d)
-    return score[take, pos], thr[take, pos]
 
+    def __init__(self, features: np.ndarray) -> None:
+        n, d = features.shape
+        order = np.argsort(features, axis=0, kind="stable")
+        self.root_rows = np.ascontiguousarray(order.T)
+        self.root_vals = np.ascontiguousarray(np.take_along_axis(features, order, axis=0).T)
+        del order
+        left, right = self.root_vals[:, :-1], self.root_vals[:, 1:]
+        self.root_gaps = (right > left) & (0.5 * (left + right) > left)
+        self.features = features
+        self.rows = np.empty(d * n, dtype=np.intp)
+        self.vals = np.empty(d * n, dtype=np.float64)
+        self.scratch = np.empty((4, d * n), dtype=np.float64)
+        self.masks = np.empty((2, d * n), dtype=np.bool_)
+        self.go_left = np.empty(n, dtype=np.bool_)
 
-def _find_split(
-    values_t: np.ndarray,
-    order_t: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    idx: np.ndarray,
-    g_total: float,
-    h_total: float,
-    config: TrainConfig,
-) -> tuple[int, float] | None:
-    if idx.shape[0] < 2:
-        return None
-    member = np.zeros(order_t.shape[1], dtype=np.bool_)
-    member[idx] = True
-    lam, mcw = config.reg_lambda, config.min_child_weight
-    scores, thresholds = _scan_splits(order_t, member, g, h, values_t, g_total, h_total, lam, mcw)
-    feature = int(np.argmax(scores))
-    score = scores[feature]
-    if not np.isfinite(score):
-        return None
-    gain = 0.5 * (score - g_total * g_total / (h_total + lam)) - config.gamma
-    if not gain > 0.0:
-        return None
-    return feature, float(thresholds[feature])
+    def block(self, depth: int, offset: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ids and sorted values, (d, m), of the node whose block starts at offset."""
+        if depth == 0:
+            return self.root_rows, self.root_vals
+        d = self.features.shape[1]
+        span = slice(offset, offset + d * m)
+        return self.rows[span].reshape(d, m), self.vals[span].reshape(d, m)
+
+    def best_split(
+        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig
+    ) -> tuple[int, float] | None:
+        """The split of highest gain among all features, or None if none gains.
+
+        Candidates sit at midpoints between consecutive distinct values of
+        the node's rows; the first maximum in (feature, position) order
+        keeps the lowest feature, then the lowest threshold, on score ties.
+        """
+        lam, mcw = config.reg_lambda, config.min_child_weight
+        d, m = rows.shape
+        # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
+        # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
+        if m < 2 or h_total < 2.0 * mcw * (1.0 - 1e-9):
+            return None
+        span = d * (m - 1)
+        cum_g, cum_h = (buf[: d * m].reshape(d, m) for buf in self.scratch[:2])
+        np.cumsum(np.take(g, rows, out=cum_g, mode="clip"), axis=1, out=cum_g)
+        np.cumsum(np.take(h, rows, out=cum_h, mode="clip"), axis=1, out=cum_h)
+        gl, hl = cum_g[:, :-1], cum_h[:, :-1]
+        gr, hr = (buf[:span].reshape(d, m - 1) for buf in self.scratch[2:])
+        valid, test = (buf[:span].reshape(d, m - 1) for buf in self.masks)
+        if rows is self.root_rows:
+            np.copyto(valid, self.root_gaps)
+        else:
+            left_v, right_v = vals[:, :-1], vals[:, 1:]
+            np.greater(right_v, left_v, out=valid)
+            mid = np.multiply(np.add(left_v, right_v, out=gr), 0.5, out=gr)
+            valid &= np.greater(mid, left_v, out=test)
+        valid &= np.greater_equal(hl, mcw, out=test)
+        np.subtract(h_total, hl, out=hr)
+        valid &= np.greater_equal(hr, mcw, out=test)
+        hl += lam
+        hr += lam
+        if not lam > 0.0:
+            # With lam > 0 these follow from hl, hr >= mcw >= 0.
+            valid &= np.greater(hl, 0.0, out=test)
+            valid &= np.greater(hr, 0.0, out=test)
+        score = np.subtract(g_total, gl, out=gr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.multiply(score, score, out=score), hr, out=score)
+            np.divide(np.multiply(gl, gl, out=gl), hl, out=gl)
+        np.add(gl, score, out=score)
+        np.copyto(score, -np.inf, where=np.logical_not(valid, out=valid))
+        feature, pos = divmod(int(np.argmax(score)), m - 1)
+        best = score[feature, pos]
+        if not np.isfinite(best):
+            return None
+        gain = 0.5 * (best - g_total * g_total / (h_total + lam)) - config.gamma
+        if not gain > 0.0:
+            return None
+        return feature, float(0.5 * (vals[feature, pos] + vals[feature, pos + 1]))
+
+    def partition(self, rows, vals, idx, go_left, offset: int) -> None:
+        """Stably split the node's block into [left | right] at offset.
+
+        Each feature's rows keep their sorted order on both sides. The
+        root's block is read from the root arrays; any other block is
+        rewritten in place through the scratch buffers.
+        """
+        self.go_left[idx] = go_left
+        d, m = rows.shape
+        in_place = rows is not self.root_rows
+        if in_place:
+            out_rows = self.scratch[0].view(np.intp)[: d * m]
+            out_vals = self.scratch[1, : d * m]
+        else:
+            out_rows = self.rows[offset : offset + d * m]
+            out_vals = self.vals[offset : offset + d * m]
+        mask = self.masks[0, : d * m]
+        np.take(self.go_left, rows, out=mask.reshape(d, m), mode="clip")
+        left = np.flatnonzero(mask)
+        right = np.flatnonzero(np.logical_not(mask, out=mask))
+        for src, dst in ((rows, out_rows), (vals, out_vals)):
+            np.take(src, left, out=dst[: left.shape[0]], mode="clip")
+            np.take(src, right, out=dst[left.shape[0] :], mode="clip")
+        if in_place:
+            np.copyto(rows, out_rows.reshape(d, m))
+            np.copyto(vals, out_vals.reshape(d, m))
 
 
 def _grow_tree(
-    features: np.ndarray,
-    values_t: np.ndarray,
-    order_t: np.ndarray,
+    state: _ScanState,
     g: np.ndarray,
     h: np.ndarray,
     config: TrainConfig,
@@ -259,37 +331,36 @@ def _grow_tree(
     `nodes` and leaf values multiplied by `scale`. Returns the leaf
     value each training row lands in.
     """
-    out = np.empty(features.shape[0], dtype=np.float64)
-    pending = [(np.arange(features.shape[0]), 0, -1)]
+    n, d = state.features.shape
+    out = np.empty(n, dtype=np.float64)
+    # row ids ascending, depth, parent split awaiting its right child, block offset
+    pending = [(np.arange(n), 0, -1, 0)]
     while pending:
-        idx, depth, parent = pending.pop()
+        idx, depth, parent, offset = pending.pop()
         if parent >= 0:
             nodes[parent][3] = len(nodes)
         g_total = float(g[idx].sum())
         h_total = float(h[idx].sum())
         if depth < config.max_depth:
-            found = _find_split(values_t, order_t, g, h, idx, g_total, h_total, config)
+            rows, vals = state.block(depth, offset, idx.shape[0])
+            found = state.best_split(rows, vals, g, h, g_total, h_total, config)
             if found is not None:
                 feature, threshold = found
-                go_left = features[idx, feature] < threshold
+                go_left = state.features[idx, feature] < threshold
                 left_idx = idx[go_left]
                 right_idx = idx[~go_left]
                 if left_idx.size and right_idx.size:
-                    pending.append((right_idx, depth + 1, len(nodes)))
-                    pending.append((left_idx, depth + 1, -1))
+                    if depth + 1 < config.max_depth:
+                        state.partition(rows, vals, idx, go_left, offset)
+                    right_offset = offset + d * left_idx.size
+                    pending.append((right_idx, depth + 1, len(nodes), right_offset))
+                    pending.append((left_idx, depth + 1, -1, offset))
                     nodes.append([feature, threshold, 0.0, -1])
                     continue
         weight = leaf_weight(g_total, h_total, config.reg_lambda) * scale
         out[idx] = weight
         nodes.append([-1, 0.0, weight, -1])
     return out
-
-
-def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transposed copies used by the scan: values and sorted row ids, (d, n)."""
-    values_t = np.ascontiguousarray(features.T)
-    order_t = np.ascontiguousarray(np.argsort(features, axis=0, kind="stable").T)
-    return values_t, order_t
 
 
 def build_tree(
@@ -302,9 +373,8 @@ def build_tree(
     index, then the lowest threshold.
     """
     features, g, h = _check_training_arrays(features, g, h)
-    values_t, order_t = _presort(features)
     nodes = []
-    _grow_tree(features, values_t, order_t, g, h, config, nodes, 1.0)
+    _grow_tree(_ScanState(features), g, h, config, nodes, 1.0)
     return Tree.from_rows(nodes)
 
 
@@ -355,7 +425,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
     n, d = features.shape
     k = config.n_classes
     binary = k == 2
-    values_t, order_t = _presort(features)
+    state = _ScanState(features)
     base_score = 0.0
     logits = np.full((n, k), base_score, dtype=np.float64)
     model = GbdtModel(config=config, feature_dim=d, base_score=base_score)
@@ -373,9 +443,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
             g_c = np.ascontiguousarray(grad[:, c])
             h_c = np.ascontiguousarray(hess[:, c])
             start = len(nodes)
-            out = _grow_tree(
-                features, values_t, order_t, g_c, h_c, config, nodes, config.learning_rate
-            )
+            out = _grow_tree(state, g_c, h_c, config, nodes, config.learning_rate)
             if binary:
                 logits[:, 1] += out
                 logits[:, 0] -= out

@@ -166,6 +166,16 @@ class TestCv:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambda", "nan"), ("--gamma", "inf"), ("--min-child-weight", "nan")]
+    )
+    def test_non_finite_penalty_is_config_error(self, lower_cache, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.json"
+        code = main(["cv", "--features", str(lower_cache), flag, value, "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_case_mismatch_is_config_error(self, lower_cache, tmp_path):
         code = main(
             ["cv", "--features", str(lower_cache), "--case", "1", "--out", str(tmp_path / "x.json")]

@@ -325,6 +325,12 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             TrainConfig(reg_lambda=-0.1)
 
+    @pytest.mark.parametrize("name", ["reg_lambda", "gamma", "min_child_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_penalty_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
@@ -592,6 +598,18 @@ class TestModelIO:
         path = tmp_path / "config.rfgb"
         path.write_bytes(self.chain_model_bytes(depth=0, max_depth=0))
         with pytest.raises(FormatError, match="max_depth must be >= 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index, name", enumerate(["reg_lambda", "gamma", "min_child_weight"]))
+    def test_non_finite_stored_penalty_is_format_error(self, tmp_path, index, name):
+        data = bytearray(self.chain_model_bytes(depth=1, max_depth=1))
+        # magic, version, n_rounds, learning_rate, max_depth, then the three doubles
+        offset = struct.calcsize("<4sHidi") + 8 * index
+        assert struct.unpack_from("<d", data, offset)[0] == getattr(TrainConfig(max_depth=1), name)
+        struct.pack_into("<d", data, offset, float("nan"))
+        path = tmp_path / "nan.rfgb"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{name} must be finite"):
             load_model(path)
 
     def test_class_outside_model_rejected(self, tmp_path):

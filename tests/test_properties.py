@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rfsentry import dataset, gbdt
 from rfsentry.dataset import load_features, load_manifest, load_segment
-from rfsentry.errors import InsufficientDataError, ParseError, RfSentryError
+from rfsentry.errors import DegenerateLeafError, InsufficientDataError, ParseError, RfSentryError
 from rfsentry.spectrum import Band
 
 BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -173,3 +173,90 @@ def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
     path.write_bytes(bytes(data))
     with contextlib.suppress(RfSentryError):
         LOADERS[kind](path)
+
+
+def reference_tree(x, g, h, config):
+    """Exact greedy growth spelled out in Python, as [feature, threshold, value, right] rows.
+
+    Every feature and every midpoint between consecutive distinct values
+    of the node's rows is tried in increasing order, and only a strictly
+    better score replaces the best, so ties keep the lowest feature, then
+    the lowest threshold. Candidates are ranked by the one term of the
+    gain that depends on them, computed with the same expression as the
+    gain, so equal inputs give equal bits.
+    """
+    lam, mcw = config.reg_lambda, config.min_child_weight
+    nodes = []
+
+    def grow(rows, depth):
+        g_total = sum(g[r] for r in rows)
+        h_total = sum(h[r] for r in rows)
+        best = None
+        for f in range(x.shape[1] if depth < config.max_depth else 0):
+            values = sorted({x[r, f] for r in rows})
+            for lo, hi in zip(values, values[1:]):
+                threshold = 0.5 * (lo + hi)
+                left = [r for r in rows if x[r, f] < threshold]
+                gl = sum(g[r] for r in left)
+                hl = sum(h[r] for r in left)
+                gr, hr = g_total - gl, h_total - hl
+                if not (threshold > lo and min(hl, hr) >= mcw and min(hl, hr) + lam > 0):
+                    continue
+                score = gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                if best is None or score > best[0]:
+                    right = [r for r in rows if x[r, f] >= threshold]
+                    best = (score, f, threshold, left, right)
+        if best is not None:
+            score, f, threshold, left, right = best
+            if 0.5 * (score - g_total * g_total / (h_total + lam)) - config.gamma > 0:
+                node = len(nodes)
+                nodes.append([f, threshold, 0.0, -1])
+                grow(left, depth + 1)
+                nodes[node][3] = len(nodes)
+                grow(right, depth + 1)
+                return
+        if h_total + lam == 0:
+            raise DegenerateLeafError("leaf has zero hessian mass and no regularization")
+        nodes.append([-1, 0.0, -g_total / (h_total + lam), -1])
+
+    grow(list(range(x.shape[0])), 0)
+    return nodes
+
+
+@st.composite
+def split_problems(draw):
+    """Few distinct values so ties and repeats are common; g and h are
+    small multiples of 1/4, so every sum of them is exact. A constant
+    hessian makes splits of exactly half the mass common."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)), dtype=float)
+    g = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    h_units = st.lists(st.integers(0, 8), min_size=n, max_size=n)
+    h = np.array(draw(h_units | st.integers(1, 8).map(lambda u: [u] * n))) / 4.0
+    # min_child_weight near half the root's hessian, where the h_total
+    # prune and the last valid balanced split meet, or well below it.
+    half = draw(st.sampled_from([0.0, 0.25, 0.5])) * h.sum()
+    mcw = max(0.0, half + draw(st.sampled_from([-0.25, 0.0, 0.25])))
+    config = gbdt.TrainConfig(
+        max_depth=draw(st.integers(1, 4)),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.5])),
+        min_child_weight=mcw,
+    )
+    return x.reshape(n, d), g, h, config
+
+
+@BOUNDARY
+@given(problem=split_problems())
+def test_build_tree_matches_exact_greedy_reference(problem):
+    x, g, h, config = problem
+    try:
+        expected = gbdt.Tree.from_rows(reference_tree(x, g, h, config))
+    except DegenerateLeafError:
+        with pytest.raises(DegenerateLeafError):
+            gbdt.build_tree(x, g, h, config)
+        return
+    tree = gbdt.build_tree(x, g, h, config)
+    for name in ("feature", "threshold", "value", "right"):
+        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes(), name
