@@ -207,9 +207,12 @@ class _ScanState:
     its rows in sorted order and a node costs d x m, not d x n. Blocks
     live in two flat (d x n) arrays; a child's block is the part of its
     parent's that it takes, so depth-first growth never overwrites a
-    block that is still pending. Every temporary is written with out=.
-    Row ids stay intp: np.take casts any other index dtype to a fresh
-    intp array on each call.
+    block that is still pending. The scan writes every temporary with
+    out=; a partition allocates only its two index arrays. Row ids stay
+    intp: np.take casts any other index dtype to a fresh intp array on
+    each call. np.take runs with mode="clip" because with out= and the
+    default mode="raise" it writes into a copy of out; the ids are in
+    range.
     """
 
     def __init__(self, features: np.ndarray) -> None:
