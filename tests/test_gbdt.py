@@ -342,6 +342,9 @@ class TestGoldenForest:
 
     # Lower-band features of the session corpus, 60 rows x 1024 bins.
     FEATURES = "b630b3815f647f6034e2002a1636de8c71b00acc431d385ef6afcd7b5bbf15ea"
+    # np.exp over [-10, 0]; the softmax gradients after the first round
+    # depend on it, and numpy's SIMD exp and libm's differ in the last bit.
+    EXP = "9acae64fdba716fa0ff6e5cd0c05ca4133dde404d1c68b04f22369cf598625be"
     # case, min_child_weight -> digests of feature, threshold, value,
     # right and of the (round, class, node count) table.
     GOLDEN = {
@@ -371,10 +374,12 @@ class TestGoldenForest:
     @pytest.mark.parametrize("case, min_child_weight", sorted(GOLDEN, key=str))
     def test_forest_bits_unchanged(self, small_corpus, case, min_child_weight):
         ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, case)
+        # The FFT build decides the feature bits, and the thresholds are
+        # midpoints of them; the digests hold only for these inputs.
         if sha256(ds.features) != self.FEATURES:
-            # The FFT build decides the feature bits, and the thresholds
-            # are midpoints of them; the digests hold only for these inputs.
             pytest.skip("this numpy build extracts other feature bits than the pinned ones")
+        if sha256(np.exp(np.linspace(-10.0, 0.0, 20001))) != self.EXP:
+            pytest.skip("this numpy build's exp rounds differently from the pinned one")
         config = TrainConfig(
             n_rounds=3,
             max_depth=4,
