@@ -1,4 +1,5 @@
 import hashlib
+import random
 import struct
 import tracemalloc
 
@@ -186,6 +187,38 @@ class TestBuildTree:
         duplicated = np.hstack([x, x])
         tree = build_tree(duplicated, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), stump_config())
         assert tree.feature[0] == 0
+
+    def test_tie_at_a_later_position_still_goes_to_lowest_feature(self):
+        # Cuts {0,1,2}|{3,4} and {0,1}|{2,3,4} both score 4/3 + 2. Feature
+        # 0 allows only the first, at sorted position 2; feature 1 only the
+        # second, at position 1. Scanning positions before features would
+        # meet feature 1's cut first.
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        g = np.array([-1.0, -1.0, 0.0, 1.0, 1.0])
+        tree = build_tree(x, g, np.ones(5), stump_config())
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        assert tree.value[1] == pytest.approx(2 / 3)
+        assert tree.value[tree.right[0]] == -1.0
+
+    @pytest.mark.parametrize(
+        "g, free, threshold, left, right",
+        [
+            ([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -5.0], 6.5, 5.5, -4 / 6, 2.0),
+            ([-5.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0], 0.5, 1.5, 2.0, -4 / 6),
+        ],
+    )
+    def test_min_child_weight_window_excludes_best_cut(self, g, free, threshold, left, right):
+        # With unit hessians and min_child_weight 2 only sorted positions
+        # 1..5 of 8 rows are valid. Unconstrained, isolating the -5 row
+        # wins, at position 6 or 0; constrained, the cut next to it does.
+        x = np.column_stack([np.arange(8.0), np.repeat([0.0, 1.0], 4)])
+        g = np.array(g)
+        unconstrained = build_tree(x, g, np.ones(8), stump_config())
+        assert (unconstrained.feature[0], unconstrained.threshold[0]) == (0, free)
+        tree = build_tree(x, g, np.ones(8), stump_config(min_child_weight=2.0))
+        assert (tree.feature[0], tree.threshold[0]) == (0, threshold)
+        assert tree.value[1] == pytest.approx(left)
+        assert tree.value[tree.right[0]] == pytest.approx(right)
 
     def test_xor_pattern_depth_two(self):
         # Exact-greedy needs a slightly asymmetric corner weight; a
@@ -392,6 +425,44 @@ class TestGoldenForest:
         arrays = (forest.feature, forest.threshold, forest.value, forest.right, table)
         digests = tuple(sha256(a) for a in arrays)
         assert digests == self.GOLDEN[case, min_child_weight]
+
+
+def exact_problem(n=200, d=48, seed=7):
+    """Integer features and g, h in multiples of 1/64: every sum the scan
+    takes is exact, and no FFT or exp is involved, so the grown tree is
+    the same on every platform. random.random's sequence is stable
+    across Python versions."""
+    rng = random.Random(seed)
+
+    def draw(k):
+        return int(rng.random() * k)
+
+    x = np.array([[draw(16) for _ in range(d)] for _ in range(n)], dtype=np.float64)
+    g = np.array([draw(129) - 64 for _ in range(n)]) / 64.0
+    h = np.array([draw(17) for _ in range(n)]) / 64.0
+    return x, g, h
+
+
+class TestGoldenTree:
+    """`build_tree` on exactly representable data, pinned bit for bit
+    before the scan went position-major. It never skips."""
+
+    # reg_lambda, min_child_weight -> digest of feature, threshold, value, right.
+    GOLDEN = {
+        (0.0, 0.0): "cd752e4a4b2dd301c5e50f44b3f105565538e8393461fc76ef8ea3b10e1b54a0",
+        (0.0, 1.0): "f68fd0cefde15464011b9f61fb77f41da93ffdc6a47366c5577a862a0e754148",
+        (1.0, 0.0): "cdbb4b802b541c0edd0ff20693bc4492e950ab36e3cff298ca2a7358c2bc7c5b",
+        (1.0, 1.0): "e70e3f43f9824579bf6e9eb314f33772f450d3f16c389ed9fbd498b8140c8676",
+    }
+
+    @pytest.mark.parametrize("reg_lambda, min_child_weight", sorted(GOLDEN))
+    def test_tree_bits_unchanged(self, reg_lambda, min_child_weight):
+        x, g, h = exact_problem()
+        config = TrainConfig(max_depth=4, reg_lambda=reg_lambda, min_child_weight=min_child_weight)
+        tree = build_tree(x, g, h, config)
+        dtypes = (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"), ("right", "<i4"))
+        blob = b"".join(getattr(tree, name).astype(dtype).tobytes() for name, dtype in dtypes)
+        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN[reg_lambda, min_child_weight]
 
 class TestPredict:
     def test_zero_round_model_is_uniform(self):
