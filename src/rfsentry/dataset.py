@@ -776,6 +776,8 @@ def load_features(path) -> LabeledDataset:
         window = _WINDOW_FROM_CODE[window_code]
     except (ValueError, KeyError):
         raise FormatError(f"{path}: bad case, band or window code in header") from None
+    if n_cols == 0:
+        raise FormatError(f"{path}: feature container has no feature columns")
     expected = _FEATURES_HEADER.size + 2 * n_rows + 8 * n_rows * n_cols
     if len(buf) != expected:
         raise FormatError(

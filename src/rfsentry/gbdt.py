@@ -16,13 +16,18 @@ cost.
 The scan follows exact greedy search over presorted columns. Each fit
 sorts every feature once and builds one workspace of flat (d x n)
 buffers that every node of every tree reuses through out= arguments.
-A node scans a (d, m) block of its rows in per-feature sorted order;
-when it splits, the block is stably partitioned in place into its
-children's blocks, so a node costs d x m rather than d x n. A node
-whose hessian sum is below twice min_child_weight is not scanned: any
-left side with hl >= min_child_weight leaves less than that on the
-right. Every sum is taken in the same order as a plain per-node scan,
-so the trees are bit-identical to one.
+A node keeps a (d, m) block of its rows in per-feature sorted order,
+one row per feature; when it splits, the block is stably partitioned
+in place into its children's blocks, so a node costs d x m rather than
+d x n. The scan reads the block position-major, as (m, d) planes whose
+row p holds every feature's p-th sorted row, so each prefix-sum step
+adds d lanes in one call. Because h >= 0, the sorted positions where
+some feature can leave min_child_weight on both sides form one range,
+the hessian window, and only it is scored; a node whose hessian sum is
+below twice min_child_weight is not scanned at all. On equal scores
+the lowest feature wins, then the lowest threshold. Every sum is taken
+in the same order as a plain per-node scan, so the trees are
+bit-identical to one.
 
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
@@ -199,15 +204,22 @@ class _ScanState:
     every node of every tree.
 
     The root's rows never change, so its stable per-feature order and
-    sorted values, shape (d, n), and which gaps between consecutive
-    sorted values can hold a threshold are computed once. A node works on
-    a (d, m) block of row ids and sorted values, one row per feature.
-    When it splits, the block is stably partitioned in place into
-    [left | right] through a scratch buffer, so each child's block keeps
-    its rows in sorted order and a node costs d x m, not d x n. Blocks
-    live in two flat (d x n) arrays; a child's block is the part of its
-    parent's that it takes, so depth-first growth never overwrites a
-    block that is still pending. The scan writes every temporary with
+    sorted values, shape (d, n), are computed once, and so is which gaps
+    between consecutive sorted values can hold a threshold, stored
+    position-major as (n - 1, d) for the scan. A node works on a (d, m)
+    block of row ids and sorted values, one row per feature. When it
+    splits, the block is stably partitioned in place into [left | right]
+    through a scratch buffer, so each child's block keeps its rows in
+    sorted order and a node costs d x m, not d x n. Blocks live in two
+    flat (d x n) arrays; a child's block is the part of its parent's
+    that it takes, so depth-first growth never overwrites a block that
+    is still pending.
+
+    The scan transposes a block's row ids into the third scratch buffer
+    and gathers h, and g up to the window's end, into the first two as
+    (m - 1, d) planes of prefix sums. Once the gathers are done the third
+    buffer holds the window's transposed values, then hr; the fourth
+    holds midpoints, then the score. Every temporary is written with
     out=; a partition allocates only its two index arrays. Row ids stay
     intp: np.take casts any other index dtype to a fresh intp array on
     each call. np.take runs with mode="clip" because with out= and the
@@ -222,7 +234,7 @@ class _ScanState:
         self.root_vals = np.ascontiguousarray(np.take_along_axis(features, order, axis=0).T)
         del order
         left, right = self.root_vals[:, :-1], self.root_vals[:, 1:]
-        self.root_gaps = (right > left) & (0.5 * (left + right) > left)
+        self.root_gaps = np.ascontiguousarray(((right > left) & (0.5 * (left + right) > left)).T)
         self.features = features
         self.rows = np.empty(d * n, dtype=np.intp)
         self.vals = np.empty(d * n, dtype=np.float64)
@@ -244,8 +256,12 @@ class _ScanState:
         """The split of highest gain among all features, or None if none gains.
 
         Candidates sit at midpoints between consecutive distinct values of
-        the node's rows; the first maximum in (feature, position) order
-        keeps the lowest feature, then the lowest threshold, on score ties.
+        the node's rows. The scan runs position-major: row p of each
+        (m - 1, d) plane holds every feature's candidate after its p-th
+        sorted row, and prefix sums are added one row at a time, d lanes
+        per call, in the same order as a per-feature cumsum. Only the rows
+        of the hessian window are scored. On score ties the lowest feature
+        wins, then the lowest threshold.
         """
         lam, mcw = config.reg_lambda, config.min_child_weight
         d, m = rows.shape
@@ -253,20 +269,36 @@ class _ScanState:
         # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
         if m < 2 or h_total < 2.0 * mcw * (1.0 - 1e-9):
             return None
-        span = d * (m - 1)
-        cum_g, cum_h = (buf[: d * m].reshape(d, m) for buf in self.scratch[:2])
-        np.cumsum(np.take(g, rows, out=cum_g, mode="clip"), axis=1, out=cum_g)
-        np.cumsum(np.take(h, rows, out=cum_h, mode="clip"), axis=1, out=cum_h)
-        gl, hl = cum_g[:, :-1], cum_h[:, :-1]
-        gr, hr = (buf[:span].reshape(d, m - 1) for buf in self.scratch[2:])
-        valid, test = (buf[:span].reshape(d, m - 1) for buf in self.masks)
+        cum_h, cum_g, spare, temp = (buf[: d * (m - 1)].reshape(m - 1, d) for buf in self.scratch)
+        rows_t = spare.view(np.intp)
+        np.copyto(rows_t, rows[:, :-1].T)
+        np.take(h, rows_t, out=cum_h, mode="clip")
+        for p in range(1, m - 1):
+            np.add(cum_h[p - 1], cum_h[p], out=cum_h[p])
+        # h >= 0, so along each feature hl never falls and fl(h_total - hl)
+        # never rises: rows before lo have every hl < mcw, rows after hi
+        # every fl(h_total - hl) < mcw, and no candidate there is valid.
+        lo = m - 1 - np.count_nonzero(cum_h.max(axis=1) >= mcw)
+        hi = np.count_nonzero(h_total - cum_h.min(axis=1) >= mcw) - 1
+        if lo > hi:
+            return None
+        np.take(g, rows_t[: hi + 1], out=cum_g[: hi + 1], mode="clip")
+        for p in range(1, hi + 1):
+            np.add(cum_g[p - 1], cum_g[p], out=cum_g[p])
+        w = hi + 1 - lo
+        gl, hl, temp = cum_g[lo : hi + 1], cum_h[lo : hi + 1], temp[:w]
+        valid, test = (buf[: w * d].reshape(w, d) for buf in self.masks)
         if rows is self.root_rows:
-            np.copyto(valid, self.root_gaps)
+            np.copyto(valid, self.root_gaps[lo : hi + 1])
         else:
-            left_v, right_v = vals[:, :-1], vals[:, 1:]
+            # The row ids are gathered; their space holds the values now.
+            vals_t = self.scratch[2, : (w + 1) * d].reshape(w + 1, d)
+            np.copyto(vals_t, vals[:, lo : hi + 2].T)
+            left_v, right_v = vals_t[:-1], vals_t[1:]
             np.greater(right_v, left_v, out=valid)
-            mid = np.multiply(np.add(left_v, right_v, out=gr), 0.5, out=gr)
+            mid = np.multiply(np.add(left_v, right_v, out=temp), 0.5, out=temp)
             valid &= np.greater(mid, left_v, out=test)
+        hr = spare[:w]
         valid &= np.greater_equal(hl, mcw, out=test)
         np.subtract(h_total, hl, out=hr)
         valid &= np.greater_equal(hr, mcw, out=test)
@@ -276,20 +308,24 @@ class _ScanState:
             # With lam > 0 these follow from hl, hr >= mcw >= 0.
             valid &= np.greater(hl, 0.0, out=test)
             valid &= np.greater(hr, 0.0, out=test)
-        score = np.subtract(g_total, gl, out=gr)
+        score = np.subtract(g_total, gl, out=temp)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(np.multiply(score, score, out=score), hr, out=score)
             np.divide(np.multiply(gl, gl, out=gl), hl, out=gl)
         np.add(gl, score, out=score)
         np.copyto(score, -np.inf, where=np.logical_not(valid, out=valid))
-        feature, pos = divmod(int(np.argmax(score)), m - 1)
-        best = score[feature, pos]
+        best = score.max()
         if not np.isfinite(best):
             return None
         gain = 0.5 * (best - g_total * g_total / (h_total + lam)) - config.gamma
         if not gain > 0.0:
             return None
-        return feature, float(0.5 * (vals[feature, pos] + vals[feature, pos + 1]))
+        # Hits are in (position, feature) order; the first of the lowest
+        # feature is also its lowest position.
+        hits = np.flatnonzero(np.equal(score, best, out=valid))
+        first = np.argmin(hits % d)
+        pos, feature = divmod(int(hits[first]), d)
+        return feature, float(0.5 * (vals[feature, lo + pos] + vals[feature, lo + pos + 1]))
 
     def partition(self, rows, vals, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
@@ -373,25 +409,42 @@ def build_tree(
 
     Leaf values are unscaled; the training loop applies the learning
     rate. Ties between equal-gain splits resolve to the lowest feature
-    index, then the lowest threshold.
+    index, then the lowest threshold. g and h must be finite and h >= 0,
+    which the scan's hessian window relies on.
     """
-    features, g, h = _check_training_arrays(features, g, h)
+    features = _check_training_arrays(features, g=g, h=h)
+    g = np.asarray(g, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise TrainingError("g and h must be finite")
+    bad = np.flatnonzero(h < 0)
+    if bad.size:
+        raise TrainingError(f"h must be >= 0, got {h[bad[0]]} in row {bad[0]}")
     nodes = []
     _grow_tree(_ScanState(features), g, h, config, nodes, 1.0)
     return Tree.from_rows(nodes)
 
 
-def _check_training_arrays(
-    features: np.ndarray, g: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_training_arrays(features: np.ndarray, **per_row) -> np.ndarray:
+    """The input check of `train` and `build_tree`.
+
+    Returns the features as a contiguous float64 matrix after checking
+    that it has at least one row and one column and only finite entries,
+    and that each per-row array has one entry per row.
+    """
     features = np.ascontiguousarray(features, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ShapeError(f"features must be a non-empty 2-D matrix, got {features.shape}")
-    if g.shape != (features.shape[0],) or h.shape != (features.shape[0],):
-        raise ShapeError("g and h must have one entry per feature row")
-    return features, g, h
+    if features.ndim != 2 or 0 in features.shape:
+        raise ShapeError(
+            f"features must be a 2-D matrix with at least one row and one column, "
+            f"got shape {features.shape}"
+        )
+    for name, values in per_row.items():
+        if np.shape(values) != features.shape[:1]:
+            raise ShapeError(f"{name} must have one entry per feature row")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise TrainingError(f"non-finite feature in row {bad[0]}")
+    return features
 
 
 def _penalty(nodes: list[list], start: int, config: TrainConfig) -> float:
@@ -408,17 +461,10 @@ def _logloss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> GbdtModel:
     """Boost n_rounds rounds of per-class trees; deterministic given inputs."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
+    features = _check_training_arrays(features, labels=labels)
     labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ShapeError(f"features must be a non-empty 2-D matrix, got {features.shape}")
-    if labels.shape != (features.shape[0],):
-        raise ShapeError("labels must have one entry per feature row")
     if labels.dtype.kind not in "iu":
         raise SchemaError(f"labels must be integers, got dtype {labels.dtype}")
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise TrainingError(f"non-finite feature in row {bad[0]}")
     if labels.min() < 0 or labels.max() >= config.n_classes:
         raise SchemaError(
             f"labels must lie in [0, {config.n_classes}), got range "

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -403,3 +404,15 @@ class TestMalformedInputs:
         argv = ["predict", "--model", str(model_path), "--lb", str(lb_path), "--frame-size", "1024"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_cache_without_feature_columns(self, command, tmp_path, capsys):
+        # A hand-packed 20 x 0 case-3 cache: header, then 20 labels, no features.
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 3, 0, 0, 20, 0, 2048, 2048, 8)
+        path = tmp_path / "empty.rfds"
+        path.write_bytes(header + (np.arange(20) % 10).astype("<u2").tobytes())
+        out = tmp_path / "out"
+        argv = [command, "--features", str(path), "--case", "3", "--min-child-weight", "0"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "no feature columns" in capsys.readouterr().err
+        assert not out.exists()

@@ -506,6 +506,13 @@ class TestFeatureCache:
         with pytest.raises(FormatError):
             load_features(path)
 
+    def test_no_feature_columns_rejected(self, tmp_path):
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 3, 0, 0, 20, 0, 2048, 2048, 8)
+        path = tmp_path / "empty.rfds"
+        path.write_bytes(header + np.zeros(20, dtype="<u2").tobytes())
+        with pytest.raises(FormatError, match="no feature columns"):
+            load_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "cache.rfds"
         path.write_bytes(b"XXXX" + b"\x00" * 40)

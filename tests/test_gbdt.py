@@ -245,6 +245,32 @@ class TestBuildTree:
             assert tree.value[1] == pytest.approx(best[2])
             assert tree.value[tree.right[0]] == pytest.approx(best[3])
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("g", np.nan, "must be finite"),
+            ("g", np.inf, "must be finite"),
+            ("h", np.nan, "must be finite"),
+            ("h", -np.inf, "must be finite"),
+            ("h", -0.25, "h must be >= 0, got -0.25 in row 2"),
+        ],
+    )
+    def test_bad_gradient_statistics_rejected(self, name, value, message):
+        stats = {"g": np.array([-1.0, -1.0, 1.0, 1.0]), "h": np.ones(4)}
+        stats[name][2] = value
+        with pytest.raises(TrainingError, match=message):
+            build_tree(np.arange(4.0)[:, None], stats["g"], stats["h"], stump_config())
+
+    def test_mismatched_gradient_statistics_rejected(self):
+        with pytest.raises(ShapeError, match="h must have one entry per feature row"):
+            build_tree(np.zeros((4, 2)), np.zeros(4), np.ones(3), stump_config())
+
+    def test_non_finite_feature_rejected(self):
+        x = np.arange(8.0).reshape(4, 2)
+        x[3, 1] = np.inf
+        with pytest.raises(TrainingError, match="row 3"):
+            build_tree(x, np.zeros(4), np.ones(4), stump_config())
+
     def test_max_depth_respected(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(200, 3))
@@ -344,6 +370,15 @@ class TestTrain:
         features[17, 2] = np.nan
         with pytest.raises(TrainingError, match="row 17"):
             train(features, labels, TrainConfig(n_classes=3))
+
+    @pytest.mark.parametrize("shape", [(20, 0), (0, 3), (20,)])
+    def test_empty_or_flat_features_rejected(self, shape):
+        features = np.zeros(shape)
+        labels = np.arange(shape[0]) % 2
+        with pytest.raises(ShapeError, match="at least one row and one column"):
+            train(features, labels, TrainConfig(n_classes=2))
+        with pytest.raises(ShapeError, match="at least one row and one column"):
+            build_tree(features, np.zeros(shape[0]), np.ones(shape[0]), stump_config())
 
     def test_label_range_checked(self):
         features, labels = blobs(37)

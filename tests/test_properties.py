@@ -227,8 +227,10 @@ def reference_tree(x, g, h, config):
 def split_problems(draw):
     """Few distinct values so ties and repeats are common; g and h are
     small multiples of 1/4, so every sum of them is exact. A constant
-    hessian makes splits of exactly half the mass common."""
-    n = draw(st.integers(2, 12))
+    hessian makes splits of exactly half the mass common. Up to 32 rows,
+    so min_child_weight can rule out several sorted positions at each
+    end of a node."""
+    n = draw(st.integers(2, 32))
     d = draw(st.integers(1, 4))
     x = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)), dtype=float)
     g = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
