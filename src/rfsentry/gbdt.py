@@ -19,9 +19,9 @@ buffers that every node of every tree reuses through out= arguments.
 A node keeps a (d, m) block of its rows in per-feature sorted order,
 one row per feature; when it splits, the block is stably partitioned
 in place into its children's blocks, so a node costs d x m rather than
-d x n. The scan reads the block position-major, as (m, d) planes whose
-row p holds every feature's p-th sorted row, so each prefix-sum step
-adds d lanes in one call. Because h >= 0, the sorted positions where
+d x n. The scan reads the block position-major, as (m - 1, d) planes
+whose row p holds every feature's p-th sorted row, so each prefix-sum
+step adds d lanes in one call. Because h >= 0, the sorted positions where
 some feature can leave min_child_weight on both sides form one range,
 the hessian window, and only it is scored; a node whose hessian sum is
 below twice min_child_weight is not scanned at all. On equal scores
