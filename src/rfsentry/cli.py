@@ -24,7 +24,7 @@ from . import dataset as dataset_mod
 from . import evaluation, gbdt
 from .dataset import Case, LabelSchema
 from .errors import ConfigurationError, RfSentryError
-from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, BandMode
+from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, WINDOWS, BandMode, Extraction
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-_BAND_CHOICES = {"lower": BandMode.LOWER_ONLY, "upper": BandMode.UPPER_ONLY, "both": BandMode.CONCATENATED}
+_BAND_CHOICES = tuple(mode.value for mode in BandMode)
 
 
 def _extraction_args(parser: argparse.ArgumentParser) -> None:
@@ -45,9 +45,7 @@ def _extraction_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--q", type=int, default=DEFAULT_SEAM_BINS, help="boundary bins for the seam scale factor"
     )
-    group.add_argument(
-        "--window", choices=("rectangular", "hann"), default="rectangular", help="analysis window"
-    )
+    group.add_argument("--window", choices=WINDOWS, default="rectangular", help="analysis window")
 
 
 def _train_args(parser: argparse.ArgumentParser) -> None:
@@ -83,13 +81,8 @@ def _train_config(args, n_classes: int) -> gbdt.TrainConfig:
     )
 
 
-def _extraction_config(args) -> dict:
-    return {
-        "frame_size": args.frame_size,
-        "hop": args.hop if args.hop is not None else args.frame_size,
-        "q": args.q,
-        "window": args.window,
-    }
+def _extraction(args) -> Extraction:
+    return Extraction(args.frame_size, args.hop, args.q, args.window)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -121,19 +114,11 @@ def _print_class_table(manifest: dataset_mod.Manifest) -> None:
 
 
 def cmd_features(args) -> int:
+    extraction = _extraction(args)
     manifest = dataset_mod.load_manifest(args.manifest)
-    band_mode = _BAND_CHOICES[args.band]
+    band_mode = BandMode(args.band)
     case = Case(args.case)
-    ds = dataset_mod.build_dataset(
-        manifest,
-        band_mode,
-        case,
-        frame_size=args.frame_size,
-        hop=args.hop,
-        q=args.q,
-        window=args.window,
-        jobs=args.jobs,
-    )
+    ds = dataset_mod.build_dataset(manifest, band_mode, case, extraction, jobs=args.jobs)
     dataset_mod.save_features(ds, args.out)
     _print_class_table(manifest)
     print(
@@ -160,12 +145,7 @@ def cmd_cv(args) -> int:
     payload = report.to_dict()
     payload["case"] = ds.schema.case.value
     payload["band_mode"] = ds.band_mode.value
-    payload["extraction"] = {
-        "frame_size": ds.frame_size,
-        "hop": ds.hop,
-        "q": ds.q,
-        "window": ds.window,
-    }
+    payload["extraction"] = dataclasses.asdict(ds.extraction)
     _write_json(args.out, payload)
     csv_path = Path(args.out).with_suffix(".csv")
     _write_metric_csv(
@@ -189,6 +169,7 @@ def _format_ttest(name: str, result) -> str:
 
 
 def cmd_compare(args) -> int:
+    extraction = _extraction(args)
     manifest = dataset_mod.load_manifest(args.manifest)
     case = Case(args.case)
     config = _train_config(args, LabelSchema.for_case(case).n_classes)
@@ -199,14 +180,11 @@ def cmd_compare(args) -> int:
         k=args.k_folds,
         seed=args.seed_data,
         alpha=args.alpha,
-        frame_size=args.frame_size,
-        hop=args.hop,
-        q=args.q,
-        window=args.window,
+        extraction=extraction,
         jobs=args.jobs,
     )
     payload = comparison.to_dict()
-    payload["extraction"] = _extraction_config(args)
+    payload["extraction"] = dataclasses.asdict(extraction)
     _write_json(args.out, payload)
     csv_path = Path(args.out).with_suffix(".csv")
     _write_metric_csv(
@@ -241,6 +219,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    extraction = _extraction(args)
     model = gbdt.load_model(args.model)
     schema = LabelSchema.for_n_classes(model.config.n_classes)
     if args.features is not None:
@@ -250,23 +229,13 @@ def cmd_predict(args) -> int:
     else:
         if args.lb is None and args.ub is None:
             raise ConfigurationError("predict needs --features, or --lb/--ub segment files")
-        band_mode = _BAND_CHOICES[args.band]
+        band_mode = BandMode(args.band)
         if band_mode in dataset_mod.NEEDS_LOWER and args.lb is None:
             raise ConfigurationError(f"--band {args.band} requires --lb")
         if band_mode in dataset_mod.NEEDS_UPPER and args.ub is None:
             raise ConfigurationError(f"--band {args.band} requires --ub")
-        rows = dataset_mod.extract_pair(
-            args.lb,
-            args.ub,
-            (band_mode,),
-            frame_size=args.frame_size,
-            hop=args.hop,
-            q=args.q,
-            window=args.window,
-            name="cli-input",
-        )
-        values = rows[band_mode]
-        features = values[None, :]
+        rows = dataset_mod.extract_pair(args.lb, args.ub, (band_mode,), extraction, "cli-input")
+        features = rows[band_mode][None, :]
         source = str(args.lb or args.ub)
     probs = gbdt.predict_proba(model, features)
     labels = np.argmax(probs, axis=1)
@@ -304,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract a feature cache from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--band", choices=tuple(_BAND_CHOICES), default="lower")
+    p.add_argument("--band", choices=_BAND_CHOICES, default="lower")
     _case_arg(p)
     _extraction_args(p)
     p.add_argument("--jobs", type=int, default=1)
@@ -345,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="feature cache to classify")
     p.add_argument("--lb", default=None, help="lower-band segment file")
     p.add_argument("--ub", default=None, help="upper-band segment file")
-    p.add_argument("--band", choices=tuple(_BAND_CHOICES), default="lower")
+    p.add_argument("--band", choices=_BAND_CHOICES, default="lower")
     _extraction_args(p)
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_predict)

@@ -3,8 +3,10 @@
 Recordings arrive as one comma- or newline-separated text file per band
 per segment. A JSON manifest pairs the two band files and carries the
 10-class label; the 4-class and 2-class labelings are projections of
+it. A feature matrix carries the ``Extraction`` record that produced
 it. Feature matrices are cached in a small self-describing binary
-container so round-trips are bit-exact.
+container so round-trips are bit-exact; its header stores the record,
+and a header whose settings the record rejects is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .errors import (
 )
 from .spectrum import (
     DEFAULT_FRAME_SIZE,
-    DEFAULT_SEAM_BINS,
+    WINDOWS,
     Band,
     BandMode,
-    _is_power_of_two,
+    Extraction,
     compute_scaling_factor,
     concatenate_bands,
     segment_spectrum,
@@ -453,14 +455,14 @@ def class_tone_bins(class_id: int, band: Band, include_comb: bool = True) -> tup
     return tuple(bins)
 
 
-def _tone_signal(rng, tones, amp_scale, sigma, length, frame_size) -> np.ndarray:
+def _tone_signal(rng, tones, amp_scale, sigma, length) -> np.ndarray:
     signal = rng.normal(0.0, sigma, length)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(tones))
     if tones:
         t = np.arange(length)
         for (bin_index, amplitude), phase in zip(tones, phases):
             signal += amp_scale * amplitude * np.cos(
-                2.0 * np.pi * bin_index * t / frame_size + phase
+                2.0 * np.pi * bin_index * t / DEFAULT_FRAME_SIZE + phase
             )
     return signal
 
@@ -470,7 +472,6 @@ def synth_segment(
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
     index: int = 0,
-    frame_size: int = DEFAULT_FRAME_SIZE,
 ) -> tuple[SegmentRecord, SegmentRecord]:
     """Deterministic synthetic (lower, upper) segment pair for one class.
 
@@ -480,9 +481,9 @@ def synth_segment(
     labels = label_from_case3(class_id)
     if seed < 0 or index < 0 or index >= 1 << 32:
         raise ConfigurationError("seed and index must be non-negative (index < 2^32)")
-    if length < frame_size:
+    if length < DEFAULT_FRAME_SIZE:
         raise ConfigurationError(
-            f"segment length {length} is below the frame size {frame_size}"
+            f"segment length {length} is below the frame size {DEFAULT_FRAME_SIZE}"
         )
     key = np.array([seed, (class_id << 32) | index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -504,8 +505,8 @@ def synth_segment(
         if ub_comb_on:
             ub_tones = ub_tones + _comb_tones(_UB_COMB_START[drone_type], spacing, _UB_COMB_AMP)
 
-    lb_samples = _tone_signal(rng, lb_tones, amp_scale, sigma, length, frame_size)
-    ub_samples = _tone_signal(rng, ub_tones, amp_scale, sigma, length, frame_size)
+    lb_samples = _tone_signal(rng, lb_tones, amp_scale, sigma, length)
+    ub_samples = _tone_signal(rng, ub_tones, amp_scale, sigma, length)
     stem = f"synth-c{class_id:02d}-i{index:04d}"
     return (
         SegmentRecord(f"{stem}-lb", Band.LOWER, lb_samples, labels),
@@ -518,7 +519,6 @@ def write_synthetic_corpus(
     n_per_class: int,
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
-    frame_size: int = DEFAULT_FRAME_SIZE,
 ) -> Manifest:
     """Write segment files for all 10 classes plus a manifest referencing them."""
     if n_per_class < 1:
@@ -532,7 +532,7 @@ def write_synthetic_corpus(
     entries = []
     for class_id in range(10):
         for index in range(n_per_class):
-            lb, ub = synth_segment(class_id, seed, length=length, index=index, frame_size=frame_size)
+            lb, ub = synth_segment(class_id, seed, length=length, index=index)
             lb_name = f"{class_id:02d}_{index:03d}_lb.csv"
             ub_name = f"{class_id:02d}_{index:03d}_ub.csv"
             _write_segment_file(out_dir / lb_name, lb.samples)
@@ -546,7 +546,7 @@ def write_synthetic_corpus(
             "n_per_class": n_per_class,
             "seed_data": seed,
             "length": length,
-            "frame_size": frame_size,
+            "frame_size": DEFAULT_FRAME_SIZE,
         },
     )
     save_manifest(manifest, out_dir / "manifest.json")
@@ -564,16 +564,14 @@ def _write_segment_file(path: Path, samples: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix plus integer labels under one schema."""
+    """Feature matrix plus integer labels under one schema, and the
+    extraction settings that produced the features."""
 
     features: np.ndarray
     labels: np.ndarray
     schema: LabelSchema
     band_mode: BandMode
-    frame_size: int = 0
-    hop: int = 0
-    q: int = 0
-    window: str = "rectangular"
+    extraction: Extraction = Extraction()
 
     def __post_init__(self) -> None:
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -616,10 +614,7 @@ def extract_pair(
     lb_path,
     ub_path,
     modes,
-    frame_size: int = DEFAULT_FRAME_SIZE,
-    hop: int | None = None,
-    q: int = DEFAULT_SEAM_BINS,
-    window: str = "rectangular",
+    extraction: Extraction = Extraction(),
     name: str = "segment pair",
 ) -> dict[BandMode, np.ndarray]:
     """One feature row per band mode for one (lower, upper) band-file pair.
@@ -629,20 +624,21 @@ def extract_pair(
     upper band joins at scale 1. Failures surface as DataError naming
     ``name``.
     """
+    framing = (extraction.frame_size, extraction.hop, extraction.window)
     try:
         lb = ub = None
         if any(mode in NEEDS_LOWER for mode in modes):
             record = load_segment(lb_path, Band.LOWER)
-            lb = segment_spectrum(record.samples, Band.LOWER, frame_size, hop, window)
+            lb = segment_spectrum(record.samples, Band.LOWER, *framing)
             del record
         if any(mode in NEEDS_UPPER for mode in modes):
             record = load_segment(ub_path, Band.UPPER)
-            ub = segment_spectrum(record.samples, Band.UPPER, frame_size, hop, window)
+            ub = segment_spectrum(record.samples, Band.UPPER, *framing)
         rows = {}
         for mode in modes:
             if mode is BandMode.CONCATENATED:
                 try:
-                    scale = compute_scaling_factor(lb, ub, q)
+                    scale = compute_scaling_factor(lb, ub, extraction.q)
                 except DegenerateSpectrumError:
                     log.warning("%s: degenerate upper band, falling back to scale 1", name)
                     scale = 1.0
@@ -658,10 +654,7 @@ def build_datasets(
     manifest: Manifest,
     modes,
     case: Case,
-    frame_size: int = DEFAULT_FRAME_SIZE,
-    hop: int | None = None,
-    q: int = DEFAULT_SEAM_BINS,
-    window: str = "rectangular",
+    extraction: Extraction = Extraction(),
     jobs: int = 1,
 ) -> dict[BandMode, LabeledDataset]:
     """One dataset per band mode from a single pass over the manifest.
@@ -671,18 +664,15 @@ def build_datasets(
     """
     if not manifest.entries:
         raise InsufficientDataError("manifest has no entries")
-    if not _is_power_of_two(frame_size):
-        raise ConfigurationError(f"frame size must be a power of two, got {frame_size}")
-    if hop is None:
-        hop = frame_size
     modes = tuple(modes)
     n = len(manifest.entries)
-    features = {m: np.empty((n, m.feature_length(frame_size)), dtype=np.float64) for m in modes}
+    features = {m: np.empty((n, m.feature_length(extraction)), dtype=np.float64) for m in modes}
     paths = [manifest.resolve(entry) for entry in manifest.entries]
     args = (
         [str(lb) for lb, _ in paths],
         [str(ub) for _, ub in paths],
-        *(itertools.repeat(value) for value in (modes, frame_size, hop, q, window)),
+        itertools.repeat(modes),
+        itertools.repeat(extraction),
         [f"entry {i} ({entry.segment_id})" for i, entry in enumerate(manifest.entries)],
     )
     workers = pool_workers(jobs, n)
@@ -701,10 +691,7 @@ def build_datasets(
             labels=labels,
             schema=schema,
             band_mode=mode,
-            frame_size=frame_size,
-            hop=hop,
-            q=q,
-            window=window,
+            extraction=extraction,
         )
         for mode in modes
     }
@@ -714,16 +701,11 @@ def build_dataset(
     manifest: Manifest,
     band_mode: BandMode,
     case: Case,
-    frame_size: int = DEFAULT_FRAME_SIZE,
-    hop: int | None = None,
-    q: int = DEFAULT_SEAM_BINS,
-    window: str = "rectangular",
+    extraction: Extraction = Extraction(),
     jobs: int = 1,
 ) -> LabeledDataset:
     """Extract one feature row per manifest entry, in manifest order."""
-    return build_datasets(
-        manifest, (band_mode,), case, frame_size, hop, q, window, jobs
-    )[band_mode]
+    return build_datasets(manifest, (band_mode,), case, extraction, jobs)[band_mode]
 
 
 _FEATURES_MAGIC = b"RFDS"
@@ -731,23 +713,24 @@ _FEATURES_VERSION = 2
 _FEATURES_HEADER = struct.Struct("<4sHBBBIIIII")
 _BAND_MODE_CODES = {BandMode.LOWER_ONLY: 0, BandMode.UPPER_ONLY: 1, BandMode.CONCATENATED: 2}
 _BAND_MODE_FROM_CODE = {v: k for k, v in _BAND_MODE_CODES.items()}
-_WINDOW_CODES = {"rectangular": 0, "hann": 1}
+_WINDOW_CODES = {name: code for code, name in enumerate(WINDOWS)}
 _WINDOW_FROM_CODE = {v: k for k, v in _WINDOW_CODES.items()}
 
 
 def save_features(dataset: LabeledDataset, path) -> None:
     """Write the dataset to the binary feature container (little-endian)."""
+    extraction = dataset.extraction
     header = _FEATURES_HEADER.pack(
         _FEATURES_MAGIC,
         _FEATURES_VERSION,
         dataset.schema.case.value,
         _BAND_MODE_CODES[dataset.band_mode],
-        _WINDOW_CODES[dataset.window],
+        _WINDOW_CODES[extraction.window],
         dataset.n_rows,
         dataset.n_features,
-        dataset.frame_size,
-        dataset.hop,
-        dataset.q,
+        extraction.frame_size,
+        extraction.hop,
+        extraction.q,
     )
     labels = np.ascontiguousarray(dataset.labels, dtype="<u2").tobytes()
     payload = np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
@@ -776,6 +759,10 @@ def load_features(path) -> LabeledDataset:
         window = _WINDOW_FROM_CODE[window_code]
     except (ValueError, KeyError):
         raise FormatError(f"{path}: bad case, band or window code in header") from None
+    try:
+        extraction = Extraction(frame_size, hop, q, window)
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: bad extraction settings in header: {exc}") from None
     if n_cols == 0:
         raise FormatError(f"{path}: feature container has no feature columns")
     expected = _FEATURES_HEADER.size + 2 * n_rows + 8 * n_rows * n_cols
@@ -796,8 +783,5 @@ def load_features(path) -> LabeledDataset:
         labels=labels,
         schema=LabelSchema.for_case(case),
         band_mode=band_mode,
-        frame_size=frame_size,
-        hop=hop,
-        q=q,
-        window=window,
+        extraction=extraction,
     )

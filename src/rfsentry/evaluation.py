@@ -27,7 +27,7 @@ from .errors import (
     EmptyEvaluationError,
     ShapeError,
 )
-from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, BandMode
+from .spectrum import BandMode, Extraction
 
 log = logging.getLogger(__name__)
 
@@ -457,10 +457,7 @@ def compare_bands(
     k: int = 10,
     seed: int = 0,
     alpha: float = 0.05,
-    frame_size: int = DEFAULT_FRAME_SIZE,
-    hop: int | None = None,
-    q: int = DEFAULT_SEAM_BINS,
-    window: str = "rectangular",
+    extraction: Extraction = Extraction(),
     jobs: int = 1,
 ) -> BandComparison:
     """Run lower-only, upper-only and concatenated CV plus the two t-tests.
@@ -475,10 +472,7 @@ def compare_bands(
         manifest,
         (BandMode.LOWER_ONLY, BandMode.UPPER_ONLY, BandMode.CONCATENATED),
         case,
-        frame_size=frame_size,
-        hop=hop,
-        q=q,
-        window=window,
+        extraction,
         jobs=jobs,
     )
     reports = {

@@ -158,17 +158,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_grad_hess(logits: np.ndarray, true_class: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class gradient p_c - [c == true] and hessian p_c (1 - p_c)."""
+def softmax_grad_hess(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient p_c - [c == label] and hessian p_c (1 - p_c) of the log-loss,
+    row by row over an (n, K) logits matrix and its n labels."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got shape {logits.shape}")
-    if not (0 <= true_class < logits.shape[0]):
-        raise ShapeError(f"true_class {true_class} out of range for {logits.shape[0]} classes")
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ShapeError(
+            f"expected (n, K) logits and n labels, got {logits.shape} and {labels.shape}"
+        )
+    k = logits.shape[1]
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ShapeError(f"labels out of range for {k} classes")
     p = softmax(logits)
-    g = p.copy()
-    g[true_class] -= 1.0
-    return g, p * (1.0 - p)
+    return p - (labels[:, None] == np.arange(k)), p * (1.0 - p)
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -179,24 +182,6 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     if denom <= 0:
         raise DegenerateLeafError("leaf has zero hessian mass and no regularization")
     return -g_sum / denom
-
-
-def split_gain(
-    g_left: float,
-    h_left: float,
-    g_right: float,
-    h_right: float,
-    reg_lambda: float,
-    gamma: float,
-) -> float:
-    """Second-order gain of a split relative to keeping the parent leaf."""
-    g_total = g_left + g_right
-    h_total = h_left + h_right
-    return 0.5 * (
-        g_left * g_left / (h_left + reg_lambda)
-        + g_right * g_right / (h_right + reg_lambda)
-        - g_total * g_total / (h_total + reg_lambda)
-    ) - gamma
 
 
 class _ScanState:
@@ -482,12 +467,9 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
     model.objective_history.append((_logloss(logits, labels) + penalty) / n)
 
     class_ids = (1,) if binary else tuple(range(k))
-    onehot = labels[:, None] == np.arange(k)[None, :]
     nodes = []
     for rnd in range(config.n_rounds):
-        p = softmax(logits)
-        grad = p - onehot
-        hess = p * (1.0 - p)
+        grad, hess = softmax_grad_hess(logits, labels)
         for c in class_ids:
             g_c = np.ascontiguousarray(grad[:, c])
             h_c = np.ascontiguousarray(hess[:, c])

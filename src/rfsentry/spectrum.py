@@ -7,6 +7,11 @@ magnitudes into a ``MagnitudeSpectrum`` per band. A single-band feature
 row is that spectrum's ``bins``; ``compute_scaling_factor`` and
 ``concatenate_bands`` join the two bands into one row with no seam step.
 ``dft`` is the plain transform of one frame.
+
+What a feature row means depends on four settings: frame size, hop,
+seam bins q and window. ``Extraction`` carries them as one validated
+record, which is what the dataset builders, the feature cache and the
+reports take and record.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ MAX_FRAME_SIZE = 1 << 20
 DEFAULT_FRAME_SIZE = 2048
 DEFAULT_SEAM_BINS = 8
 
+# A window's index here is its code in the feature cache: append, never reorder.
+WINDOWS = ("rectangular", "hann")
+
 
 class Band(enum.Enum):
     """Which 40 MHz half of the recorded channel a spectrum came from."""
@@ -44,13 +52,46 @@ class BandMode(enum.Enum):
     UPPER_ONLY = "upper"
     CONCATENATED = "both"
 
-    def feature_length(self, frame_size: int) -> int:
-        half = frame_size // 2
+    def feature_length(self, extraction: Extraction) -> int:
+        half = extraction.frame_size // 2
         return 2 * half if self is BandMode.CONCATENATED else half
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _check_framing(frame_size: int, hop: int) -> None:
+    """Frames are a power of two in [2, MAX_FRAME_SIZE] long and start hop >= 1 apart."""
+    if not _is_power_of_two(frame_size) or not (2 <= frame_size <= MAX_FRAME_SIZE):
+        raise ConfigurationError(
+            f"frame size must be a power of two in [2, {MAX_FRAME_SIZE}], got {frame_size}"
+        )
+    if hop < 1:
+        raise ConfigurationError(f"hop must be >= 1, got {hop}")
+
+
+@dataclass(frozen=True)
+class Extraction:
+    """The settings that turn a band-file pair into feature rows.
+
+    ``hop=None`` means non-overlapping frames (hop = frame size). Every
+    value is checked here, so a record that exists is a valid one.
+    """
+
+    frame_size: int = DEFAULT_FRAME_SIZE
+    hop: int | None = None
+    q: int = DEFAULT_SEAM_BINS
+    window: str = "rectangular"
+
+    def __post_init__(self) -> None:
+        if self.hop is None:
+            object.__setattr__(self, "hop", self.frame_size)
+        _check_framing(self.frame_size, self.hop)
+        if not (1 <= self.q <= self.frame_size // 2):
+            raise ConfigurationError(f"q must be in [1, {self.frame_size // 2}], got {self.q}")
+        if self.window not in WINDOWS:
+            raise ConfigurationError(f"unknown window {self.window!r} (expected one of {WINDOWS})")
 
 
 @dataclass(frozen=True)
@@ -88,12 +129,7 @@ def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
-    if not _is_power_of_two(frame_size) or not (2 <= frame_size <= MAX_FRAME_SIZE):
-        raise InvalidFrameError(
-            f"frame size must be a power of two in [2, {MAX_FRAME_SIZE}], got {frame_size}"
-        )
-    if hop < 1:
-        raise ConfigurationError(f"hop must be >= 1, got {hop}")
+    _check_framing(frame_size, hop)
     if samples.shape[0] < frame_size:
         raise InsufficientDataError(
             f"segment has {samples.shape[0]} samples, need at least {frame_size}"
@@ -112,16 +148,11 @@ def dft(frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 1:
         raise InvalidFrameError(f"frame must be 1-D, got shape {frame.shape}")
-    return np.fft.fft(_frame_matrix(frame, frame.shape[0], 1)[0])
-
-
-def window_values(name: str, frame_size: int) -> np.ndarray | None:
-    """Analysis window by name; None means rectangular (no weighting)."""
-    if name == "rectangular":
-        return None
-    if name == "hann":
-        return np.hanning(frame_size)
-    raise ConfigurationError(f"unknown window {name!r} (expected rectangular or hann)")
+    try:
+        frames = _frame_matrix(frame, frame.shape[0], 1)
+    except ConfigurationError as exc:
+        raise InvalidFrameError(str(exc)) from None
+    return np.fft.fft(frames[0])
 
 
 def segment_spectrum(
@@ -139,9 +170,10 @@ def segment_spectrum(
     if hop is None:
         hop = frame_size
     frames = _frame_matrix(samples, frame_size, hop)
-    win = window_values(window, frame_size)
-    if win is not None:
-        frames = frames * win
+    if window == "hann":
+        frames = frames * np.hanning(frame_size)
+    elif window != "rectangular":
+        raise ConfigurationError(f"unknown window {window!r} (expected one of {WINDOWS})")
     return MagnitudeSpectrum(_mean_magnitude(frames), band=band)
 
 

@@ -123,10 +123,10 @@ def test_criterion_3_gbdt_numeric_core():
         k = int(rng.integers(2, 8))
         logits = rng.normal(scale=2.0, size=k)
         true_class = int(rng.integers(0, k))
-        g, h = softmax_grad_hess(logits, true_class)
+        g, h = softmax_grad_hess(logits[None, :], [true_class])
         fd_g, fd_h = _finite_diff(logits, true_class)
-        assert np.abs(g - fd_g).max() <= 1e-6
-        assert np.abs(h - fd_h).max() <= 1e-6
+        assert np.abs(g[0] - fd_g).max() <= 1e-6
+        assert np.abs(h[0] - fd_h).max() <= 1e-6
 
     grid = np.linspace(-10.0, 10.0, 10_000)
     for _ in range(200):

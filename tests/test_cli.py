@@ -44,6 +44,13 @@ def lower_cache(corpus_dir, tmp_path_factory):
 FAST_TRAIN = ["--rounds", "3", "--max-depth", "3", "--min-child-weight", "0.5"]
 
 
+@pytest.fixture(scope="module")
+def lower_model(lower_cache, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "lower3.rfgb"
+    assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(path)]) == 0
+    return path
+
+
 class TestSynth:
     def test_counts(self, corpus_dir):
         files = list(corpus_dir.glob("*.csv"))
@@ -213,7 +220,7 @@ class TestWindowProvenance:
             ]
         )
         assert code == 0
-        assert load_features(cache).window == "hann"
+        assert load_features(cache).extraction.window == "hann"
         report = tmp_path / "cv.json"
         code = main(
             ["cv", "--features", str(cache), *FAST_TRAIN, "--k-folds", "4", "--out", str(report)]
@@ -221,6 +228,39 @@ class TestWindowProvenance:
         assert code == 0
         extraction = json.loads(report.read_text())["extraction"]
         assert extraction == {"frame_size": 1024, "hop": 1024, "q": 8, "window": "hann"}
+
+
+class TestExtractionSettings:
+    """Bad extraction settings are a configuration error (exit 2), caught
+    before any band file is read."""
+
+    BAD_SETTINGS = [["--q", "0"], ["--hop=0"], ["--frame-size", "2097152"]]
+
+    def argv(self, command, corpus_dir, model, out):
+        manifest = str(corpus_dir / "manifest.json")
+        lb, ub = (str(corpus_dir / f"03_000_{band}.csv") for band in ("lb", "ub"))
+        return {
+            "features": ["features", "--manifest", manifest, "--band", "both", "--case", "3"],
+            "compare": ["compare", "--manifest", manifest, "--case", "1", *FAST_TRAIN],
+            "predict": ["predict", "--model", str(model), "--lb", lb, "--ub", ub, "--band", "both"],
+        }[command] + ["--frame-size", "1024", "--out", str(out)]
+
+    @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=["q-0", "hop-0", "frame-size-2^21"])
+    @pytest.mark.parametrize("command", ["features", "compare", "predict"])
+    def test_bad_setting_is_config_error(
+        self, command, bad, corpus_dir, lower_model, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main([*self.argv(command, corpus_dir, lower_model, out), *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_q_checked_for_a_single_band(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "lower.rfds"
+        argv = ["features", "--manifest", str(corpus_dir / "manifest.json"), "--case", "1"]
+        assert main([*argv, "--band", "lower", "--q", "0", "--out", str(out)]) == 2
+        assert "q must be in [1, 1024], got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:
@@ -404,6 +444,24 @@ class TestMalformedInputs:
         argv = ["predict", "--model", str(model_path), "--lb", str(lb_path), "--frame-size", "1024"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    @pytest.mark.parametrize(
+        "frame_size, hop, q",
+        [(3, 3, 1), (2048, 0, 8), (2048, 2048, 0)],
+        ids=["frame-size-3", "hop-0", "q-0"],
+    )
+    def test_cache_with_bad_extraction_settings(self, command, frame_size, hop, q, tmp_path, capsys):
+        # A hand-packed 20 x 4 case-3 cache whose header settings no extraction produces.
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 3, 0, 0, 20, 4, frame_size, hop, q)
+        labels = (np.arange(20) % 10).astype("<u2").tobytes()
+        path = tmp_path / "bad.rfds"
+        path.write_bytes(header + labels + np.ones(80, dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        argv = [command, "--features", str(path), "--case", "3", "--min-child-weight", "0"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "bad extraction settings" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "train"])
     def test_cache_without_feature_columns(self, command, tmp_path, capsys):

@@ -38,7 +38,9 @@ from rfsentry.errors import (
     ParseError,
     SchemaError,
 )
-from rfsentry.spectrum import Band, BandMode, segment_spectrum
+from rfsentry.spectrum import Band, BandMode, Extraction, segment_spectrum
+
+FRAMES_1024 = Extraction(frame_size=1024)
 
 
 class TestLoadSegment:
@@ -357,33 +359,33 @@ class TestSyntheticCorpus:
 
 class TestBuildDataset:
     def test_shapes_and_labels_per_case(self, small_corpus):
-        ds3 = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.III, frame_size=1024)
+        ds3 = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.III, FRAMES_1024)
         assert ds3.features.shape == (60, 512)
         assert ds3.schema.n_classes == 10
         np.testing.assert_array_equal(np.bincount(ds3.labels), np.full(10, 6))
-        ds2 = build_dataset(small_corpus, BandMode.UPPER_ONLY, Case.II, frame_size=1024)
+        ds2 = build_dataset(small_corpus, BandMode.UPPER_ONLY, Case.II, FRAMES_1024)
         assert ds2.schema.n_classes == 4
         np.testing.assert_array_equal(np.bincount(ds2.labels), [6, 24, 24, 6])
-        ds1 = build_dataset(small_corpus, BandMode.CONCATENATED, Case.I, frame_size=1024)
+        ds1 = build_dataset(small_corpus, BandMode.CONCATENATED, Case.I, FRAMES_1024)
         assert ds1.features.shape == (60, 1024)
         np.testing.assert_array_equal(np.bincount(ds1.labels), [6, 54])
 
     def test_rows_follow_manifest_order_and_rebuild_alone(self, small_corpus):
-        ds = build_dataset(small_corpus, BandMode.CONCATENATED, Case.III, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.CONCATENATED, Case.III, FRAMES_1024)
         for i in (0, 17, 59):
             single = Manifest(
                 entries=(small_corpus.entries[i],),
                 source="Synthetic",
                 root=small_corpus.root,
             )
-            alone = build_dataset(single, BandMode.CONCATENATED, Case.III, frame_size=1024)
+            alone = build_dataset(single, BandMode.CONCATENATED, Case.III, FRAMES_1024)
             np.testing.assert_array_equal(alone.features[0], ds.features[i])
             assert alone.labels[0] == ds.labels[i]
 
     def test_parallel_extraction_is_bit_identical(self, small_corpus):
-        serial = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
+        serial = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         parallel = build_dataset(
-            small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024, jobs=3
+            small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024, jobs=3
         )
         np.testing.assert_array_equal(serial.features, parallel.features)
         np.testing.assert_array_equal(serial.labels, parallel.labels)
@@ -398,11 +400,11 @@ class TestBuildDataset:
         entries[1] = ManifestEntry("missing_lb.csv", "missing_ub.csv", 4)
         manifest = Manifest(entries=tuple(entries), source="Synthetic", root=small_corpus.root)
         with pytest.raises(DataError, match="entry 1"):
-            build_dataset(manifest, BandMode.LOWER_ONLY, Case.III, frame_size=1024)
+            build_dataset(manifest, BandMode.LOWER_ONLY, Case.III, FRAMES_1024)
 
     def test_bad_frame_size(self, small_corpus):
-        with pytest.raises(ConfigurationError):
-            build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1000)
+        with pytest.raises(ConfigurationError, match="power of two"):
+            build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, Extraction(frame_size=1000))
 
     def test_degenerate_upper_band_falls_back_to_unit_scale(self, tmp_path, caplog):
         lb_path = tmp_path / "seg_lb.csv"
@@ -416,7 +418,7 @@ class TestBuildDataset:
             root=tmp_path,
         )
         with caplog.at_level("WARNING", logger="rfsentry.dataset"):
-            ds = build_dataset(manifest, BandMode.CONCATENATED, Case.I, frame_size=512)
+            ds = build_dataset(manifest, BandMode.CONCATENATED, Case.I, Extraction(frame_size=512))
         assert "degenerate upper band" in caplog.text
         np.testing.assert_array_equal(ds.features[0, 256:], np.zeros(256))
         assert ds.features[0, :256].any()
@@ -425,10 +427,10 @@ class TestBuildDataset:
 class TestMultiModeExtraction:
     def test_modes_match_single_mode_builds(self, small_corpus):
         modes = (BandMode.CONCATENATED, BandMode.UPPER_ONLY, BandMode.LOWER_ONLY)
-        joint = build_datasets(small_corpus, modes, Case.II, frame_size=1024)
+        joint = build_datasets(small_corpus, modes, Case.II, FRAMES_1024)
         assert tuple(joint) == modes
         for mode in modes:
-            alone = build_dataset(small_corpus, mode, Case.II, frame_size=1024)
+            alone = build_dataset(small_corpus, mode, Case.II, FRAMES_1024)
             np.testing.assert_array_equal(joint[mode].features, alone.features)
             np.testing.assert_array_equal(joint[mode].labels, alone.labels)
             assert joint[mode].band_mode is mode
@@ -445,7 +447,7 @@ class TestMultiModeExtraction:
                 tmp_path / "absent.csv", ub_path, (BandMode.CONCATENATED,), name="probe"
             )
         rows = extract_pair(
-            tmp_path / "absent.csv", ub_path, (BandMode.UPPER_ONLY,), frame_size=1024
+            tmp_path / "absent.csv", ub_path, (BandMode.UPPER_ONLY,), FRAMES_1024
         )
         assert rows[BandMode.UPPER_ONLY].shape == (512,)
 
@@ -465,22 +467,20 @@ class TestFeatureCache:
         return path, load_features(path)
 
     def test_round_trip_bit_exact(self, small_corpus, tmp_path):
-        ds = build_dataset(small_corpus, BandMode.CONCATENATED, Case.II, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.CONCATENATED, Case.II, FRAMES_1024)
         _, loaded = self.roundtrip(tmp_path, ds)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.schema == ds.schema
         assert loaded.band_mode is ds.band_mode
-        assert (loaded.frame_size, loaded.hop, loaded.q) == (1024, 1024, 8)
-        assert loaded.window == "rectangular"
+        assert loaded.extraction == Extraction(1024, hop=1024, q=8, window="rectangular")
 
     def test_window_round_trips(self, small_corpus, tmp_path):
-        ds = build_dataset(
-            small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024, window="hann"
-        )
-        assert ds.window == "hann"
+        extraction = Extraction(frame_size=1024, window="hann")
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, extraction)
+        assert ds.extraction.window == "hann"
         _, loaded = self.roundtrip(tmp_path, ds)
-        assert loaded.window == "hann"
+        assert loaded.extraction == extraction
         np.testing.assert_array_equal(loaded.features, ds.features)
 
     def test_version_1_cache_rejected(self, tmp_path):
@@ -492,7 +492,7 @@ class TestFeatureCache:
             load_features(path)
 
     def test_truncated_file(self, small_corpus, tmp_path):
-        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         path, _ = self.roundtrip(tmp_path, ds)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
@@ -500,7 +500,7 @@ class TestFeatureCache:
             load_features(path)
 
     def test_trailing_garbage(self, small_corpus, tmp_path):
-        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         path, _ = self.roundtrip(tmp_path, ds)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
@@ -513,6 +513,20 @@ class TestFeatureCache:
         with pytest.raises(FormatError, match="no feature columns"):
             load_features(path)
 
+    @pytest.mark.parametrize(
+        "frame_size, hop, q",
+        [(3, 3, 1), (2048, 0, 8), (2048, 2048, 0)],
+        ids=["frame-size-3", "hop-0", "q-0"],
+    )
+    def test_bad_extraction_settings_rejected(self, tmp_path, frame_size, hop, q):
+        # A hand-packed 2 x 4 case-1 cache whose header settings no extraction produces.
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 1, 0, 0, 2, 4, frame_size, hop, q)
+        body = np.zeros(2, dtype="<u2").tobytes() + np.ones(8, dtype="<f8").tobytes()
+        path = tmp_path / "bad.rfds"
+        path.write_bytes(header + body)
+        with pytest.raises(FormatError, match="bad extraction settings"):
+            load_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "cache.rfds"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
@@ -520,7 +534,7 @@ class TestFeatureCache:
             load_features(path)
 
     def test_version_bump_detected(self, small_corpus, tmp_path):
-        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         path, _ = self.roundtrip(tmp_path, ds)
         data = bytearray(path.read_bytes())
         data[4:6] = (3).to_bytes(2, "little")

@@ -19,7 +19,9 @@ from rfsentry.evaluation import (
     t_critical,
 )
 from rfsentry.gbdt import TrainConfig
-from rfsentry.spectrum import Band, BandMode
+from rfsentry.spectrum import Band, BandMode, Extraction
+
+FRAMES_1024 = Extraction(frame_size=1024)
 
 
 def fold_class_counts(assignment, labels):
@@ -294,7 +296,9 @@ class TestCrossValidate:
 @pytest.fixture(scope="module")
 def comparison(small_corpus):
     config = TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5)
-    return compare_bands(small_corpus, Case.I, config, k=5, seed=4, frame_size=1024, jobs=1)
+    return compare_bands(
+        small_corpus, Case.I, config, k=5, seed=4, extraction=FRAMES_1024, jobs=1
+    )
 
 
 class TestCompareBands:
@@ -329,7 +333,7 @@ class TestCompareBands:
 
         monkeypatch.setattr(dataset_mod, "load_segment", counting)
         config = TrainConfig(n_rounds=1, max_depth=1)
-        compare_bands(small_corpus, Case.I, config, k=2, seed=0, frame_size=1024)
+        compare_bands(small_corpus, Case.I, config, k=2, seed=0, extraction=FRAMES_1024)
         n = len(small_corpus.entries)
         assert len(seen) == len(set(seen)) == 2 * n
         assert [band for _, band in seen[:2]] == [Band.LOWER, Band.UPPER]
@@ -337,7 +341,7 @@ class TestCompareBands:
     def test_parallel_report_is_identical(self, small_corpus, comparison):
         config = TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5)
         parallel = compare_bands(
-            small_corpus, Case.I, config, k=5, seed=4, frame_size=1024, jobs=2
+            small_corpus, Case.I, config, k=5, seed=4, extraction=FRAMES_1024, jobs=2
         )
         assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
             comparison.to_dict(), sort_keys=True
@@ -358,7 +362,7 @@ class TestCompareBands:
 
 class TestSyntheticEndToEnd:
     def test_case1_synthetic_cv_is_nearly_perfect(self, small_corpus):
-        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, frame_size=1024)
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         config = TrainConfig(n_rounds=6, max_depth=3, n_classes=2)
         report = cross_validate(ds, config, k=5, seed=5)
         assert report.mean["accuracy"] >= 0.99

@@ -28,7 +28,6 @@ from rfsentry.gbdt import (
     predict_proba,
     save_model,
     softmax_grad_hess,
-    split_gain,
     train,
 )
 
@@ -56,6 +55,17 @@ def finite_diff_grad_hess(logits, true_class, eps=1e-4):
     return g, h
 
 
+def split_gain(g_left, h_left, g_right, h_right, reg_lambda, gamma):
+    """Second-order gain of a split relative to keeping the parent leaf."""
+    g_total = g_left + g_right
+    h_total = h_left + h_right
+    return 0.5 * (
+        g_left * g_left / (h_left + reg_lambda)
+        + g_right * g_right / (h_right + reg_lambda)
+        - g_total * g_total / (h_total + reg_lambda)
+    ) - gamma
+
+
 def enumerate_best_stump(x, g, h, reg_lambda, gamma):
     """Exhaustive depth-1 search over all midpoints of a single feature."""
     order = np.argsort(x, kind="stable")
@@ -77,29 +87,40 @@ def enumerate_best_stump(x, g, h, reg_lambda, gamma):
 
 class TestSoftmaxGradHess:
     def test_uniform_three_class(self):
-        g, h = softmax_grad_hess(np.zeros(3), 0)
-        np.testing.assert_allclose(g, [-2 / 3, 1 / 3, 1 / 3])
-        np.testing.assert_allclose(h, [2 / 9, 2 / 9, 2 / 9])
+        g, h = softmax_grad_hess(np.zeros((1, 3)), [0])
+        np.testing.assert_allclose(g, [[-2 / 3, 1 / 3, 1 / 3]])
+        np.testing.assert_allclose(h, [[2 / 9, 2 / 9, 2 / 9]])
 
     def test_binary_symmetry(self):
-        g, h = softmax_grad_hess(np.zeros(2), 1)
-        np.testing.assert_allclose(g, [0.5, -0.5])
-        np.testing.assert_allclose(h, [0.25, 0.25])
+        g, h = softmax_grad_hess(np.zeros((1, 2)), [1])
+        np.testing.assert_allclose(g, [[0.5, -0.5]])
+        np.testing.assert_allclose(h, [[0.25, 0.25]])
 
     def test_specific_logits_match_finite_differences(self):
         logits = np.array([1.0, -0.5, 0.2])
-        g, h = softmax_grad_hess(logits, 2)
+        g, h = softmax_grad_hess(logits[None, :], [2])
         fd_g, fd_h = finite_diff_grad_hess(logits, 2)
-        np.testing.assert_allclose(g, fd_g, atol=1e-6)
-        np.testing.assert_allclose(h, fd_h, atol=1e-6)
+        np.testing.assert_allclose(g[0], fd_g, atol=1e-6)
+        np.testing.assert_allclose(h[0], fd_h, atol=1e-6)
 
     def test_out_of_range_class(self):
         with pytest.raises(ShapeError):
-            softmax_grad_hess(np.zeros(3), 3)
+            softmax_grad_hess(np.zeros((1, 3)), [3])
+        with pytest.raises(ShapeError):
+            softmax_grad_hess(np.zeros((2, 3)), [0])
 
     def test_extreme_logits_stay_finite(self):
-        g, h = softmax_grad_hess(np.array([800.0, -800.0, 0.0]), 0)
+        g, h = softmax_grad_hess(np.array([[800.0, -800.0, 0.0]]), [0])
         assert np.isfinite(g).all() and np.isfinite(h).all()
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(23)
+        logits = rng.normal(scale=2.0, size=(6, 4))
+        labels = rng.integers(0, 4, 6)
+        g, h = softmax_grad_hess(logits, labels)
+        for i in range(6):
+            g_row, h_row = softmax_grad_hess(logits[i : i + 1], labels[i : i + 1])
+            assert g_row.tobytes() == g[i].tobytes() and h_row.tobytes() == h[i].tobytes()
 
 
 class TestLeafWeight:

@@ -2,6 +2,7 @@
 raises an RfSentryError subclass, never another exception type."""
 
 import contextlib
+import io
 import json
 import math
 import re
@@ -9,13 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rfsentry import dataset, gbdt
+from rfsentry.cli import main
 from rfsentry.dataset import load_features, load_manifest, load_segment
 from rfsentry.errors import DegenerateLeafError, InsufficientDataError, ParseError, RfSentryError
-from rfsentry.spectrum import Band
+from rfsentry.spectrum import Band, Extraction
 
 BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -140,9 +142,7 @@ def valid_containers(scratch):
         labels=[0, 1, 0],
         schema=dataset.LabelSchema.for_case(dataset.Case.I),
         band_mode=dataset.BandMode.LOWER_ONLY,
-        frame_size=8,
-        hop=8,
-        q=2,
+        extraction=Extraction(frame_size=8, q=2),
     )
     dataset.save_features(ds, scratch / "valid.rfds")
     config = gbdt.TrainConfig(n_rounds=2, max_depth=2, min_child_weight=0.0, n_classes=3)
@@ -173,6 +173,73 @@ def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
     path.write_bytes(bytes(data))
     with contextlib.suppress(RfSentryError):
         LOADERS[kind](path)
+
+
+PAIR_SAMPLES = 4096
+
+
+@pytest.fixture(scope="module")
+def one_pair_manifest(scratch):
+    """A one-entry manifest over two 4096-sample band files."""
+    rng = np.random.default_rng(40)
+    for band in ("lb", "ub"):
+        values = rng.normal(size=PAIR_SAMPLES).tolist()
+        (scratch / f"pair_{band}.csv").write_text(",".join(map(repr, values)))
+    path = scratch / "pair.json"
+    entry = {"lb_path": "pair_lb.csv", "ub_path": "pair_ub.csv", "label": 3}
+    path.write_text(json.dumps({"source": "Synthetic", "entries": [entry]}))
+    return path
+
+
+def settings_rejected(frame_size, hop, q, window):
+    """The extraction settings rule spelled out."""
+    power_of_two = frame_size >= 1 and bin(frame_size).count("1") == 1
+    return not (
+        power_of_two
+        and 2 <= frame_size <= 1 << 20
+        and (hop is None or hop >= 1)
+        and 1 <= q <= frame_size // 2
+        and window in ("rectangular", "hann")
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    frame_size=st.integers(0, 21).map(lambda k: 1 << k) | st.integers(-2, 1 << 21),
+    hop=st.none() | st.integers(1, 1 << 13) | st.integers(-2, 1 << 13),
+    q=st.integers(1, 16) | st.integers(-2, 1 << 21),
+    window=st.sampled_from(["rectangular", "hann"]) | st.text(max_size=8),
+    band=st.sampled_from(["lower", "upper", "both"]),
+)
+@example(frame_size=2048, hop=None, q=8, window="rectangular", band="both")
+@example(frame_size=4096, hop=1, q=2048, window="hann", band="both")
+@example(frame_size=8192, hop=8192, q=1, window="hann", band="lower")
+@example(frame_size=1 << 20, hop=1, q=1 << 19, window="rectangular", band="both")
+@example(frame_size=1 << 21, hop=1, q=1, window="rectangular", band="upper")
+@example(frame_size=2, hop=0, q=1, window="rectangular", band="lower")
+@example(frame_size=2048, hop=1, q=1025, window="hann", band="lower")
+def test_features_exit_code_follows_settings_rule(
+    scratch, one_pair_manifest, frame_size, hop, q, window, band
+):
+    out = scratch / "settings.rfds"
+    out.unlink(missing_ok=True)
+    argv = ["features", "--manifest", str(one_pair_manifest), "--band", band, "--case", "3"]
+    argv += [f"--frame-size={frame_size}", f"--q={q}", f"--window={window}", f"--out={out}"]
+    argv += [] if hop is None else [f"--hop={hop}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown --window
+            code = exc.code
+    event(f"exit {code}")
+    assert "Traceback" not in stderr.getvalue()
+    if settings_rejected(frame_size, hop, q, window):
+        assert code == 2
+        assert not out.exists()
+    else:
+        assert code == (3 if frame_size > PAIR_SAMPLES else 0)
+        assert out.exists() == (code == 0)
 
 
 def reference_tree(x, g, h, config):

@@ -9,7 +9,9 @@ from rfsentry.errors import (
     ShapeError,
 )
 from rfsentry.spectrum import (
+    MAX_FRAME_SIZE,
     Band,
+    Extraction,
     MagnitudeSpectrum,
     compute_scaling_factor,
     concatenate_bands,
@@ -323,3 +325,36 @@ class TestSegmentSpectrum:
     def test_unknown_window(self):
         with pytest.raises(ConfigurationError):
             segment_spectrum(np.zeros(512), Band.LOWER, frame_size=256, window="flattop")
+
+
+class TestExtraction:
+    def test_defaults_and_hop_resolution(self):
+        assert Extraction() == Extraction(2048, 2048, 8, "rectangular")
+        assert Extraction(frame_size=512).hop == 512
+        assert Extraction(frame_size=512, hop=128).hop == 128
+
+    def test_boundary_values_accepted(self):
+        Extraction(frame_size=2, hop=1, q=1)
+        Extraction(frame_size=MAX_FRAME_SIZE, q=MAX_FRAME_SIZE // 2, window="hann")
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"frame_size": 1000}, "power of two"),
+            ({"frame_size": 1}, "power of two"),
+            ({"frame_size": 0}, "power of two"),
+            ({"frame_size": 2 * MAX_FRAME_SIZE}, "power of two"),
+            ({"hop": 0}, "hop must be >= 1"),
+            ({"hop": -3}, "hop must be >= 1"),
+            ({"q": 0}, r"q must be in \[1, 1024\]"),
+            ({"q": 1025}, r"q must be in \[1, 1024\]"),
+            ({"window": "flattop"}, "unknown window"),
+        ],
+    )
+    def test_bad_settings_rejected(self, settings, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Extraction(**settings)
+
+    def test_segment_spectrum_applies_the_same_frame_rule(self):
+        with pytest.raises(ConfigurationError, match="power of two"):
+            segment_spectrum(np.zeros(2048), Band.LOWER, 1000)
