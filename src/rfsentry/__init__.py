@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 
 from .dataset import (
     Case,
-    CaseLabels,
     LabeledDataset,
-    LabelSchema,
     Manifest,
     ManifestEntry,
     SegmentRecord,
     build_dataset,
     build_dronerf_manifest,
-    label_from_case3,
     load_features,
     load_manifest,
     load_segment,
@@ -72,12 +69,10 @@ __all__ = [
     "BandComparison",
     "BandMode",
     "Case",
-    "CaseLabels",
     "CvReport",
     "Extraction",
     "FoldAssignment",
     "GbdtModel",
-    "LabelSchema",
     "LabeledDataset",
     "MagnitudeSpectrum",
     "Manifest",
@@ -96,7 +91,6 @@ __all__ = [
     "confusion_matrix",
     "cross_validate",
     "dft",
-    "label_from_case3",
     "leaf_weight",
     "load_features",
     "load_manifest",

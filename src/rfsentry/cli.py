@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from . import dataset as dataset_mod
 from . import evaluation, gbdt
-from .dataset import Case, LabelSchema
+from .dataset import Case
 from .errors import ConfigurationError, RfSentryError
-from .spectrum import DEFAULT_FRAME_SIZE, DEFAULT_SEAM_BINS, WINDOWS, BandMode, Extraction
+from .spectrum import WINDOWS, BandMode, Extraction
 
 log = logging.getLogger(__name__)
 
@@ -34,18 +34,16 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 _BAND_CHOICES = tuple(mode.value for mode in BandMode)
+# The extraction flags' destinations; a flag left unset takes Extraction's default.
+_EXTRACTION_OPTIONS = ("frame_size", "hop", "q", "window")
 
 
 def _extraction_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("feature extraction")
-    group.add_argument(
-        "--frame-size", type=int, default=DEFAULT_FRAME_SIZE, help="analysis frame length N"
-    )
-    group.add_argument("--hop", type=int, default=None, help="frame hop (default: frame size)")
-    group.add_argument(
-        "--q", type=int, default=DEFAULT_SEAM_BINS, help="boundary bins for the seam scale factor"
-    )
-    group.add_argument("--window", choices=WINDOWS, default="rectangular", help="analysis window")
+    group.add_argument("--frame-size", type=int, help="analysis frame length N")
+    group.add_argument("--hop", type=int, help="frame hop (default: frame size)")
+    group.add_argument("--q", type=int, help="boundary bins for the seam scale factor")
+    group.add_argument("--window", choices=WINDOWS, help="analysis window")
 
 
 def _train_args(parser: argparse.ArgumentParser) -> None:
@@ -82,7 +80,8 @@ def _train_config(args, n_classes: int) -> gbdt.TrainConfig:
 
 
 def _extraction(args) -> Extraction:
-    return Extraction(args.frame_size, args.hop, args.q, args.window)
+    given = {name: getattr(args, name) for name in _EXTRACTION_OPTIONS}
+    return Extraction(**{name: value for name, value in given.items() if value is not None})
 
 
 def _write_json(path, payload: dict) -> None:
@@ -130,9 +129,9 @@ def cmd_features(args) -> int:
 
 def _load_features_for_case(path, case_value) -> dataset_mod.LabeledDataset:
     ds = dataset_mod.load_features(path)
-    if case_value is not None and ds.schema.case.value != case_value:
+    if case_value is not None and ds.case.value != case_value:
         raise ConfigurationError(
-            f"feature cache {path} holds case {ds.schema.case.value} labels, "
+            f"feature cache {path} holds case {ds.case.value} labels, "
             f"but case {case_value} was requested"
         )
     return ds
@@ -140,20 +139,20 @@ def _load_features_for_case(path, case_value) -> dataset_mod.LabeledDataset:
 
 def cmd_cv(args) -> int:
     ds = _load_features_for_case(args.features, args.case)
-    config = _train_config(args, ds.schema.n_classes)
+    config = _train_config(args, ds.case.n_classes)
     report = evaluation.cross_validate(ds, config, k=args.k_folds, seed=args.seed_data, jobs=args.jobs)
     payload = report.to_dict()
-    payload["case"] = ds.schema.case.value
+    payload["case"] = ds.case.value
     payload["band_mode"] = ds.band_mode.value
     payload["extraction"] = dataclasses.asdict(ds.extraction)
     _write_json(args.out, payload)
     csv_path = Path(args.out).with_suffix(".csv")
     _write_metric_csv(
         csv_path,
-        evaluation.metric_csv_rows({ds.band_mode.value: report}, ds.schema.case.value),
+        evaluation.metric_csv_rows({ds.band_mode.value: report}, ds.case.value),
     )
     print(
-        f"case {ds.schema.case.value} {ds.band_mode.value}: "
+        f"case {ds.case.value} {ds.band_mode.value}: "
         f"accuracy {report.mean['accuracy']:.4f} +- {report.std['accuracy']:.4f} "
         f"over {report.k} folds -> {args.out}"
     )
@@ -172,7 +171,7 @@ def cmd_compare(args) -> int:
     extraction = _extraction(args)
     manifest = dataset_mod.load_manifest(args.manifest)
     case = Case(args.case)
-    config = _train_config(args, LabelSchema.for_case(case).n_classes)
+    config = _train_config(args, case.n_classes)
     comparison = evaluation.compare_bands(
         manifest,
         case,
@@ -206,12 +205,12 @@ def cmd_compare(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _load_features_for_case(args.features, args.case)
-    config = _train_config(args, ds.schema.n_classes)
+    config = _train_config(args, ds.case.n_classes)
     model = gbdt.train(ds.features, ds.labels, config)
     gbdt.save_model(model, args.out)
     print(
         f"trained {len(model.trees)} trees ({config.n_rounds} rounds, "
-        f"{ds.schema.n_classes} classes) on {ds.n_rows} rows -> {args.out}"
+        f"{ds.case.n_classes} classes) on {ds.n_rows} rows -> {args.out}"
     )
     if model.objective_history:
         print(f"final training objective: {model.objective_history[-1]:.6f}")
@@ -219,9 +218,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.features is not None:
+        fixed = [name for name in ("band", *_EXTRACTION_OPTIONS) if getattr(args, name) is not None]
+        if fixed:
+            flags = ", ".join("--" + name.replace("_", "-") for name in fixed)
+            raise ConfigurationError(f"--features fixes the band and extraction; drop {flags}")
     extraction = _extraction(args)
     model = gbdt.load_model(args.model)
-    schema = LabelSchema.for_n_classes(model.config.n_classes)
+    case = Case.for_n_classes(model.config.n_classes)
     if args.features is not None:
         ds = dataset_mod.load_features(args.features)
         features = ds.features
@@ -229,11 +233,11 @@ def cmd_predict(args) -> int:
     else:
         if args.lb is None and args.ub is None:
             raise ConfigurationError("predict needs --features, or --lb/--ub segment files")
-        band_mode = BandMode(args.band)
+        band_mode = BandMode(args.band or "lower")
         if band_mode in dataset_mod.NEEDS_LOWER and args.lb is None:
-            raise ConfigurationError(f"--band {args.band} requires --lb")
+            raise ConfigurationError(f"--band {band_mode.value} requires --lb")
         if band_mode in dataset_mod.NEEDS_UPPER and args.ub is None:
-            raise ConfigurationError(f"--band {args.band} requires --ub")
+            raise ConfigurationError(f"--band {band_mode.value} requires --ub")
         rows = dataset_mod.extract_pair(args.lb, args.ub, (band_mode,), extraction, "cli-input")
         features = rows[band_mode][None, :]
         source = str(args.lb or args.ub)
@@ -241,14 +245,14 @@ def cmd_predict(args) -> int:
     labels = np.argmax(probs, axis=1)
     for i, (label, row) in enumerate(zip(labels, probs)):
         listed = " ".join(f"{value:.4f}" for value in row)
-        print(f"row {i}: {schema.class_names[label]} (class {label})  probs=[{listed}]")
+        print(f"row {i}: {case.class_names[label]} (class {label})  probs=[{listed}]")
     if args.out:
         payload = {
             "model": str(args.model),
             "input": source,
             "config": dataclasses.asdict(model.config),
-            "case": schema.case.value,
-            "class_names": list(schema.class_names),
+            "case": case.value,
+            "class_names": list(case.class_names),
             "labels": labels.tolist(),
             "probabilities": probs.tolist(),
         }
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="feature cache to classify")
     p.add_argument("--lb", default=None, help="lower-band segment file")
     p.add_argument("--ub", default=None, help="upper-band segment file")
-    p.add_argument("--band", choices=_BAND_CHOICES, default="lower")
+    p.add_argument("--band", choices=_BAND_CHOICES)
     _extraction_args(p)
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_predict)

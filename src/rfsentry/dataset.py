@@ -1,12 +1,13 @@
-"""Segment ingestion, label schemas, synthetic data, and feature assembly.
+"""Segment ingestion, the DroneRF classes, synthetic data, and feature assembly.
 
 Recordings arrive as one comma- or newline-separated text file per band
 per segment. A JSON manifest pairs the two band files and carries the
-10-class label; the 4-class and 2-class labelings are projections of
-it. A feature matrix carries the ``Extraction`` record that produced
-it. Feature matrices are cached in a small self-describing binary
-container so round-trips are bit-exact; its header stores the record,
-and a header whose settings the record rejects is a ``FormatError``.
+10-way class id. ``DRONERF_CLASSES`` describes the ten classes once, and
+``Case`` projects an id onto the 2-, 4- or 10-class task. A feature
+matrix carries the ``Extraction`` record that produced it. Feature
+matrices are cached in a small self-describing binary container so
+round-trips are bit-exact; its header stores the record, and a header
+whose settings the record rejects is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,110 +53,81 @@ from .spectrum import (
 
 log = logging.getLogger(__name__)
 
-CASE1_CLASS_NAMES = ("No Drone", "Drone")
-CASE2_CLASS_NAMES = ("No Drone", "Bebop", "AR", "Phantom")
-CASE3_CLASS_NAMES = (
-    "No Drone",
-    "Bebop mode 1",
-    "Bebop mode 2",
-    "Bebop mode 3",
-    "Bebop mode 4",
-    "AR mode 1",
-    "AR mode 2",
-    "AR mode 3",
-    "AR mode 4",
-    "Phantom mode 1",
+
+class DroneRfClass(NamedTuple):
+    """One of the ten DroneRF classes; its index in ``DRONERF_CLASSES`` is its 10-way id."""
+
+    name: str
+    code: str  # 5-digit code in DroneRF file stems
+    published: int  # segments in the published dataset
+    drone: str  # drone type, or "No Drone"
+    mode: int  # flight-mode index within the drone type
+
+
+# DroneRF file stems look like "10011L_42": the code names the class, L/H
+# the band and the trailing integer the segment. Published counts are
+# reported for comparison, never enforced (AR mode 4 ships with 18).
+DRONERF_CLASSES = (
+    DroneRfClass("No Drone", "00000", 41, "No Drone", 0),
+    DroneRfClass("Bebop mode 1", "10000", 21, "Bebop", 0),
+    DroneRfClass("Bebop mode 2", "10001", 21, "Bebop", 1),
+    DroneRfClass("Bebop mode 3", "10010", 21, "Bebop", 2),
+    DroneRfClass("Bebop mode 4", "10011", 21, "Bebop", 3),
+    DroneRfClass("AR mode 1", "10100", 21, "AR", 0),
+    DroneRfClass("AR mode 2", "10101", 21, "AR", 1),
+    DroneRfClass("AR mode 3", "10110", 21, "AR", 2),
+    DroneRfClass("AR mode 4", "10111", 18, "AR", 3),
+    DroneRfClass("Phantom mode 1", "11000", 21, "Phantom", 0),
 )
-
-# Published DroneRF segment counts per 10-way class (AR mode 4 ships with
-# 18 segments, not 21); reported for comparison, never enforced.
-DRONERF_EXPECTED_SEGMENTS = (41, 21, 21, 21, 21, 21, 21, 21, 18, 21)
-
-# DroneRF file stems look like "10011L_42"; the 5-digit code encodes the
-# drone type and mode, L/H the band, and the trailing integer the segment.
-_BUI_TO_CASE3 = {
-    "00000": 0,
-    "10000": 1,
-    "10001": 2,
-    "10010": 3,
-    "10011": 4,
-    "10100": 5,
-    "10101": 6,
-    "10110": 7,
-    "10111": 8,
-    "11000": 9,
-}
+_DRONE_TYPES = tuple(dict.fromkeys(c.drone for c in DRONERF_CLASSES))
 
 
 class Case(enum.Enum):
-    """The three classification tasks: presence, presence+type, +mode."""
+    """The three classification tasks: presence, presence+type, +mode.
+
+    Each labels a segment by projecting its 10-way DroneRF class id.
+    """
 
     I = 1
     II = 2
     III = 3
 
-
-@dataclass(frozen=True)
-class LabelSchema:
-    case: Case
-    n_classes: int
-    class_names: tuple[str, ...]
-
     @classmethod
-    def for_case(cls, case: Case) -> "LabelSchema":
-        names = {
-            Case.I: CASE1_CLASS_NAMES,
-            Case.II: CASE2_CLASS_NAMES,
-            Case.III: CASE3_CLASS_NAMES,
-        }[case]
-        return cls(case=case, n_classes=len(names), class_names=names)
+    def for_n_classes(cls, n_classes: int) -> "Case":
+        for case in cls:
+            if case.n_classes == n_classes:
+                return case
+        raise SchemaError(f"no case with {n_classes} classes")
 
-    @classmethod
-    def for_n_classes(cls, n_classes: int) -> "LabelSchema":
-        by_count = {2: Case.I, 4: Case.II, 10: Case.III}
-        if n_classes not in by_count:
-            raise SchemaError(f"no label schema with {n_classes} classes")
-        return cls.for_case(by_count[n_classes])
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        if self is Case.I:
+            return (_DRONE_TYPES[0], "Drone")
+        if self is Case.II:
+            return _DRONE_TYPES
+        return tuple(c.name for c in DRONERF_CLASSES)
 
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
 
-@dataclass(frozen=True)
-class CaseLabels:
-    """Labels for one segment under all three schemas."""
-
-    case1: int
-    case2: int
-    case3: int
-
-    def for_case(self, case: Case) -> int:
-        return {Case.I: self.case1, Case.II: self.case2, Case.III: self.case3}[case]
-
-
-def label_from_case3(case3: int) -> CaseLabels:
-    """Project the 10-way label down the class hierarchy.
-
-    Class ids: 0 = no drone; 1-4 = Bebop modes 1-4; 5-8 = AR modes 1-4;
-    9 = Phantom mode 1.
-    """
-    case3 = int(case3)
-    if not (0 <= case3 <= 9):
-        raise SchemaError(f"10-way class id must be in 0..9, got {case3}")
-    if case3 == 0:
-        return CaseLabels(0, 0, 0)
-    if 1 <= case3 <= 4:
-        return CaseLabels(1, 1, case3)
-    if 5 <= case3 <= 8:
-        return CaseLabels(1, 2, case3)
-    return CaseLabels(1, 3, case3)
+    def label(self, class_id: int) -> int:
+        """This case's label for a 10-way class id; SchemaError outside 0..9."""
+        if not 0 <= class_id < len(DRONERF_CLASSES):
+            raise SchemaError(f"10-way class id must be in 0..9, got {class_id}")
+        drone_type = _DRONE_TYPES.index(DRONERF_CLASSES[class_id].drone)
+        if self is Case.I:
+            return min(drone_type, 1)
+        return drone_type if self is Case.II else int(class_id)
 
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One recorded band of one segment, optionally labeled."""
+    """One recorded band of one segment."""
 
     segment_id: str
     band: Band
     samples: np.ndarray
-    labels: CaseLabels | None = None
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -166,10 +139,6 @@ class SegmentRecord:
             bad = int(np.flatnonzero(~np.isfinite(samples))[0])
             raise DataError(
                 f"segment {self.segment_id}: non-finite sample at index {bad}"
-            )
-        if self.labels is not None and label_from_case3(self.labels.case3) != self.labels:
-            raise SchemaError(
-                f"segment {self.segment_id}: inconsistent label hierarchy {self.labels}"
             )
         object.__setattr__(self, "samples", samples)
 
@@ -282,7 +251,7 @@ class ManifestEntry:
         paths = (self.lb_path, self.ub_path)
         if not all(isinstance(p, str) and p and "\0" not in p for p in paths):
             raise SchemaError("manifest entry band paths must be non-empty strings without NUL")
-        label_from_case3(self.case3)
+        Case.III.label(self.case3)
 
     @property
     def segment_id(self) -> str:
@@ -308,15 +277,14 @@ class Manifest:
         return self.root / entry.lb_path, self.root / entry.ub_path
 
     def class_counts(self) -> np.ndarray:
-        return np.bincount([e.case3 for e in self.entries], minlength=10)
+        return np.bincount([e.case3 for e in self.entries], minlength=len(DRONERF_CLASSES))
 
     def table_report(self) -> list[tuple[str, int, int | None]]:
         """Observed per-class counts, with the published ones for DroneRF."""
-        counts = self.class_counts()
-        expected = DRONERF_EXPECTED_SEGMENTS if self.source == "DroneRF" else None
+        dronerf = self.source == "DroneRF"
         return [
-            (CASE3_CLASS_NAMES[c], int(counts[c]), expected[c] if expected else None)
-            for c in range(10)
+            (c.name, int(count), c.published if dronerf else None)
+            for c, count in zip(DRONERF_CLASSES, self.class_counts())
         ]
 
 
@@ -364,6 +332,7 @@ def build_dronerf_manifest(root) -> Manifest:
     """Scan a DroneRF download for <BUI>L_<n>.csv / <BUI>H_<n>.csv pairs."""
     root = Path(root)
     stem_re = re.compile(r"^(\d{5})L_(\d+)$")
+    class_of_code = {c.code: class_id for class_id, c in enumerate(DRONERF_CLASSES)}
     found = []
     for lb in root.rglob("*L_*.csv"):
         match = stem_re.match(lb.stem)
@@ -371,7 +340,7 @@ def build_dronerf_manifest(root) -> Manifest:
             log.debug("skipping %s: not a DroneRF lower-band file name", lb)
             continue
         bui, seg = match.group(1), match.group(2)
-        if bui not in _BUI_TO_CASE3:
+        if bui not in class_of_code:
             raise SchemaError(f"{lb.name}: unknown DroneRF code {bui}")
         ub = lb.with_name(f"{bui}H_{seg}.csv")
         if not ub.exists():
@@ -382,7 +351,7 @@ def build_dronerf_manifest(root) -> Manifest:
         ManifestEntry(
             lb_path=str(lb.relative_to(root)),
             ub_path=str(ub.relative_to(root)),
-            case3=_BUI_TO_CASE3[bui],
+            case3=class_of_code[bui],
         )
         for bui, _, lb, ub in found
     )
@@ -427,30 +396,22 @@ _LB_COMB_DROPOUT = 0.25
 _UB_COMB_DROPOUT = 0.55
 
 
-def _mode_index(case3: int) -> int:
-    if 1 <= case3 <= 4:
-        return case3 - 1
-    if 5 <= case3 <= 8:
-        return case3 - 5
-    return 0
-
-
 def _comb_tones(start: int, spacing: int, amplitude: float) -> tuple[tuple[int, float], ...]:
     return tuple((start + spacing * (i + 1), amplitude) for i in range(_COMB_TEETH))
 
 
 def class_tone_bins(class_id: int, band: Band, include_comb: bool = True) -> tuple[int, ...]:
     """Analysis bins carrying deliberate tones for a synthetic class."""
-    labels = label_from_case3(class_id)
-    if labels.case2 == 0:
+    drone_type = Case.II.label(class_id)
+    if drone_type == 0:
         return ()
     lower = band is Band.LOWER
     base = _LB_BASE_TONES if lower else _UB_BASE_TONES
     bins = [b for b, _ in (_LB_CARRIER_TONES if lower else _UB_CARRIER_TONES)]
-    bins.extend(b for b, _ in base[labels.case2])
+    bins.extend(b for b, _ in base[drone_type])
     if include_comb:
-        start = (_LB_COMB_START if lower else _UB_COMB_START)[labels.case2]
-        spacing = _COMB_SPACINGS[_mode_index(class_id)]
+        start = (_LB_COMB_START if lower else _UB_COMB_START)[drone_type]
+        spacing = _COMB_SPACINGS[DRONERF_CLASSES[class_id].mode]
         bins.extend(b for b, _ in _comb_tones(start, spacing, 1.0))
     return tuple(bins)
 
@@ -478,7 +439,7 @@ def synth_segment(
     The counter-based generator is keyed by (seed, class_id, index), so
     parallel generation order cannot change the output.
     """
-    labels = label_from_case3(class_id)
+    drone_type = Case.II.label(class_id)
     if seed < 0 or index < 0 or index >= 1 << 32:
         raise ConfigurationError("seed and index must be non-negative (index < 2^32)")
     if length < DEFAULT_FRAME_SIZE:
@@ -493,11 +454,10 @@ def synth_segment(
     lb_comb_on = rng.random() >= _LB_COMB_DROPOUT
     ub_comb_on = rng.random() >= _UB_COMB_DROPOUT
 
-    drone_type = labels.case2
     lb_tones: tuple = ()
     ub_tones: tuple = ()
     if drone_type != 0:
-        spacing = _COMB_SPACINGS[_mode_index(class_id)]
+        spacing = _COMB_SPACINGS[DRONERF_CLASSES[class_id].mode]
         lb_tones = _LB_CARRIER_TONES + _LB_BASE_TONES[drone_type]
         ub_tones = _UB_CARRIER_TONES + _UB_BASE_TONES[drone_type]
         if lb_comb_on:
@@ -509,8 +469,8 @@ def synth_segment(
     ub_samples = _tone_signal(rng, ub_tones, amp_scale, sigma, length)
     stem = f"synth-c{class_id:02d}-i{index:04d}"
     return (
-        SegmentRecord(f"{stem}-lb", Band.LOWER, lb_samples, labels),
-        SegmentRecord(f"{stem}-ub", Band.UPPER, ub_samples, labels),
+        SegmentRecord(f"{stem}-lb", Band.LOWER, lb_samples),
+        SegmentRecord(f"{stem}-ub", Band.UPPER, ub_samples),
     )
 
 
@@ -520,7 +480,7 @@ def write_synthetic_corpus(
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
 ) -> Manifest:
-    """Write segment files for all 10 classes plus a manifest referencing them."""
+    """Write segment files for all ten classes plus a manifest referencing them."""
     if n_per_class < 1:
         raise ConfigurationError(f"n_per_class must be >= 1, got {n_per_class}")
     out_dir = Path(out_dir)
@@ -530,7 +490,7 @@ def write_synthetic_corpus(
     probe.unlink()
 
     entries = []
-    for class_id in range(10):
+    for class_id in range(len(DRONERF_CLASSES)):
         for index in range(n_per_class):
             lb, ub = synth_segment(class_id, seed, length=length, index=index)
             lb_name = f"{class_id:02d}_{index:03d}_lb.csv"
@@ -564,12 +524,12 @@ def _write_segment_file(path: Path, samples: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix plus integer labels under one schema, and the
+    """Feature matrix plus integer labels under one case, and the
     extraction settings that produced the features."""
 
     features: np.ndarray
     labels: np.ndarray
-    schema: LabelSchema
+    case: Case
     band_mode: BandMode
     extraction: Extraction = Extraction()
 
@@ -584,10 +544,8 @@ class LabeledDataset:
             )
         if not np.isfinite(features).all():
             raise ShapeError("features contain non-finite values")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.schema.n_classes):
-            raise SchemaError(
-                f"labels out of range for the {self.schema.n_classes}-class schema"
-            )
+        if labels.size and (labels.min() < 0 or labels.max() >= self.case.n_classes):
+            raise SchemaError(f"labels out of range for the {self.case.n_classes}-class case")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -681,15 +639,12 @@ def build_datasets(
         for index, row in enumerate(rows):
             for mode in modes:
                 features[mode][index] = row[mode]
-    labels = np.array(
-        [label_from_case3(e.case3).for_case(case) for e in manifest.entries], dtype=np.int64
-    )
-    schema = LabelSchema.for_case(case)
+    labels = np.array([case.label(e.case3) for e in manifest.entries], dtype=np.int64)
     return {
         mode: LabeledDataset(
             features=features[mode],
             labels=labels,
-            schema=schema,
+            case=case,
             band_mode=mode,
             extraction=extraction,
         )
@@ -723,7 +678,7 @@ def save_features(dataset: LabeledDataset, path) -> None:
     header = _FEATURES_HEADER.pack(
         _FEATURES_MAGIC,
         _FEATURES_VERSION,
-        dataset.schema.case.value,
+        dataset.case.value,
         _BAND_MODE_CODES[dataset.band_mode],
         _WINDOW_CODES[extraction.window],
         dataset.n_rows,
@@ -763,8 +718,12 @@ def load_features(path) -> LabeledDataset:
         extraction = Extraction(frame_size, hop, q, window)
     except ConfigurationError as exc:
         raise FormatError(f"{path}: bad extraction settings in header: {exc}") from None
-    if n_cols == 0:
-        raise FormatError(f"{path}: feature container has no feature columns")
+    width = band_mode.feature_length(extraction)
+    if n_cols != width:
+        raise FormatError(
+            f"{path}: {n_cols or 'no'} feature columns, but a {band_mode.value}-band "
+            f"cache at frame size {extraction.frame_size} has {width}"
+        )
     expected = _FEATURES_HEADER.size + 2 * n_rows + 8 * n_rows * n_cols
     if len(buf) != expected:
         raise FormatError(
@@ -781,7 +740,7 @@ def load_features(path) -> LabeledDataset:
     return LabeledDataset(
         features=features,
         labels=labels,
-        schema=LabelSchema.for_case(case),
+        case=case,
         band_mode=band_mode,
         extraction=extraction,
     )

@@ -222,10 +222,10 @@ def cross_validate(
     jobs: int = 1,
 ) -> CvReport:
     """Train K times, each fold held out once; folds are fixed by seed."""
-    if train_config.n_classes != dataset.schema.n_classes:
+    if train_config.n_classes != dataset.case.n_classes:
         raise ConfigurationError(
             f"train config declares {train_config.n_classes} classes but the "
-            f"dataset schema has {dataset.schema.n_classes}"
+            f"dataset's case has {dataset.case.n_classes}"
         )
     folds = stratified_kfold(dataset.labels, k, seed)
     for fold in range(k):
@@ -466,8 +466,7 @@ def compare_bands(
     parsed once. All three runs share one fold partition (same labels, K
     and seed), which the paired t-tests require.
     """
-    schema = dataset_mod.LabelSchema.for_case(case)
-    train_config = dataclasses.replace(train_config, n_classes=schema.n_classes)
+    train_config = dataclasses.replace(train_config, n_classes=case.n_classes)
     datasets = dataset_mod.build_datasets(
         manifest,
         (BandMode.LOWER_ONLY, BandMode.UPPER_ONLY, BandMode.CONCATENATED),

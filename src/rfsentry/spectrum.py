@@ -87,10 +87,14 @@ class Extraction:
     def __post_init__(self) -> None:
         if self.hop is None:
             object.__setattr__(self, "hop", self.frame_size)
+        for name in ("frame_size", "hop", "q"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         _check_framing(self.frame_size, self.hop)
         if not (1 <= self.q <= self.frame_size // 2):
             raise ConfigurationError(f"q must be in [1, {self.frame_size // 2}], got {self.q}")
-        if self.window not in WINDOWS:
+        if not (isinstance(self.window, str) and self.window in WINDOWS):
             raise ConfigurationError(f"unknown window {self.window!r} (expected one of {WINDOWS})")
 
 

@@ -109,7 +109,7 @@ class TestFeatures:
         assert "x 1024 dims" in printed
         ds = load_features(out)
         assert ds.n_features == 1024
-        assert ds.schema.n_classes == 4
+        assert ds.case.n_classes == 4
 
     def test_lower_band_dimension(self, lower_cache, capsys):
         ds = load_features(lower_cache)
@@ -374,6 +374,36 @@ class TestTrainPredict:
         argv = ["predict", "--model", str(model_path), "--lb", str(tmp_path / "absent.csv")]
         assert main([*argv, "--ub", str(ub_path), "--band", "lower", "--frame-size", "1024"]) == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--band", "lower"],
+            ["--band", "both"],
+            ["--frame-size", "1024"],
+            ["--hop", "512"],
+            ["--q", "4"],
+            ["--window", "rectangular"],
+            ["--band", "upper", "--frame-size", "1024", "--window", "hann"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_predict_features_rejects_band_and_extraction_flags(
+        self, flags, lower_cache, lower_model, tmp_path, capsys
+    ):
+        # The cache already fixes the band and the extraction settings.
+        out = tmp_path / "out.json"
+        argv = ["predict", "--model", str(lower_model), "--features", str(lower_cache)]
+        assert main([*argv, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+        assert not out.exists()
+
+    def test_predict_features_flag_rule_reads_no_file(self, tmp_path, capsys):
+        absent = [str(tmp_path / name) for name in ("absent.rfgb", "absent.rfds")]
+        argv = ["predict", "--model", absent[0], "--features", absent[1], "--q", "8"]
+        assert main(argv) == 2
+        assert "--q" in capsys.readouterr().err
+
     def test_predict_without_input_is_config_error(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0
@@ -461,6 +491,25 @@ class TestMalformedInputs:
         argv = [command, "--features", str(path), "--case", "3", "--min-child-weight", "0"]
         assert main([*argv, "--out", str(out)]) == 3
         assert "bad extraction settings" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "train", "predict"])
+    def test_cache_with_wrong_column_count(self, command, lower_model, tmp_path, capsys):
+        # A hand-packed 20 x 4 lower-band case-3 cache at frame size 2048 (1024 columns).
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 3, 0, 0, 20, 4, 2048, 2048, 8)
+        labels = (np.arange(20) % 10).astype("<u2").tobytes()
+        path = tmp_path / "narrow.rfds"
+        path.write_bytes(header + labels + np.ones(80, dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        argv = {
+            "cv": ["cv", "--k-folds", "2", "--min-child-weight", "0"],
+            "train": ["train", "--min-child-weight", "0"],
+            "predict": ["predict", "--model", str(lower_model)],
+        }[command]
+        assert main([*argv, "--features", str(path), "--out", str(out)]) == 3
+        assert "4 feature columns, but a lower-band cache at frame size 2048 has 1024" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "train"])

@@ -8,10 +8,9 @@ import pytest
 
 from rfsentry import dataset as dataset_mod
 from rfsentry.dataset import (
+    DRONERF_CLASSES,
     Case,
-    CaseLabels,
     LabeledDataset,
-    LabelSchema,
     Manifest,
     ManifestEntry,
     SegmentRecord,
@@ -20,7 +19,6 @@ from rfsentry.dataset import (
     build_dronerf_manifest,
     class_tone_bins,
     extract_pair,
-    label_from_case3,
     load_features,
     load_manifest,
     load_segment,
@@ -50,7 +48,6 @@ class TestLoadSegment:
         record = load_segment(path, Band.LOWER)
         np.testing.assert_array_equal(record.samples, [1.0, 2.5, -0.25])
         assert record.band is Band.LOWER
-        assert record.labels is None
 
     def test_newline_separated(self, tmp_path):
         path = tmp_path / "seg.csv"
@@ -157,36 +154,67 @@ class TestLoadSegment:
         assert peak <= 16 * n + 2 * dataset_mod._CHUNK_BYTES + (1 << 20)
 
 
+def labels_of(class_id):
+    """A 10-way class id's labels under cases I, II and III."""
+    return tuple(case.label(class_id) for case in Case)
+
+
 class TestLabelHierarchy:
     def test_projection_table(self):
         # 10 mode-level classes collapse to 4 types and 2 presence values.
-        projected = [label_from_case3(c) for c in range(10)]
-        assert len({p.case2 for p in projected}) == 4
-        assert len({p.case1 for p in projected}) == 2
+        projected = [labels_of(c) for c in range(10)]
+        assert len({p[1] for p in projected}) == 4
+        assert len({p[0] for p in projected}) == 2
 
     def test_specific_rows(self):
-        assert label_from_case3(0) == CaseLabels(0, 0, 0)
-        assert label_from_case3(7) == CaseLabels(1, 2, 7)  # AR mode 3
-        assert label_from_case3(9) == CaseLabels(1, 3, 9)  # Phantom mode 1
+        assert labels_of(0) == (0, 0, 0)
+        assert labels_of(7) == (1, 2, 7)  # AR mode 3
+        assert labels_of(9) == (1, 3, 9)  # Phantom mode 1
+        assert Case.II.class_names[Case.II.label(7)] == "AR"
+        assert Case.III.class_names[7] == "AR mode 3"
 
     def test_hierarchy_consistency(self):
         for c in range(10):
-            labels = label_from_case3(c)
-            assert (labels.case1 == 0) == (labels.case2 == 0) == (labels.case3 == 0)
-            assert labels.case3 == c
+            case1, case2, case3 = labels_of(c)
+            assert (case1 == 0) == (case2 == 0) == (case3 == 0)
+            assert case3 == c
 
     def test_out_of_range(self):
         for bad in (-1, 10, 99):
-            with pytest.raises(SchemaError):
-                label_from_case3(bad)
+            for case in Case:
+                with pytest.raises(SchemaError):
+                    case.label(bad)
 
     def test_schemas(self):
-        assert LabelSchema.for_case(Case.I).n_classes == 2
-        assert LabelSchema.for_case(Case.II).n_classes == 4
-        assert LabelSchema.for_case(Case.III).n_classes == 10
-        assert LabelSchema.for_n_classes(4).case is Case.II
+        assert Case.I.n_classes == 2
+        assert Case.II.n_classes == 4
+        assert Case.III.n_classes == 10
+        assert Case.for_n_classes(4) is Case.II
         with pytest.raises(SchemaError):
-            LabelSchema.for_n_classes(3)
+            Case.for_n_classes(3)
+
+    def test_class_table(self):
+        assert len(DRONERF_CLASSES) == 10
+        assert Case.I.class_names == ("No Drone", "Drone")
+        assert Case.II.class_names == ("No Drone", "Bebop", "AR", "Phantom")
+        assert Case.III.class_names == (
+            "No Drone",
+            "Bebop mode 1",
+            "Bebop mode 2",
+            "Bebop mode 3",
+            "Bebop mode 4",
+            "AR mode 1",
+            "AR mode 2",
+            "AR mode 3",
+            "AR mode 4",
+            "Phantom mode 1",
+        )
+        assert [c.code for c in DRONERF_CLASSES] == [
+            "00000", "10000", "10001", "10010", "10011",
+            "10100", "10101", "10110", "10111", "11000",
+        ]
+        assert [c.published for c in DRONERF_CLASSES] == [41, 21, 21, 21, 21, 21, 21, 21, 18, 21]
+        assert [c.mode for c in DRONERF_CLASSES] == [0, 0, 1, 2, 3, 0, 1, 2, 3, 0]
 
 
 class TestManifest:
@@ -293,9 +321,10 @@ class TestSynthSegment:
         assert not np.array_equal(base.samples, other_seed.samples)
 
     def test_labels_attached(self):
-        lb, ub = synth_segment(6, 0, length=4096)
-        assert lb.labels == CaseLabels(1, 2, 6)
-        assert ub.labels == lb.labels
+        # A synthetic pair carries its 10-way class in its segment ids.
+        lb, ub = synth_segment(6, 0, length=4096, index=3)
+        assert lb.segment_id == "synth-c06-i0003-lb"
+        assert ub.segment_id == "synth-c06-i0003-ub"
         assert lb.band is Band.LOWER and ub.band is Band.UPPER
 
     def test_no_drone_has_no_peaks(self):
@@ -361,10 +390,10 @@ class TestBuildDataset:
     def test_shapes_and_labels_per_case(self, small_corpus):
         ds3 = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.III, FRAMES_1024)
         assert ds3.features.shape == (60, 512)
-        assert ds3.schema.n_classes == 10
+        assert ds3.case.n_classes == 10
         np.testing.assert_array_equal(np.bincount(ds3.labels), np.full(10, 6))
         ds2 = build_dataset(small_corpus, BandMode.UPPER_ONLY, Case.II, FRAMES_1024)
-        assert ds2.schema.n_classes == 4
+        assert ds2.case.n_classes == 4
         np.testing.assert_array_equal(np.bincount(ds2.labels), [6, 24, 24, 6])
         ds1 = build_dataset(small_corpus, BandMode.CONCATENATED, Case.I, FRAMES_1024)
         assert ds1.features.shape == (60, 1024)
@@ -471,7 +500,7 @@ class TestFeatureCache:
         _, loaded = self.roundtrip(tmp_path, ds)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
-        assert loaded.schema == ds.schema
+        assert loaded.case is ds.case
         assert loaded.band_mode is ds.band_mode
         assert loaded.extraction == Extraction(1024, hop=1024, q=8, window="rectangular")
 
@@ -514,6 +543,20 @@ class TestFeatureCache:
             load_features(path)
 
     @pytest.mark.parametrize(
+        "band_code, n_cols, width",
+        [(0, 4, 1024), (0, 2048, 1024), (1, 1023, 1024), (2, 1024, 2048)],
+        ids=["lower-4", "lower-2048", "upper-1023", "both-1024"],
+    )
+    def test_column_count_must_match_layout(self, band_code, n_cols, width, tmp_path):
+        # A 2-row case-1 cache at frame size 2048 whose width is not its layout's.
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 1, band_code, 0, 2, n_cols, 2048, 2048, 8)
+        body = np.zeros(2, dtype="<u2").tobytes() + np.ones(2 * n_cols, dtype="<f8").tobytes()
+        path = tmp_path / "wide.rfds"
+        path.write_bytes(header + body)
+        with pytest.raises(FormatError, match=f"{n_cols} feature columns, .* has {width}$"):
+            load_features(path)
+
+    @pytest.mark.parametrize(
         "frame_size, hop, q",
         [(3, 3, 1), (2048, 0, 8), (2048, 2048, 0)],
         ids=["frame-size-3", "hop-0", "q-0"],
@@ -549,18 +592,15 @@ class TestRecordsAndDatasets:
             SegmentRecord("empty", Band.LOWER, np.array([]))
         with pytest.raises(DataError, match="index 1"):
             SegmentRecord("nan", Band.LOWER, np.array([1.0, np.nan]))
-        with pytest.raises(SchemaError):
-            SegmentRecord("bad", Band.LOWER, np.ones(4), labels=CaseLabels(0, 1, 5))
 
     def test_labeled_dataset_validation(self):
-        schema = LabelSchema.for_case(Case.I)
         features = np.ones((4, 8))
         with pytest.raises(SchemaError):
-            LabeledDataset(features, np.array([0, 1, 2, 0]), schema, BandMode.LOWER_ONLY)
+            LabeledDataset(features, np.array([0, 1, 2, 0]), Case.I, BandMode.LOWER_ONLY)
         bad = features.copy()
         bad[2, 3] = np.inf
         with pytest.raises(Exception):
-            LabeledDataset(bad, np.zeros(4, dtype=int), schema, BandMode.LOWER_ONLY)
+            LabeledDataset(bad, np.zeros(4, dtype=int), Case.I, BandMode.LOWER_ONLY)
 
     def test_nearest_centroid_separability(self):
         # Resubstitution nearest-centroid on lower-band features; the

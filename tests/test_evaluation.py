@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rfsentry.dataset as dataset_mod
-from rfsentry.dataset import Case, LabeledDataset, LabelSchema, build_dataset
+from rfsentry.dataset import Case, LabeledDataset, build_dataset
 from rfsentry.errors import ConfigurationError, EmptyEvaluationError, ShapeError
 from rfsentry.evaluation import (
     compare_bands,
@@ -251,8 +251,7 @@ def blob_dataset(seed, n_per_class=30, n_classes=2, dim=6, spread=0.6):
         np.vstack([center + spread * rng.normal(size=(n_per_class, dim)) for center in centers])
     )
     labels = np.repeat(np.arange(n_classes), n_per_class)
-    schema = LabelSchema.for_n_classes({2: 2, 4: 4, 10: 10}[n_classes])
-    return LabeledDataset(features, labels, schema, BandMode.LOWER_ONLY)
+    return LabeledDataset(features, labels, Case.for_n_classes(n_classes), BandMode.LOWER_ONLY)
 
 
 class TestCrossValidate:

@@ -46,7 +46,7 @@ def train_config(n_classes):
 def test_lower_band_accuracy_matches_published(manifest, case):
     dataset = build_dataset(manifest, BandMode.LOWER_ONLY, case, jobs=os.cpu_count() or 1)
     report = cross_validate(
-        dataset, train_config(dataset.schema.n_classes), k=10, seed=FOLD_SEED
+        dataset, train_config(dataset.case.n_classes), k=10, seed=FOLD_SEED
     )
     target, tolerance = LOWER_BAND_TARGETS[case]
     print(

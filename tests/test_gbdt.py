@@ -473,7 +473,7 @@ class TestGoldenForest:
             n_rounds=3,
             max_depth=4,
             min_child_weight=min_child_weight,
-            n_classes=ds.schema.n_classes,
+            n_classes=ds.case.n_classes,
         )
         model = train(ds.features, ds.labels, config)
         forest = model.forest

@@ -140,7 +140,7 @@ def valid_containers(scratch):
     ds = dataset.LabeledDataset(
         features=np.arange(12.0).reshape(3, 4),
         labels=[0, 1, 0],
-        schema=dataset.LabelSchema.for_case(dataset.Case.I),
+        case=dataset.Case.I,
         band_mode=dataset.BandMode.LOWER_ONLY,
         extraction=Extraction(frame_size=8, q=2),
     )
@@ -151,28 +151,77 @@ def valid_containers(scratch):
     return {kind: (scratch / f"valid.{kind}").read_bytes() for kind in LOADERS}
 
 
-@pytest.mark.parametrize("kind", sorted(LOADERS))
-@BOUNDARY
-@given(
-    tail=st.none() | st.binary(max_size=256),
-    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
-    cut=st.integers(0, 64),
-)
-def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
+def mutated(valid, tail, edits, cut):
     """The valid magic and version then arbitrary bytes, or the valid file
     with bytes overwritten and the last ``cut`` removed."""
-    valid = valid_containers[kind]
     if tail is not None:
-        data = valid[:6] + tail
-    else:
-        data = bytearray(valid[: len(valid) - cut])
-        for position, value in edits:
-            if data:
-                data[position % len(data)] = value
+        return valid[:6] + tail
+    data = bytearray(valid[: len(valid) - cut])
+    for position, value in edits:
+        if data:
+            data[position % len(data)] = value
+    return bytes(data)
+
+
+mutations = {
+    "tail": st.none() | st.binary(max_size=256),
+    "edits": st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
+    "cut": st.integers(0, 64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@BOUNDARY
+@given(**mutations)
+def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
     path = scratch / f"container.{kind}"
-    path.write_bytes(bytes(data))
+    path.write_bytes(mutated(valid_containers[kind], tail, edits, cut))
     with contextlib.suppress(RfSentryError):
         LOADERS[kind](path)
+
+
+@pytest.fixture(scope="module")
+def cli_containers(scratch):
+    """A 12-row lower-band case-1 cache at frame size 8 and a model trained on it."""
+    ds = dataset.LabeledDataset(
+        features=np.random.default_rng(3).uniform(size=(12, 4)),
+        labels=np.arange(12) % 2,
+        case=dataset.Case.I,
+        band_mode=dataset.BandMode.LOWER_ONLY,
+        extraction=Extraction(frame_size=8, q=2),
+    )
+    dataset.save_features(ds, scratch / "cli.rfds")
+    config = gbdt.TrainConfig(n_rounds=2, max_depth=2, min_child_weight=0.0, n_classes=2)
+    gbdt.save_model(gbdt.train(ds.features, ds.labels, config), scratch / "cli.rfgb")
+    return {kind: scratch / f"cli.{kind}" for kind in LOADERS}
+
+
+CLI_TRAIN = ["--rounds", "2", "--max-depth", "2", "--min-child-weight", "0"]
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "predict"])
+@BOUNDARY
+@given(**mutations)
+def test_cli_on_mutated_containers(scratch, cli_containers, command, tail, edits, cut):
+    """cv and train on a mutated cache, predict with a mutated model:
+    exit 0, 2 or 3, an ``error:`` line when not 0, never a traceback."""
+    kind = "rfgb" if command == "predict" else "rfds"
+    path = scratch / f"mutated.{kind}"
+    path.write_bytes(mutated(cli_containers[kind].read_bytes(), tail, edits, cut))
+    out = scratch / "mutated.out"
+    argv = {
+        "cv": ["cv", "--features", str(path), "--k-folds", "2", *CLI_TRAIN],
+        "train": ["train", "--features", str(path), *CLI_TRAIN],
+        "predict": ["predict", "--model", str(path), "--features", str(cli_containers["rfds"])],
+    }[command]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines())
 
 
 PAIR_SAMPLES = 4096

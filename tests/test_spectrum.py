@@ -355,6 +355,26 @@ class TestExtraction:
         with pytest.raises(ConfigurationError, match=message):
             Extraction(**settings)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"frame_size": 2048.0},
+            {"frame_size": True},
+            {"frame_size": np.int64(2048)},
+            {"hop": 1024.0},
+            {"hop": False},
+            {"q": "8"},
+            {"q": 8.0},
+            {"window": b"hann"},
+            {"window": None},
+            {"window": np.array(["hann", "rectangular"])},
+        ],
+        ids=lambda settings: " ".join(f"{k}={v!r}" for k, v in settings.items()),
+    )
+    def test_wrong_types_rejected(self, settings):
+        with pytest.raises(ConfigurationError, match="must be an int|unknown window"):
+            Extraction(**settings)
+
     def test_segment_spectrum_applies_the_same_frame_rule(self):
         with pytest.raises(ConfigurationError, match="power of two"):
             segment_spectrum(np.zeros(2048), Band.LOWER, 1000)
