@@ -219,10 +219,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     if args.features is not None:
-        fixed = [name for name in ("band", *_EXTRACTION_OPTIONS) if getattr(args, name) is not None]
+        fixed = [n for n in ("lb", "ub", "band", *_EXTRACTION_OPTIONS) if getattr(args, n) is not None]
         if fixed:
             flags = ", ".join("--" + name.replace("_", "-") for name in fixed)
-            raise ConfigurationError(f"--features fixes the band and extraction; drop {flags}")
+            raise ConfigurationError(f"--features gives the rows, band and extraction; drop {flags}")
     extraction = _extraction(args)
     model = gbdt.load_model(args.model)
     case = Case.for_n_classes(model.config.n_classes)

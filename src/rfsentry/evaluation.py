@@ -45,9 +45,6 @@ class FoldAssignment:
     def test_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
 
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
     @property
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -206,10 +203,12 @@ def _fold_confusion(
     fold_of: np.ndarray,
     fold: int,
     config: gbdt.TrainConfig,
+    presort: gbdt.Presort,
 ) -> np.ndarray:
-    train_rows = np.flatnonzero(fold_of != fold)
-    test_rows = np.flatnonzero(fold_of == fold)
-    model = gbdt.train(features[train_rows], labels[train_rows], config)
+    in_train = fold_of != fold
+    train_rows = np.flatnonzero(in_train)
+    test_rows = np.flatnonzero(~in_train)
+    model = gbdt.train(features[train_rows], labels[train_rows], config, presort.subset(in_train))
     predicted = gbdt.predict(model, features[test_rows])
     return confusion_matrix(labels[test_rows], predicted, config.n_classes)
 
@@ -221,7 +220,10 @@ def cross_validate(
     seed: int = 0,
     jobs: int = 1,
 ) -> CvReport:
-    """Train K times, each fold held out once; folds are fixed by seed."""
+    """Train K times, each fold held out once; folds are fixed by seed.
+
+    The features are sorted once, and each fold's fit filters that presort.
+    """
     if train_config.n_classes != dataset.case.n_classes:
         raise ConfigurationError(
             f"train config declares {train_config.n_classes} classes but the "
@@ -238,6 +240,7 @@ def cross_validate(
         itertools.repeat(folds.fold_of),
         range(k),
         itertools.repeat(train_config),
+        itertools.repeat(gbdt.Presort.of(dataset.features)),
     )
     workers = dataset_mod.pool_workers(jobs, k)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
@@ -464,8 +467,13 @@ def compare_bands(
 
     The three layouts come from one extraction pass, so each band file is
     parsed once. All three runs share one fold partition (same labels, K
-    and seed), which the paired t-tests require.
+    and seed), which the paired t-tests require. k and alpha are checked
+    before any band file is read.
     """
+    if not (0.0 < alpha < 1.0 and 2 <= k <= len(manifest.entries)):
+        raise ConfigurationError(
+            f"need alpha in (0, 1) and k in [2, {len(manifest.entries)}], got {alpha} and {k}"
+        )
     train_config = dataclasses.replace(train_config, n_classes=case.n_classes)
     datasets = dataset_mod.build_datasets(
         manifest,

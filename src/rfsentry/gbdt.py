@@ -14,20 +14,23 @@ negative class, which reproduces the two-tree softmax model at half the
 cost.
 
 The scan follows exact greedy search over presorted columns. Each fit
-sorts every feature once and builds one workspace of flat (d x n)
-buffers that every node of every tree reuses through out= arguments.
-A node keeps a (d, m) block of its rows in per-feature sorted order,
-one row per feature; when it splits, the block is stably partitioned
-in place into its children's blocks, so a node costs d x m rather than
-d x n. The scan reads the block position-major, as (m - 1, d) planes
-whose row p holds every feature's p-th sorted row, so each prefix-sum
-step adds d lanes in one call. Because h >= 0, the sorted positions where
-some feature can leave min_child_weight on both sides form one range,
-the hessian window, and only it is scored; a node whose hessian sum is
-below twice min_child_weight is not scanned at all. On equal scores
-the lowest feature wins, then the lowest threshold. Every sum is taken
-in the same order as a plain per-node scan, so the trees are
-bit-identical to one.
+takes every feature's sorted order from a `Presort` (cross-validation
+sorts once and filters per fold) and builds one workspace of flat
+(d x n) buffers that every node of every tree reuses through out=
+arguments. A node keeps a (d, m) block of its rows in per-feature
+sorted order, one row per feature; when it splits, the block is stably
+partitioned in place into its children's blocks, so a node costs d x m
+rather than d x n. The scan reads the block position-major, as
+(m - 1, d) planes whose row p holds every feature's p-th sorted row, so
+each prefix-sum step adds d lanes in one call. Because h >= 0, the
+sorted positions where some feature can leave min_child_weight on both
+sides form one range, the hessian window, and only it is scored. A node
+is not scanned when its hessian sum is below twice min_child_weight, or
+when its rows all carry one (g, h) and the one score row all features
+then share cannot gain; a split whose children are both unscanned is
+not partitioned. On equal scores the lowest feature wins, then the
+lowest threshold. Every sum is taken in the same order as a plain
+per-node scan, so the trees are bit-identical to one.
 
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
@@ -184,18 +187,49 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return -g_sum / denom
 
 
+@dataclass(frozen=True)
+class Presort:
+    """Each feature's stable row order and sorted values, (d, n): the scan's root block.
+
+    Cross-validation sorts its matrix once and gives each fold the subset
+    of its training rows, a stable filter that equals a fresh stable sort.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, features: np.ndarray) -> "Presort":
+        order = np.argsort(features, axis=0, kind="stable")
+        return cls(order.T.copy(), np.take_along_axis(features, order, axis=0).T.copy())
+
+    def subset(self, mask: np.ndarray) -> "Presort":
+        """The presort of the rows where the boolean mask holds, renumbered from 0."""
+        keep, local = mask[self.rows], np.cumsum(mask, dtype=np.intp) - 1
+        d = self.rows.shape[0]
+        return Presort(local[self.rows[keep]].reshape(d, -1), self.vals[keep].reshape(d, -1))
+
+
+def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
+    # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
+    # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
+    return m >= 2 and h_total >= 2.0 * mcw * (1.0 - 1e-9)
+
+
 class _ScanState:
     """Buffers of the exact split scan, built once per fit and reused by
     every node of every tree.
 
-    The root's rows never change, so its stable per-feature order and
-    sorted values, shape (d, n), are computed once, and so is which gaps
-    between consecutive sorted values can hold a threshold, stored
-    position-major as (n - 1, d) for the scan. A node works on a (d, m)
-    block of row ids and sorted values, one row per feature. When it
-    splits, the block is stably partitioned in place into [left | right]
-    through a scratch buffer, so each child's block keeps its rows in
-    sorted order and a node costs d x m, not d x n. Blocks live in two
+    The root's rows never change: its stable per-feature order and sorted
+    values, shape (d, n), come from a `Presort` (in cross-validation, one
+    filtered per fold), and which gaps between consecutive sorted values
+    can hold a threshold is computed once, stored position-major as
+    (n - 1, d) for the scan. A node works on a (d, m) block of row ids
+    and sorted values, one row per feature. When it splits, the block is
+    stably partitioned in place into [left | right] through a scratch
+    buffer, so each child's block keeps its rows in sorted order and a
+    node costs d x m, not d x n; a split whose children both stay
+    unscanned (`worth_scanning`) is not partitioned. Blocks live in two
     flat (d x n) arrays; a child's block is the part of its parent's
     that it takes, so depth-first growth never overwrites a block that
     is still pending.
@@ -212,12 +246,11 @@ class _ScanState:
     range.
     """
 
-    def __init__(self, features: np.ndarray) -> None:
+    def __init__(self, features: np.ndarray, presort: Presort) -> None:
         n, d = features.shape
-        order = np.argsort(features, axis=0, kind="stable")
-        self.root_rows = np.ascontiguousarray(order.T)
-        self.root_vals = np.ascontiguousarray(np.take_along_axis(features, order, axis=0).T)
-        del order
+        if presort.rows.shape != (d, n):
+            raise ShapeError(f"presort has shape {presort.rows.shape}, features {(n, d)}")
+        self.root_rows, self.root_vals = presort.rows, presort.vals
         left, right = self.root_vals[:, :-1], self.root_vals[:, 1:]
         self.root_gaps = np.ascontiguousarray(((right > left) & (0.5 * (left + right) > left)).T)
         self.features = features
@@ -250,9 +283,7 @@ class _ScanState:
         """
         lam, mcw = config.reg_lambda, config.min_child_weight
         d, m = rows.shape
-        # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
-        # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
-        if m < 2 or h_total < 2.0 * mcw * (1.0 - 1e-9):
+        if not _heavy_enough(m, h_total, mcw):
             return None
         cum_h, cum_g, spare, temp = (buf[: d * (m - 1)].reshape(m - 1, d) for buf in self.scratch)
         rows_t = spare.view(np.intp)
@@ -312,6 +343,19 @@ class _ScanState:
         pos, feature = divmod(int(hits[first]), d)
         return feature, float(0.5 * (vals[feature, lo + pos] + vals[feature, lo + pos + 1]))
 
+    def worth_scanning(self, idx, g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
+        """False only where `best_split` would find no split in the node of rows idx.
+
+        If the rows all carry one (g, h), every feature has the same prefix
+        sums, so the node is scored as one feature whose every gap can hold
+        a threshold; leaving out the gap mask can only add candidates.
+        """
+        g_node, h_node = g[idx], h[idx]
+        if idx.size and (g_node == g_node[0]).all() and (h_node == h_node[0]).all():
+            ramp = np.arange(idx.size, dtype=np.float64)[None, :]
+            return self.best_split(idx[None, :], ramp, g, h, g_total, h_total, config) is not None
+        return _heavy_enough(idx.size, h_total, config.min_child_weight)
+
     def partition(self, rows, vals, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
 
@@ -357,15 +401,20 @@ def _grow_tree(
     """
     n, d = state.features.shape
     out = np.empty(n, dtype=np.float64)
-    # row ids ascending, depth, parent split awaiting its right child, block offset
-    pending = [(np.arange(n), 0, -1, 0)]
+
+    def entry(idx, depth, parent, offset):
+        # row ids ascending, depth, parent split awaiting its right child,
+        # block offset, g and h sums, and whether the node is scanned
+        g_total, h_total = float(g[idx].sum()), float(h[idx].sum())
+        scan = depth < config.max_depth and state.worth_scanning(idx, g, h, g_total, h_total, config)
+        return idx, depth, parent, offset, g_total, h_total, scan
+
+    pending = [entry(np.arange(n), 0, -1, 0)]
     while pending:
-        idx, depth, parent, offset = pending.pop()
+        idx, depth, parent, offset, g_total, h_total, scan = pending.pop()
         if parent >= 0:
             nodes[parent][3] = len(nodes)
-        g_total = float(g[idx].sum())
-        h_total = float(h[idx].sum())
-        if depth < config.max_depth:
+        if scan:
             rows, vals = state.block(depth, offset, idx.shape[0])
             found = state.best_split(rows, vals, g, h, g_total, h_total, config)
             if found is not None:
@@ -374,11 +423,11 @@ def _grow_tree(
                 left_idx = idx[go_left]
                 right_idx = idx[~go_left]
                 if left_idx.size and right_idx.size:
-                    if depth + 1 < config.max_depth:
+                    left = entry(left_idx, depth + 1, -1, offset)
+                    right = entry(right_idx, depth + 1, len(nodes), offset + d * left_idx.size)
+                    if left[-1] or right[-1]:  # only a scan reads a block
                         state.partition(rows, vals, idx, go_left, offset)
-                    right_offset = offset + d * left_idx.size
-                    pending.append((right_idx, depth + 1, len(nodes), right_offset))
-                    pending.append((left_idx, depth + 1, -1, offset))
+                    pending += (right, left)
                     nodes.append([feature, threshold, 0.0, -1])
                     continue
         weight = leaf_weight(g_total, h_total, config.reg_lambda) * scale
@@ -406,7 +455,7 @@ def build_tree(
     if bad.size:
         raise TrainingError(f"h must be >= 0, got {h[bad[0]]} in row {bad[0]}")
     nodes = []
-    _grow_tree(_ScanState(features), g, h, config, nodes, 1.0)
+    _grow_tree(_ScanState(features, Presort.of(features)), g, h, config, nodes, 1.0)
     return Tree.from_rows(nodes)
 
 
@@ -444,8 +493,11 @@ def _logloss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((lse - shifted[np.arange(len(labels)), labels]).sum())
 
 
-def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> GbdtModel:
-    """Boost n_rounds rounds of per-class trees; deterministic given inputs."""
+def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort=None) -> GbdtModel:
+    """Boost n_rounds rounds of per-class trees; deterministic given inputs.
+
+    A given presort must be the `Presort` of features; it saves the sort.
+    """
     features = _check_training_arrays(features, labels=labels)
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
@@ -459,7 +511,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Gbdt
     n, d = features.shape
     k = config.n_classes
     binary = k == 2
-    state = _ScanState(features)
+    state = _ScanState(features, Presort.of(features) if presort is None else presort)
     base_score = 0.0
     logits = np.full((n, k), base_score, dtype=np.float64)
     model = GbdtModel(config=config, feature_dim=d, base_score=base_score)

@@ -297,6 +297,33 @@ class TestCompare:
         assert csv_text[0] == "case,band_mode,fold,metric,value"
         assert len(csv_text) == 1 + 3 * 10 * 4
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "0"], "got 0.0 and 10"),
+            (["--alpha", "1"], "got 1.0 and 10"),
+            (["--k-folds", "1"], "got 0.05 and 1"),
+            (["--k-folds", "11"], "got 0.05 and 11"),
+        ],
+        ids=["alpha-0", "alpha-1", "k-1", "k-above-entries"],
+    )
+    def test_bad_alpha_or_k_rejected_before_band_files_are_read(
+        self, flags, message, tmp_path, capsys
+    ):
+        # Ten entries whose band files do not exist: only the settings can fail first.
+        entries = [
+            {"lb_path": f"{i:02d}_lb.csv", "ub_path": f"{i:02d}_ub.csv", "label": i}
+            for i in range(10)
+        ]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"source": "Synthetic", "entries": entries}))
+        argv = ["compare", "--manifest", str(manifest), "--case", "1", "--out", str(tmp_path / "c.json")]
+        assert main([*argv, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "need alpha in (0, 1) and k in [2, 10]" in err
+        assert message in err
+        assert main(argv) == 3  # valid settings: the missing band files fail the run
+
 
 class TestTrainPredict:
     def test_train_then_predict_matches_in_process(self, lower_cache, tmp_path, capsys):
@@ -384,13 +411,16 @@ class TestTrainPredict:
             ["--q", "4"],
             ["--window", "rectangular"],
             ["--band", "upper", "--frame-size", "1024", "--window", "hann"],
+            ["--lb", "00_000_lb.csv"],
+            ["--ub", "00_000_ub.csv"],
+            ["--lb", "00_000_lb.csv", "--ub", "00_000_ub.csv", "--band", "both"],
         ],
         ids=lambda flags: " ".join(flags),
     )
     def test_predict_features_rejects_band_and_extraction_flags(
         self, flags, lower_cache, lower_model, tmp_path, capsys
     ):
-        # The cache already fixes the band and the extraction settings.
+        # The cache already fixes the rows, the band and the extraction settings.
         out = tmp_path / "out.json"
         argv = ["predict", "--model", str(lower_model), "--features", str(lower_cache)]
         assert main([*argv, *flags, "--out", str(out)]) == 2

@@ -18,6 +18,7 @@ from rfsentry.evaluation import (
     student_t_cdf,
     t_critical,
 )
+from rfsentry import gbdt
 from rfsentry.gbdt import TrainConfig
 from rfsentry.spectrum import Band, BandMode, Extraction
 
@@ -285,6 +286,30 @@ class TestCrossValidate:
         scores = report.fold_scores("accuracy")
         assert report.mean["accuracy"] == pytest.approx(scores.mean())
         assert report.std["accuracy"] == pytest.approx(scores.std(ddof=1))
+
+    @pytest.mark.parametrize("case", [Case.I, Case.III])
+    def test_fold_models_match_plain_train(self, small_corpus, case, monkeypatch):
+        # Each fold's fit takes its presort from one sort of the whole
+        # matrix; its trees must be those of a fit on the fold's rows alone.
+        ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, case, FRAMES_1024)
+        real, fits = gbdt.train, []
+
+        def recording(features, labels, config, presort=None):
+            fits.append((features, labels, config, presort, real(features, labels, config, presort)))
+            return fits[-1][-1]
+
+        monkeypatch.setattr(gbdt, "train", recording)
+        config = TrainConfig(n_rounds=3, max_depth=4, n_classes=case.n_classes)
+        cross_validate(ds, config, k=5, seed=2)
+        fold_of = stratified_kfold(ds.labels, 5, 2).fold_of
+        assert len(fits) == 5
+        for fold, (features, labels, config, presort, model) in enumerate(fits):
+            assert presort is not None
+            assert features.tobytes() == ds.features[fold_of != fold].tobytes()
+            plain = real(features, labels, config)
+            for name in ("feature", "threshold", "value", "right"):
+                assert getattr(model.forest, name).tobytes() == getattr(plain.forest, name).tobytes()
+            assert model.trees == plain.trees
 
     def test_schema_mismatch(self):
         ds = blob_dataset(24)

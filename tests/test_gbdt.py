@@ -315,6 +315,30 @@ class TestBuildTree:
         leaf_rows = [(out == tree.value[1]).sum(), (out == tree.value[tree.right[0]]).sum()]
         assert leaf_rows == [2, 4]
 
+    def test_pure_children_are_neither_scanned_nor_partitioned(self, monkeypatch):
+        # Feature 0 separates the classes, so each child's rows share one
+        # (g, h), and with lambda = 1 no cut of such a node gains.
+        x = np.column_stack([np.repeat([0.0, 1.0], 8), np.arange(16.0)])
+        g, h = np.repeat([0.5, -0.5], 8), np.full(16, 0.25)
+        scans, partitions = [], []
+        best_split, partition = gbdt._ScanState.best_split, gbdt._ScanState.partition
+
+        def recording_scan(state, rows, *args):
+            scans.append(rows.shape)
+            return best_split(state, rows, *args)
+
+        def recording_partition(state, rows, *args):
+            partitions.append(rows.shape)
+            return partition(state, rows, *args)
+
+        monkeypatch.setattr(gbdt._ScanState, "best_split", recording_scan)
+        monkeypatch.setattr(gbdt._ScanState, "partition", recording_partition)
+        tree = build_tree(x, g, h, TrainConfig(max_depth=3))
+        assert tree.feature.tolist() == [0, -1, -1]
+        # The root's full scan, then each child as one feature of 8 rows.
+        assert scans == [(2, 16), (1, 8), (1, 8)]
+        assert partitions == []
+
 
 def blobs(seed, n_per_class=40, n_classes=3, dim=5, spread=1.0):
     rng = np.random.default_rng(seed)

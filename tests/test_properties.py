@@ -378,3 +378,59 @@ def test_build_tree_matches_exact_greedy_reference(problem):
     tree = gbdt.build_tree(x, g, h, config)
     for name in ("feature", "threshold", "value", "right"):
         assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+@BOUNDARY
+@given(data=st.data())
+def test_presort_subset_equals_fresh_stable_sort(data):
+    # Few distinct values, signed zeros among them, so most sorts break ties.
+    n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    subset = gbdt.Presort.of(x).subset(mask)
+    order = np.argsort(x[mask], axis=0, kind="stable")
+    for got, want in ((subset.rows, order.T), (subset.vals, np.take_along_axis(x[mask], order, 0).T)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def uniform_nodes(draw):
+    """A node of 1 to 64 rows that all carry one (g, h), over tie-heavy
+    integer features, with arbitrary float g and h >= 0 so that sums round."""
+    m, d = draw(st.integers(1, 64)), draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(st.integers(0, 3), min_size=m * d, max_size=m * d)), dtype=float)
+    g = draw(st.floats(-4.0, 4.0))
+    h = draw(st.just(0.0) | st.floats(0.0, 4.0))
+    config = gbdt.TrainConfig(
+        reg_lambda=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+        gamma=draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        min_child_weight=draw(st.just(0.0) | st.floats(0.0, 8.0)),
+    )
+    return x.reshape(m, d), np.full(m, g), np.full(m, h), config
+
+
+def scan_uniform_node(x, g, h, config):
+    """The uniform-node rule's verdict and the full scan's split of the node."""
+    state = gbdt._ScanState(x, gbdt.Presort.of(x))
+    g_total, h_total = float(g.sum()), float(h.sum())
+    rule = state.worth_scanning(np.arange(x.shape[0]), g, h, g_total, h_total, config)
+    return rule, state.best_split(state.root_rows, state.root_vals, g, h, g_total, h_total, config)
+
+
+@BOUNDARY
+@given(node=uniform_nodes())
+def test_uniform_node_rule_skips_only_nodes_without_a_split(node):
+    rule, found = scan_uniform_node(*node)
+    event(f"rule {'scans' if rule else 'skips'}, scan {'splits' if found else 'finds nothing'}")
+    assert rule or found is None
+
+
+def test_uniform_node_split_by_rounding_is_scanned():
+    # In exact arithmetic a node whose rows share one (g, h) gains nothing
+    # from any cut; with lambda = 0 rounding can make the gain positive,
+    # and the scan takes that split, so the rule must let it.
+    x = np.arange(3.0)[:, None]
+    config = gbdt.TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+    assert scan_uniform_node(x, np.full(3, 0.1), np.full(3, 0.3), config) == (True, (0, 0.5))
