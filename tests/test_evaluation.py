@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rfsentry.dataset as dataset_mod
+from rfsentry import gbdt
 from rfsentry.dataset import Case, LabeledDataset, build_dataset
 from rfsentry.errors import ConfigurationError, EmptyEvaluationError, ShapeError
 from rfsentry.evaluation import (
@@ -18,7 +19,6 @@ from rfsentry.evaluation import (
     student_t_cdf,
     t_critical,
 )
-from rfsentry import gbdt
 from rfsentry.gbdt import TrainConfig
 from rfsentry.spectrum import Band, BandMode, Extraction
 
