@@ -33,6 +33,7 @@ MAX_FRAME_SIZE = 1 << 20
 
 DEFAULT_FRAME_SIZE = 2048
 DEFAULT_SEAM_BINS = 8
+_FFT_BLOCK_SAMPLES = 1 << 17  # frame samples transformed at a time: 64 default frames
 
 # A window's index here is its code in the feature cache: append, never reorder.
 WINDOWS = ("rectangular", "hann")
@@ -119,10 +120,22 @@ class MagnitudeSpectrum:
         return self.bins.shape[0]
 
 
-def _mean_magnitude(frames: np.ndarray) -> np.ndarray:
-    """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2."""
-    n = frames.shape[-1]
-    return np.abs(np.fft.fft(frames, axis=-1)[:, : n // 2]).mean(axis=0)
+def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray:
+    """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2.
+
+    Frames are weighted and transformed a block at a time and added to
+    one sum in frame order, as ``.mean(axis=0)`` adds them: same bits.
+    """
+    count, n = frames.shape
+    step = max(1, _FFT_BLOCK_SAMPLES // n)
+    total = np.zeros(n // 2)
+    for start in range(0, count, step):
+        block = frames[start : start + step]
+        if window is not None:
+            block = block * window
+        for row in np.abs(np.fft.fft(block, axis=-1)[:, : n // 2]):
+            total += row
+    return total / count
 
 
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
@@ -174,11 +187,10 @@ def segment_spectrum(
     if hop is None:
         hop = frame_size
     frames = _frame_matrix(samples, frame_size, hop)
-    if window == "hann":
-        frames = frames * np.hanning(frame_size)
-    elif window != "rectangular":
+    if window not in WINDOWS:
         raise ConfigurationError(f"unknown window {window!r} (expected one of {WINDOWS})")
-    return MagnitudeSpectrum(_mean_magnitude(frames), band=band)
+    weights = np.hanning(frame_size) if window == "hann" else None
+    return MagnitudeSpectrum(_mean_magnitude(frames, weights), band=band)
 
 
 def compute_scaling_factor(

@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,102 @@ class TestLoadSegment:
         # Parsed chunks plus their concatenation, and two chunks of text;
         # no per-token Python objects (those alone take over 50 bytes each).
         assert peak <= 16 * n + 2 * dataset_mod._CHUNK_BYTES + (1 << 20)
+
+
+needs_fast_parse = pytest.mark.skipif(
+    not dataset_mod._FAST_PARSE, reason="long double here is not x87 extended precision"
+)
+
+
+def round_to_bits(x: Fraction, bits: int) -> Fraction:
+    """x > 0 rounded to a binary significand of `bits` bits, ties to even."""
+    exponent = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < Fraction(2) ** exponent:
+        exponent -= 1
+    unit = Fraction(2) ** (exponent - bits + 1)
+    return round(x / unit) * unit
+
+
+def assert_fast_parse_exact(tokens):
+    """The fast path gives _parse_piece's bits, and those of float() per token."""
+    block = " ".join(tokens).encode() + b" "
+    fast = dataset_mod._parse_fast(block)
+    assert fast.tobytes() == dataset_mod._parse_piece(block).tobytes()
+    assert fast.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+@needs_fast_parse
+class TestFastParse:
+    def test_decimals_near_double_midpoints(self):
+        # 19-digit decimals within a few 64-bit ulps of the midpoint between
+        # two doubles: some land on it in long double and must be re-parsed.
+        rng = np.random.default_rng(11)
+        tokens, on_midpoint = [], 0
+        for d in rng.uniform(8.0, 10.0, size=400):
+            mid = (Fraction(d) + Fraction(np.nextafter(d, np.inf))) / 2
+            nearest = round(mid * 10**18)
+            for m in range(nearest - 2, nearest + 3):
+                token = f"{m // 10**18}.{m % 10**18:018d}"
+                tokens += [token, "-" + token]
+                on_midpoint += round_to_bits(Fraction(m, 10**18), 64) == mid
+        assert on_midpoint > 0
+        assert_fast_parse_exact(tokens)
+
+    def test_mantissas_above_two_to_the_63(self):
+        rng = np.random.default_rng(12)
+        digits = [str(m) for m in rng.integers(2**63, 10**19, size=200, dtype=np.uint64)]
+        tokens = [f"{s[:k]}.{s[k:]}" for s in digits for k in (0, 1, 10, 19)]
+        assert_fast_parse_exact(tokens + ["-" + t for t in tokens])
+
+    def test_twenty_or_more_digits(self):
+        tokens = [
+            "12345678901234567890.5",
+            "-0.00000000000000000001234",
+            "1" + "0" * 30 + ".0",
+            "0." + "3" * 40,
+            "9999999999999999999.9",
+            "0.1",
+        ]
+        assert_fast_parse_exact(tokens)
+
+    def test_short_shapes(self):
+        assert_fast_parse_exact(["-0.0", "0.0", ".5", "5.", "-.5", "-5.", "00.000", "-007.250"])
+        block = b"-0.0 0.0 "
+        assert np.signbit(dataset_mod._parse_fast(block)).tolist() == [True, False]
+
+    def test_too_many_odd_tokens_parse_the_chunk_whole(self, monkeypatch):
+        tokens = ["1e-05"] * (dataset_mod._MAX_ODD_TOKENS + 1) + ["2.5", "-0.75"]
+        block = " ".join(tokens).encode() + b" "
+        seen = []
+
+        def parse_piece(text):
+            seen.append(text)
+            return np.fromstring(text, sep=" ")
+
+        monkeypatch.setattr(dataset_mod, "_parse_piece", parse_piece)
+        values = dataset_mod._parse_fast(block)
+        assert seen == [block]
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        # One token fewer is parsed token by token, the odd ones first.
+        seen.clear()
+        dataset_mod._parse_fast(block[len(b"1e-05 "):])
+        assert seen[0].split() == [b"1e-05"] * dataset_mod._MAX_ODD_TOKENS
+
+    def test_gate_off_gives_the_same_samples(self, tmp_path, monkeypatch):
+        samples = np.random.default_rng(13).normal(size=5000) * 10.0 ** np.tile(
+            np.arange(-6, 6), 417
+        )[:5000]
+        path = tmp_path / "seg.csv"
+        path.write_text(",\n".join(map(repr, samples.tolist())))
+        fast = load_segment(path, Band.LOWER).samples
+
+        def no_fast_path(block):
+            raise AssertionError("the fast path ran with the gate off")
+
+        monkeypatch.setattr(dataset_mod, "_FAST_PARSE", False)
+        monkeypatch.setattr(dataset_mod, "_parse_fast", no_fast_path)
+        slow = load_segment(path, Band.LOWER).samples
+        assert fast.tobytes() == slow.tobytes() == samples.tobytes()
 
 
 def labels_of(class_id):

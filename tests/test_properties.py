@@ -131,6 +131,45 @@ def test_band_file_matches_reference(scratch, text, chunk_bytes):
             assert load_segment(path, Band.LOWER).samples.tobytes() == expected.tobytes()
 
 
+def assert_fast_parse_matches(block):
+    """The fast path returns exactly what _parse_piece returns: None, or the same bits."""
+    expected, got = dataset._parse_piece(block), dataset._parse_fast(block)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got.tobytes() == expected.tobytes()
+
+
+needs_fast_parse = pytest.mark.skipif(
+    not dataset._FAST_PARSE, reason="long double here is not x87 extended precision"
+)
+WRITERS = {
+    "repr": lambda v, k: repr(v),
+    "%.17g": lambda v, k: "%.17g" % v,
+    "%.kf": lambda v, k: f"%.{k}f" % v,
+    "%.18e": lambda v, k: "%.18e" % v,
+    "float32": lambda v, k: str(np.float32(v)) if abs(v) < 3e38 else repr(v),
+}
+
+
+@needs_fast_parse
+@BOUNDARY
+@given(text=st.text(alphabet="0123456789.-+eEnaif ", max_size=60))
+def test_fast_parse_matches_piece_on_text(text):
+    assert_fast_parse_matches(text.encode())
+
+
+@needs_fast_parse
+@BOUNDARY
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    writer=st.sampled_from(sorted(WRITERS)),
+    places=st.integers(0, 25),
+)
+def test_fast_parse_matches_piece_on_written_floats(values, writer, places):
+    tokens = [WRITERS[writer](v, places) for v in values]
+    assert_fast_parse_matches(" ".join(tokens).encode() + b" ")
+
+
 LOADERS = {"rfds": load_features, "rfgb": gbdt.load_model}
 
 

@@ -10,6 +10,7 @@ from rfsentry.errors import (
 )
 from rfsentry.spectrum import (
     MAX_FRAME_SIZE,
+    WINDOWS,
     Band,
     Extraction,
     MagnitudeSpectrum,
@@ -198,6 +199,19 @@ class TestAverageSpectrum:
             acc += np.abs(naive_dft(samples[128 * i : 128 * (i + 1)]))[:64]
         acc /= 10
         np.testing.assert_allclose(spectrum.bins, acc, rtol=1e-9)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+    def test_blocked_mean_is_the_whole_matrix_mean(self, count, window):
+        # Transforming the frames in blocks keeps the bits of one transform
+        # of the whole (count, N) matrix and its .mean(axis=0).
+        samples = np.random.default_rng(count).normal(size=count * 2048 + 100)
+        frames = samples[: count * 2048].reshape(count, 2048)
+        if window == "hann":
+            frames = frames * np.hanning(2048)
+        whole = np.abs(np.fft.fft(frames, axis=-1)[:, :1024]).mean(axis=0)
+        spectrum = segment_spectrum(samples, Band.LOWER, frame_size=2048, window=window)
+        assert spectrum.bins.tobytes() == whole.tobytes()
 
 
 class TestScalingFactor:
