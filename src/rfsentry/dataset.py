@@ -154,17 +154,16 @@ _NUMBER_RE = re.compile(
 )
 # Bytes of band-file text read and parsed at a time.
 _CHUNK_BYTES = 1 << 18
-# The fast path divides an integer mantissa of at most 19 digits by 10**f,
-# f <= 19, in x87 long double. Its 64-bit significand holds both operands
-# exactly, so the quotient is correctly rounded once, and so is the cast
-# to float64 unless the 11 significand bits it drops are exactly 0x400 (a
-# midpoint between two doubles). Elsewhere only _parse_piece runs.
+# The fast path divides a mantissa of at most 19 digits by 10**f, f <= 19,
+# in x87 long double, whose 64-bit significand holds both exactly: the
+# quotient is correctly rounded, and so is its cast to float64 unless it
+# is a midpoint between two doubles. Elsewhere only _parse_piece runs.
 _FAST_PARSE = bool(
     np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
     and np.little_endian and np.longdouble(1) + np.longdouble(2) ** -63 != 1
 )
 _POW10 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.longdouble))
-_MAX_ODD_TOKENS = 256  # a chunk with more tokens of other shapes is parsed whole
+_MAX_ODD_BYTES = 256  # a chunk with more letters and '+' is parsed whole
 
 
 def load_segment(path, band: Band) -> SegmentRecord:
@@ -175,15 +174,12 @@ def load_segment(path, band: Band) -> SegmentRecord:
     float literal with a finite value; otherwise the ParseError names
     the first bad token by offset and line.
 
-    Tokens shaped ``[-]digits.digits`` are read through an integer
-    mantissa (``_parse_fast``), bit-identical to ``_parse_piece``.
-
-    Memory is bounded: the file is read ``_CHUNK_BYTES`` at a time, each
-    chunk is parsed in C and no per-token Python object is made. Parsing
-    holds two chunks of text (plus the longest token) and the fast path's
-    temporaries, up to about 6 bytes per chunk byte, besides the parsed
-    values, which are joined once at the end: about 16 bytes per sample
-    plus eight chunks.
+    Memory is bounded: the file is read ``_CHUNK_BYTES`` at a time and
+    each chunk is parsed in C; only the few tokens ``_parse_fast`` sets
+    apart become Python objects. Parsing holds two chunks of text (plus
+    the longest token) and about 6 bytes of temporaries per chunk byte
+    besides the parsed values, which are joined once at the end: about
+    16 bytes per sample plus eight chunks.
     """
     path = Path(path)
     samples = _parse_chunks(path)
@@ -231,51 +227,55 @@ def _parse_piece(text: bytes) -> np.ndarray | None:
 def _parse_fast(block: bytes) -> np.ndarray | None:
     """``_parse_piece(block)``, reading ``[-]digits.digits`` tokens as m / 10**f.
 
-    Tokens with other bytes (exponents, inf, nan, malformed ones), of 20
-    or more digits or with a midpoint quotient go to _parse_piece; so does
-    the chunk whole if the rest are not all of that shape, or if more
-    than _MAX_ODD_TOKENS tokens hold other bytes.
+    Tokens holding a letter or '+' (exponents, inf, nan), of 20 or more
+    digits or with a midpoint quotient go to _parse_piece; so does the
+    chunk whole if more than _MAX_ODD_BYTES of its bytes are letters or
+    '+', or if its other tokens are not all of that shape.
     """
     b = np.frombuffer(block, np.uint8)
-    marks = np.flatnonzero(b < 48)  # ' ', '-', '.' and rare other bytes below '0'
+    odd = (b > 57) | (b == 43)  # a letter or '+'
+    if np.count_nonzero(odd) > _MAX_ODD_BYTES or b"." not in block:  # exponent form or integers
+        return _parse_piece(block)
+    odd = np.flatnonzero(odd)
+    # Tokens holding those bytes are parsed apart and blanked out of the text
+    # (find gives -1 for a last token that ends the block: % maps it there).
+    spans = {(block.rfind(b" ", 0, i) + 1, block.find(b" ", i) % (b.size + 1)) for i in odd.tolist()}
+    spans = sorted(spans)
+    odd_values = _parse_piece(b" ".join(block[i:j] for i, j in spans))
+    if odd_values is None or odd_values.size != len(spans):
+        return _parse_piece(block)
+    text = bytearray(block) if spans else block
+    for i, j in spans:
+        text[i:j] = b" " * (j - i)
+    text = bytes(text)  # the same object if nothing was blanked
+    b = np.frombuffer(text, np.uint8)
+    marks = np.flatnonzero(b < 48)  # ' ', '-', '.' and bytes no float literal holds
     kinds = b[marks]
     bounds = np.r_[-1, marks.compress(kinds == 32), b.size]  # compress beats a boolean index
     gap = np.flatnonzero(np.diff(bounds) > 1)
     starts, ends = bounds[gap] + 1, bounds[gap + 1]
-    odd = marks.compress((kinds != 32) & (kinds != 45) & (kinds != 46))
-    if np.count_nonzero(b > 57):
-        odd = np.concatenate((odd, np.flatnonzero(b > 57)))
     dots, neg, minus = marks.compress(kinds == 46), b[starts] == 45, np.count_nonzero(kinds == 45)
-    del marks, kinds, bounds, gap  # the peak below is then a few bytes per chunk byte
-    if odd.size:
-        owner = np.searchsorted(starts, odd, "right") - 1  # the token each odd byte is in
-        tok = np.flatnonzero(np.bincount(owner, minlength=starts.size))
-        if tok.size > _MAX_ODD_TOKENS:
-            return _parse_piece(block)
-        # The odd tokens first, then the rest of the chunk without them.
-        starts, ends = starts[tok], ends[tok]
-        odd_values = _parse_piece(b" ".join(block[i:j] for i, j in zip(starts, ends)))
-        if odd_values is None or odd_values.size != tok.size:
-            return _parse_piece(block)
-        cuts = zip(np.r_[0, ends], np.r_[starts, b.size])
-        rest = _parse_fast(b" ".join(block[i:j] for i, j in cuts))
-        # Odd token i has tok[i] - i of the other tokens before it.
-        return None if rest is None else np.insert(rest, tok - np.arange(tok.size), odd_values)
-    # Each token needs one dot, '-' only as its first byte and a digit.
+    # Each token needs one dot, '-' only as its first byte and a digit;
+    # no byte below '0' is anything but a space, a dot or a minus.
     one_dot = dots.size == starts.size and ((starts <= dots) & (dots < ends)).all()
+    shaped = np.count_nonzero(neg) == minus and marks.size == bounds.size - 2 + dots.size + minus
     digits = ends - starts - 1 - neg
-    if not (starts.size and one_dot and np.count_nonzero(neg) == minus and (digits >= 1).all()):
+    del marks, kinds, bounds, gap  # the peak below is then a few bytes per chunk byte
+    if not (starts.size and one_dot and shaped and (digits >= 1).all()):
         return _parse_piece(block)
-    mantissa = np.fromstring(block.translate(None, b".-"), dtype=np.uint64, sep=" ")
+    mantissa = np.fromstring(text.translate(None, b".-"), dtype=np.uint64, sep=" ")
     long = digits >= 20
     quotient = _POW10[np.where(long, 0, ends - dots - 1)]
     np.divide(mantissa, quotient, out=quotient)
     midpoint = (quotient.view(np.uint64)[::2] & 0x7FF) == 0x400  # low significand bits
-    values = quotient.astype(np.float64)
-    values = np.where(neg, -values, values)
+    values = quotient.astype(np.float64) * np.where(neg, -1.0, 1.0)
     redo = np.flatnonzero(long | midpoint)
-    values[redo] = _parse_piece(b" ".join(block[i:j] for i, j in zip(starts[redo], ends[redo])))
-    return values
+    redone = _parse_piece(b" ".join(text[i:j] for i, j in zip(starts[redo], ends[redo])))
+    if redone is None:  # a long token beyond the float64 range
+        return None
+    values[redo] = redone
+    # searchsorted counts the other tokens before each odd one.
+    return np.insert(values, np.searchsorted(starts, [i for i, _ in spans]), odd_values)
 
 
 def _raise_token_error(path: Path) -> None:

@@ -123,19 +123,21 @@ class MagnitudeSpectrum:
 def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray:
     """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2.
 
-    Frames are weighted and transformed a block at a time and added to
-    one sum in frame order, as ``.mean(axis=0)`` adds them: same bits.
+    Frames are weighted and transformed a block at a time; each block's
+    magnitudes, under the sum so far, are reduced along axis 0 row after
+    row as ``.mean(axis=0)`` does: same bits. One column (N = 2) is summed
+    pairwise, so it stays one block.
     """
     count, n = frames.shape
-    step = max(1, _FFT_BLOCK_SAMPLES // n)
-    total = np.zeros(n // 2)
+    step = count if n == 2 else max(1, _FFT_BLOCK_SAMPLES // n)
+    rows = np.zeros((min(step, count) + 1, n // 2))  # row 0: the sum of the blocks before
     for start in range(0, count, step):
         block = frames[start : start + step]
         if window is not None:
             block = block * window
-        for row in np.abs(np.fft.fft(block, axis=-1)[:, : n // 2]):
-            total += row
-    return total / count
+        np.abs(np.fft.fft(block, axis=-1)[:, : n // 2], out=rows[1 : len(block) + 1])
+        rows[0] = np.add.reduce(rows[int(start == 0) : len(block) + 1], axis=0)
+    return rows[0] / count
 
 
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:

@@ -216,8 +216,10 @@ class TestFastParse:
         block = b"-0.0 0.0 "
         assert np.signbit(dataset_mod._parse_fast(block)).tolist() == [True, False]
 
-    def test_too_many_odd_tokens_parse_the_chunk_whole(self, monkeypatch):
-        tokens = ["1e-05"] * (dataset_mod._MAX_ODD_TOKENS + 1) + ["2.5", "-0.75"]
+    @pytest.mark.parametrize("odd", ["1e-05", "+2.5"])
+    def test_too_many_odd_tokens_parse_the_chunk_whole(self, monkeypatch, odd):
+        # Each "1e-05" token is counted by its letter, each "+2.5" by its sign.
+        tokens = [odd] * (dataset_mod._MAX_ODD_BYTES + 1) + ["2.5", "-0.75"]
         block = " ".join(tokens).encode() + b" "
         seen = []
 
@@ -231,8 +233,24 @@ class TestFastParse:
         assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
         # One token fewer is parsed token by token, the odd ones first.
         seen.clear()
-        dataset_mod._parse_fast(block[len(b"1e-05 "):])
-        assert seen[0].split() == [b"1e-05"] * dataset_mod._MAX_ODD_TOKENS
+        dataset_mod._parse_fast(block[len(odd) + 1 :])
+        assert seen[0].split() == [odd.encode()] * dataset_mod._MAX_ODD_BYTES
+
+    @pytest.mark.parametrize("text", ["12 -3 0 45", "0.5 1.5 2 3.25"])
+    def test_chunk_with_a_dotless_token_is_parsed_whole(self, monkeypatch, text):
+        seen = []
+        monkeypatch.setattr(dataset_mod, "_parse_piece", lambda t: seen.append(t) or np.empty(0))
+        dataset_mod._parse_fast(text.encode() + b" ")
+        assert [t for t in seen if t] == [text.encode() + b" "]  # b"": no odd tokens
+
+    def test_long_token_beyond_the_double_range_is_named(self, tmp_path):
+        token = "1" + "0" * 400 + ".0"
+        assert dataset_mod._parse_fast(f"1.5 {token} 2.5 ".encode()) is None
+        path = tmp_path / "seg.csv"
+        path.write_text(f"1.5,\n{token},2.5")
+        with pytest.raises(ParseError) as info:
+            load_segment(path, Band.LOWER)
+        assert str(info.value) == f"{path}: non-finite sample {token!r} at offset 2 (line 2)"
 
     def test_gate_off_gives_the_same_samples(self, tmp_path, monkeypatch):
         samples = np.random.default_rng(13).normal(size=5000) * 10.0 ** np.tile(

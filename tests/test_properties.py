@@ -170,6 +170,24 @@ def test_fast_parse_matches_piece_on_written_floats(values, writer, places):
     assert_fast_parse_matches(" ".join(tokens).encode() + b" ")
 
 
+# One chunk mixing every kind of token: written floats, integers, decimals of
+# up to 400 integer digits (beyond the float64 range), signs, odd shapes.
+mixed_tokens = st.one_of(
+    st.builds(lambda w, v: WRITERS[w](v, 3), st.sampled_from(sorted(WRITERS)), st.floats()),
+    st.integers(-(10**25), 10**25).map(str),
+    st.builds(lambda sign, zeros, frac: f"{sign}1{'0' * zeros}.{frac}",
+              st.sampled_from(["", "-"]), st.integers(0, 400), st.text("0123456789", max_size=25)),
+    st.sampled_from(["+1.5", "+.5", "5.", ".5", "-.5", "-0.0", "1e400", "--1.0", "1.2.3", "-", "."]),
+)
+
+
+@needs_fast_parse
+@BOUNDARY
+@given(tokens=st.lists(mixed_tokens, max_size=40), tail=st.sampled_from(["", " "]))
+def test_fast_parse_matches_piece_on_mixed_tokens(tokens, tail):
+    assert_fast_parse_matches((" ".join(tokens) + tail).encode())
+
+
 LOADERS = {"rfds": load_features, "rfgb": gbdt.load_model}
 
 

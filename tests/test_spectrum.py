@@ -201,16 +201,25 @@ class TestAverageSpectrum:
         np.testing.assert_allclose(spectrum.bins, acc, rtol=1e-9)
 
     @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
-    def test_blocked_mean_is_the_whole_matrix_mean(self, count, window):
+    @pytest.mark.parametrize(
+        "frame_size, hop, count",
+        [(2048, 2048, c) for c in (1, 63, 64, 65, 200)]
+        + [(2048, 1024, 129), (2, 2, 9), (2, 1, 40000), (4, 4, 8), (4, 1, 40000), (16, 1, 9000)],
+    )
+    def test_blocked_mean_is_the_whole_matrix_mean(self, frame_size, hop, count, window):
         # Transforming the frames in blocks keeps the bits of one transform
-        # of the whole (count, N) matrix and its .mean(axis=0).
-        samples = np.random.default_rng(count).normal(size=count * 2048 + 100)
-        frames = samples[: count * 2048].reshape(count, 2048)
+        # of the whole (count, N) matrix and its .mean(axis=0): with many
+        # short frames to a block, and at N = 2, whose one column numpy
+        # sums pairwise.
+        samples = np.random.default_rng(count).normal(size=(count - 1) * hop + frame_size + hop - 1)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
+        assert len(frames) == count
         if window == "hann":
-            frames = frames * np.hanning(2048)
-        whole = np.abs(np.fft.fft(frames, axis=-1)[:, :1024]).mean(axis=0)
-        spectrum = segment_spectrum(samples, Band.LOWER, frame_size=2048, window=window)
+            frames = frames * np.hanning(frame_size)
+        whole = np.abs(np.fft.fft(frames, axis=-1)[:, : frame_size // 2]).mean(axis=0)
+        spectrum = segment_spectrum(
+            samples, Band.LOWER, frame_size=frame_size, hop=hop, window=window
+        )
         assert spectrum.bins.tobytes() == whole.tobytes()
 
 
