@@ -12,7 +12,6 @@ whose settings the record rejects is a ``FormatError``.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 import json
@@ -25,7 +24,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -121,28 +120,6 @@ class Case(enum.Enum):
         return drone_type if self is Case.II else int(class_id)
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One recorded band of one segment."""
-
-    segment_id: str
-    band: Band
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.shape[0] == 0:
-            raise InsufficientDataError(
-                f"segment {self.segment_id}: needs a non-empty 1-D sample vector"
-            )
-        if not np.isfinite(samples).all():
-            bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-            raise DataError(
-                f"segment {self.segment_id}: non-finite sample at index {bad}"
-            )
-        object.__setattr__(self, "samples", samples)
-
-
 # Band-file grammar: a token is a maximal run of bytes other than commas
 # and ASCII whitespace, and must be a decimal float literal (or inf/nan,
 # which are then rejected as non-finite).
@@ -166,13 +143,14 @@ _POW10 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.longdouble))
 _MAX_ODD_BYTES = 256  # a chunk with more letters and '+' is parsed whole
 
 
-def load_segment(path, band: Band) -> SegmentRecord:
-    """Read one band file: comma-separated and/or one value per line.
+def load_segment(path) -> np.ndarray:
+    """Read one band file's samples: comma-separated and/or one value per line.
 
     Any run of commas and ASCII whitespace separates two tokens, and
     separators at either end are ignored. Each token must be a decimal
     float literal with a finite value; otherwise the ParseError names
-    the first bad token by offset and line.
+    the first bad token by offset and line. A file without tokens is an
+    InsufficientDataError, so the float64 array returned is never empty.
 
     Memory is bounded: the file is read ``_CHUNK_BYTES`` at a time and
     each chunk is parsed in C; only the few tokens ``_parse_fast`` sets
@@ -187,7 +165,7 @@ def load_segment(path, band: Band) -> SegmentRecord:
         _raise_token_error(path)
     if samples.size == 0:
         raise InsufficientDataError(f"{path}: file contains no samples")
-    return SegmentRecord(segment_id=path.stem, band=band, samples=samples)
+    return samples
 
 
 def _parse_chunks(path: Path) -> np.ndarray | None:
@@ -493,6 +471,15 @@ def _tone_signal(rng, tones, amp_scale, sigma, length) -> np.ndarray:
     return signal
 
 
+@dataclass(frozen=True)
+class SegmentRecord:
+    """One synthetic band of one segment, as ``synth_segment`` makes it."""
+
+    segment_id: str
+    band: Band
+    samples: np.ndarray
+
+
 def synth_segment(
     class_id: int,
     seed: int,
@@ -590,29 +577,15 @@ def _write_segment_file(path: Path, samples: np.ndarray) -> None:
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus integer labels under one case, and the
-    extraction settings that produced the features."""
+    extraction settings that produced the features. A plain record:
+    ``build_datasets`` makes finite rows and in-range labels, and
+    ``load_features`` checks both."""
 
     features: np.ndarray
     labels: np.ndarray
     case: Case
     band_mode: BandMode
     extraction: Extraction = Extraction()
-
-    def __post_init__(self) -> None:
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if features.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got shape {features.shape}")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
-            raise ShapeError(
-                f"label count {labels.shape} does not match {features.shape[0]} rows"
-            )
-        if not np.isfinite(features).all():
-            raise ShapeError("features contain non-finite values")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.case.n_classes):
-            raise SchemaError(f"labels out of range for the {self.case.n_classes}-class case")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_rows(self) -> int:
@@ -626,6 +599,16 @@ class LabeledDataset:
 def pool_workers(jobs: int, tasks: int) -> int:
     """Worker processes for a pool: min(jobs, tasks, CPUs), at least one."""
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def pool_map(fn, jobs: int, tasks: int, *iterables) -> Iterable:
+    """``map(fn, *iterables)`` over ``tasks`` calls, in order: lazily in this
+    process if ``pool_workers(jobs, tasks)`` is 1, else in that many workers."""
+    workers = pool_workers(jobs, tasks)
+    if workers == 1:
+        return map(fn, *iterables)
+    with ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 # The band modes that read each band file.
@@ -651,12 +634,9 @@ def extract_pair(
     try:
         lb = ub = None
         if any(mode in NEEDS_LOWER for mode in modes):
-            record = load_segment(lb_path, Band.LOWER)
-            lb = segment_spectrum(record.samples, Band.LOWER, *framing)
-            del record
+            lb = segment_spectrum(load_segment(lb_path), Band.LOWER, *framing)
         if any(mode in NEEDS_UPPER for mode in modes):
-            record = load_segment(ub_path, Band.UPPER)
-            ub = segment_spectrum(record.samples, Band.UPPER, *framing)
+            ub = segment_spectrum(load_segment(ub_path), Band.UPPER, *framing)
         rows = {}
         for mode in modes:
             if mode is BandMode.CONCATENATED:
@@ -698,12 +678,9 @@ def build_datasets(
         itertools.repeat(extraction),
         [f"entry {i} ({entry.segment_id})" for i, entry in enumerate(manifest.entries)],
     )
-    workers = pool_workers(jobs, n)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        rows = pool.map(extract_pair, *args) if pool else map(extract_pair, *args)
-        for index, row in enumerate(rows):
-            for mode in modes:
-                features[mode][index] = row[mode]
+    for index, row in enumerate(pool_map(extract_pair, jobs, n, *args)):
+        for mode in modes:
+            features[mode][index] = row[mode]
     labels = np.array([case.label(e.case3) for e in manifest.entries], dtype=np.int64)
     return {
         mode: LabeledDataset(
@@ -761,7 +738,9 @@ def save_features(dataset: LabeledDataset, path) -> None:
 
 
 def load_features(path) -> LabeledDataset:
-    """Read a feature container; the round-trip is bit-exact."""
+    """Read a feature container; the round-trip is bit-exact.
+
+    A non-finite feature is a ShapeError, a label outside the case a SchemaError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _FEATURES_HEADER.size:
@@ -802,6 +781,10 @@ def load_features(path) -> LabeledDataset:
         .reshape(n_rows, n_cols)
         .copy()
     )
+    if not np.isfinite(features).all():
+        raise ShapeError("features contain non-finite values")
+    if labels.size and labels.max() >= case.n_classes:
+        raise SchemaError(f"labels out of range for the {case.n_classes}-class case")
     return LabeledDataset(
         features=features,
         labels=labels,

@@ -8,14 +8,12 @@ asserted through fold fingerprints.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,11 +240,7 @@ def cross_validate(
         itertools.repeat(train_config),
         itertools.repeat(gbdt.Presort.of(dataset.features)),
     )
-    workers = dataset_mod.pool_workers(jobs, k)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        confusions = list(pool.map(_fold_confusion, *args) if pool else map(_fold_confusion, *args))
-
-    per_fold = [metrics(c) for c in confusions]
+    per_fold = [metrics(c) for c in dataset_mod.pool_map(_fold_confusion, jobs, k, *args)]
     mean = {}
     std = {}
     for name in METRIC_NAMES:

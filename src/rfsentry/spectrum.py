@@ -8,6 +8,10 @@ row is that spectrum's ``bins``; ``compute_scaling_factor`` and
 ``concatenate_bands`` join the two bands into one row with no seam step.
 ``dft`` is the plain transform of one frame.
 
+``segment_spectrum`` checks the samples its frames cover and the bins it
+makes, and ``concatenate_bands`` the row it joins; ``MagnitudeSpectrum``
+only carries bins.
+
 What a feature row means depends on four settings: frame size, hop,
 seam bins q and window. ``Extraction`` carries them as one validated
 record, which is what the dataset builders, the feature cache and the
@@ -58,13 +62,9 @@ class BandMode(enum.Enum):
         return 2 * half if self is BandMode.CONCATENATED else half
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _check_framing(frame_size: int, hop: int) -> None:
     """Frames are a power of two in [2, MAX_FRAME_SIZE] long and start hop >= 1 apart."""
-    if not _is_power_of_two(frame_size) or not (2 <= frame_size <= MAX_FRAME_SIZE):
+    if not (2 <= frame_size <= MAX_FRAME_SIZE and frame_size & (frame_size - 1) == 0):
         raise ConfigurationError(
             f"frame size must be a power of two in [2, {MAX_FRAME_SIZE}], got {frame_size}"
         )
@@ -101,20 +101,10 @@ class Extraction:
 
 @dataclass(frozen=True)
 class MagnitudeSpectrum:
-    """One band's averaged one-sided magnitude spectrum: bins 0 .. N/2 - 1."""
+    """One band's averaged one-sided magnitude spectrum: bins 0 .. N/2 - 1 (a plain record)."""
 
     bins: np.ndarray
     band: Band
-
-    def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.float64)
-        if bins.ndim != 1 or not _is_power_of_two(bins.shape[0]):
-            raise ShapeError(
-                f"spectrum bins must be 1-D with a power-of-two length, got shape {bins.shape}"
-            )
-        if not np.isfinite(bins).all() or (bins < 0).any():
-            raise ShapeError("magnitude bins must be finite and non-negative")
-        object.__setattr__(self, "bins", bins)
 
     def __len__(self) -> int:
         return self.bins.shape[0]
@@ -143,7 +133,10 @@ def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """Read-only (count, frame_size) strided view; frame i starts at i * hop.
 
-    A trailing remainder shorter than a frame is discarded.
+    A trailing remainder shorter than a frame is discarded. Each sample a
+    frame covers is checked for finiteness once, in one bool per sample:
+    overlapping frames are checked through the samples they span, not the
+    view, which would take frame_size / hop bools per sample.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -154,7 +147,8 @@ def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
             f"segment has {samples.shape[0]} samples, need at least {frame_size}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
-    if not np.isfinite(frames).all():
+    covered = frames if hop >= frame_size else samples[: (len(frames) - 1) * hop + frame_size]
+    if not np.isfinite(covered).all():
         raise InvalidFrameError("frame contains non-finite samples")
     return frames
 
@@ -184,7 +178,8 @@ def segment_spectrum(
     """Reduce one segment to a single averaged magnitude spectrum.
 
     Frames are non-overlapping by default (hop = frame_size) and
-    unweighted; a Hann window can be selected instead.
+    unweighted; a Hann window can be selected instead. Finite samples can
+    still overflow the transform; such bins are a ShapeError.
     """
     if hop is None:
         hop = frame_size
@@ -192,7 +187,10 @@ def segment_spectrum(
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window {window!r} (expected one of {WINDOWS})")
     weights = np.hanning(frame_size) if window == "hann" else None
-    return MagnitudeSpectrum(_mean_magnitude(frames, weights), band=band)
+    bins = _mean_magnitude(frames, weights)
+    if not np.isfinite(bins).all():
+        raise ShapeError("magnitude bins must be finite and non-negative")
+    return MagnitudeSpectrum(bins, band=band)
 
 
 def compute_scaling_factor(
@@ -216,11 +214,14 @@ def compute_scaling_factor(
 
 
 def concatenate_bands(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float) -> np.ndarray:
-    """Join the two bands into one feature row [LB bins, s * UB bins]."""
+    """Join the two bands into one row [LB bins, s * UB bins]; ShapeError if it overflows."""
     _check_band_pair(lb, ub)
     if not np.isfinite(s) or s <= 0:
         raise ConfigurationError(f"scaling factor must be finite and positive, got {s}")
-    return np.concatenate((lb.bins, s * ub.bins))
+    row = np.concatenate((lb.bins, s * ub.bins))
+    if not np.isfinite(row).all():
+        raise ShapeError(f"joined feature row is not finite at scaling factor {s!r}")
+    return row
 
 
 def _check_band_pair(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum) -> None:

@@ -542,6 +542,76 @@ class TestMalformedInputs:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cv", "train", "predict"])
+    @pytest.mark.parametrize(
+        "label, feature, message",
+        [
+            (0, np.nan, "features contain non-finite values"),
+            (0, np.inf, "features contain non-finite values"),
+            (10, 1.0, "labels out of range for the 10-class case"),
+        ],
+        ids=["nan-feature", "inf-feature", "label-10"],
+    )
+    def test_cache_with_bad_payload(self, command, label, feature, message, lower_model, tmp_path, capsys):
+        # A hand-packed 20 x 4 lower-band case-3 cache at frame size 8, with
+        # one bad label or feature value and a well-formed header.
+        header = struct.pack("<4sHBBBIIIII", b"RFDS", 2, 3, 0, 0, 20, 4, 8, 8, 2)
+        labels = np.arange(20) % 10
+        labels[7] = label
+        features = np.ones(80)
+        features[33] = feature
+        path = tmp_path / "bad.rfds"
+        path.write_bytes(header + labels.astype("<u2").tobytes() + features.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        argv = {
+            "cv": ["cv", "--k-folds", "2", "--min-child-weight", "0"],
+            "train": ["train", "--min-child-weight", "0"],
+            "predict": ["predict", "--model", str(lower_model)],
+        }[command]
+        assert main([*argv, "--features", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_finite_samples_overflowing_the_transform(self, tmp_path, capsys):
+        # Every token is finite, but a frame's sum is past the float64 range.
+        for band in ("lb", "ub"):
+            (tmp_path / f"big_{band}.csv").write_text(",".join(["1e306"] * 2048) + "\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "source": "Synthetic",
+            "entries": [{"lb_path": "big_lb.csv", "ub_path": "big_ub.csv", "label": 1}],
+        }))
+        out = tmp_path / "out.rfds"
+        assert main(["features", "--manifest", str(manifest), "--case", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature extraction failed for entry 0 (big_lb)")
+        assert "magnitude bins must be finite" in err
+        assert not out.exists()
+
+    def test_predict_seam_scale_overflowing_the_upper_band(self, corpus_dir, tmp_path, capsys):
+        # Both bands have finite spectra; the seam scale (a huge LB tail over
+        # a unit UB head) times the strong UB tone is past the float64 range.
+        # The model takes joined rows, so only the row's values can fail.
+        cache, model = tmp_path / "both.rfds", tmp_path / "both.rfgb"
+        manifest = str(corpus_dir / "manifest.json")
+        extract = ["features", "--manifest", manifest, "--band", "both", "--case", "3"]
+        assert main([*extract, "--frame-size", "1024", "--out", str(cache)]) == 0
+        assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(model)]) == 0
+        capsys.readouterr()
+        t = np.arange(1024)
+        lb = 1e298 * np.cos(2 * np.pi * 510 * t / 1024)
+        ub = 1.0 + 1e20 * np.cos(2 * np.pi * 300 * t / 1024)
+        for name, samples in (("lb", lb), ("ub", ub)):
+            (tmp_path / f"{name}.csv").write_text(",".join(map(repr, samples.tolist())) + "\n")
+        out = tmp_path / "predict.json"
+        argv = ["predict", "--model", str(model), "--lb", str(tmp_path / "lb.csv")]
+        argv += ["--ub", str(tmp_path / "ub.csv"), "--band", "both", "--frame-size", "1024"]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature extraction failed for cli-input")
+        assert "joined feature row is not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["cv", "train"])
     def test_cache_without_feature_columns(self, command, tmp_path, capsys):
         # A hand-packed 20 x 0 case-3 cache: header, then 20 labels, no features.

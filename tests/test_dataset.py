@@ -11,10 +11,8 @@ from rfsentry import dataset as dataset_mod
 from rfsentry.dataset import (
     DRONERF_CLASSES,
     Case,
-    LabeledDataset,
     Manifest,
     ManifestEntry,
-    SegmentRecord,
     build_dataset,
     build_datasets,
     build_dronerf_manifest,
@@ -46,57 +44,55 @@ class TestLoadSegment:
     def test_comma_separated(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0,2.5,-0.25")
-        record = load_segment(path, Band.LOWER)
-        np.testing.assert_array_equal(record.samples, [1.0, 2.5, -0.25])
-        assert record.band is Band.LOWER
+        np.testing.assert_array_equal(load_segment(path), [1.0, 2.5, -0.25])
 
     def test_newline_separated(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0\n2.5\n-0.25\n")
-        np.testing.assert_array_equal(load_segment(path, Band.UPPER).samples, [1.0, 2.5, -0.25])
+        np.testing.assert_array_equal(load_segment(path), [1.0, 2.5, -0.25])
 
     def test_mixed_separators(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0, 2.5\n-0.25,3e-2\n")
         np.testing.assert_array_equal(
-            load_segment(path, Band.LOWER).samples, [1.0, 2.5, -0.25, 0.03]
+            load_segment(path), [1.0, 2.5, -0.25, 0.03]
         )
 
     def test_parse_error_names_offset(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0,abc")
         with pytest.raises(ParseError, match="offset 2"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0\n2.0\nbad\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_non_finite_sample_rejected(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("1.0,nan,2.0")
         with pytest.raises(ParseError, match="offset 2"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text("  \n")
         with pytest.raises(InsufficientDataError):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_segment(tmp_path / "nope.csv", Band.LOWER)
+            load_segment(tmp_path / "nope.csv")
 
     def test_outer_separators_ignored(self, tmp_path):
         path = tmp_path / "seg.csv"
         path.write_text(",\t1.0, 2.5,\r\n-0.25,\n")
-        np.testing.assert_array_equal(load_segment(path, Band.LOWER).samples, [1.0, 2.5, -0.25])
+        np.testing.assert_array_equal(load_segment(path), [1.0, 2.5, -0.25])
         path.write_text(", ,\n,")
         with pytest.raises(InsufficientDataError):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     @pytest.mark.parametrize(
         "text, offset, line",
@@ -108,7 +104,7 @@ class TestLoadSegment:
         path = tmp_path / "seg.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=f"invalid numeric token .* at offset {offset} \\(line {line}\\)"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 8, 13])
     def test_tokens_straddling_chunks(self, tmp_path, monkeypatch, chunk_bytes):
@@ -116,10 +112,10 @@ class TestLoadSegment:
         path = tmp_path / "seg.csv"
         path.write_text(" ,".join(map(repr, samples.tolist())) + "\n")
         monkeypatch.setattr(dataset_mod, "_CHUNK_BYTES", chunk_bytes)
-        assert load_segment(path, Band.LOWER).samples.tobytes() == samples.tobytes()
+        assert load_segment(path).tobytes() == samples.tobytes()
         path.write_text("1.0,\n2.0,\n3.0,\n2.0e\n")
         with pytest.raises(ParseError, match="'2.0e' at offset 4 \\(line 4\\)"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_numpy_1_unparseable_token_warning(self, tmp_path, monkeypatch):
         # numpy < 2 warns and returns the samples before the bad token.
@@ -136,7 +132,7 @@ class TestLoadSegment:
         path = tmp_path / "seg.csv"
         path.write_text("1.0,abc,2.0")
         with pytest.raises(ParseError, match="'abc' at offset 2"):
-            load_segment(path, Band.LOWER)
+            load_segment(path)
 
     def test_parse_memory_bound(self, tmp_path):
         n = 1 << 18
@@ -145,7 +141,7 @@ class TestLoadSegment:
         path.write_text(",".join(map(repr, samples.tolist())) + "\n")
         tracemalloc.start()
         try:
-            parsed = load_segment(path, Band.LOWER).samples
+            parsed = load_segment(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,7 +245,7 @@ class TestFastParse:
         path = tmp_path / "seg.csv"
         path.write_text(f"1.5,\n{token},2.5")
         with pytest.raises(ParseError) as info:
-            load_segment(path, Band.LOWER)
+            load_segment(path)
         assert str(info.value) == f"{path}: non-finite sample {token!r} at offset 2 (line 2)"
 
     def test_gate_off_gives_the_same_samples(self, tmp_path, monkeypatch):
@@ -258,14 +254,14 @@ class TestFastParse:
         )[:5000]
         path = tmp_path / "seg.csv"
         path.write_text(",\n".join(map(repr, samples.tolist())))
-        fast = load_segment(path, Band.LOWER).samples
+        fast = load_segment(path)
 
         def no_fast_path(block):
             raise AssertionError("the fast path ran with the gate off")
 
         monkeypatch.setattr(dataset_mod, "_FAST_PARSE", False)
         monkeypatch.setattr(dataset_mod, "_parse_fast", no_fast_path)
-        slow = load_segment(path, Band.LOWER).samples
+        slow = load_segment(path)
         assert fast.tobytes() == slow.tobytes() == samples.tobytes()
 
 
@@ -496,9 +492,9 @@ class TestSyntheticCorpus:
         manifest = write_synthetic_corpus(tmp_path / "c", n_per_class=1, seed=2, length=2048)
         entry = manifest.entries[3]
         lb_path, _ = manifest.resolve(entry)
-        reloaded = load_segment(lb_path, Band.LOWER)
+        reloaded = load_segment(lb_path)
         direct, _ = synth_segment(entry.case3, 2, length=2048, index=0)
-        np.testing.assert_array_equal(reloaded.samples, direct.samples)
+        np.testing.assert_array_equal(reloaded, direct.samples)
 
 
 class TestBuildDataset:
@@ -581,7 +577,7 @@ class TestMultiModeExtraction:
         both = joint[BandMode.CONCATENATED].features
         np.testing.assert_array_equal(both[:, :512], joint[BandMode.LOWER_ONLY].features)
         _, ub_path = small_corpus.resolve(small_corpus.entries[0])
-        ub = segment_spectrum(load_segment(ub_path, Band.UPPER).samples, Band.UPPER, 1024)
+        ub = segment_spectrum(load_segment(ub_path), Band.UPPER, 1024)
         np.testing.assert_array_equal(joint[BandMode.UPPER_ONLY].features[0], ub.bins)
 
     def test_missing_lower_band_is_data_error(self, small_corpus, tmp_path):
@@ -702,21 +698,6 @@ class TestFeatureCache:
 
 
 class TestRecordsAndDatasets:
-    def test_segment_record_validation(self):
-        with pytest.raises(InsufficientDataError):
-            SegmentRecord("empty", Band.LOWER, np.array([]))
-        with pytest.raises(DataError, match="index 1"):
-            SegmentRecord("nan", Band.LOWER, np.array([1.0, np.nan]))
-
-    def test_labeled_dataset_validation(self):
-        features = np.ones((4, 8))
-        with pytest.raises(SchemaError):
-            LabeledDataset(features, np.array([0, 1, 2, 0]), Case.I, BandMode.LOWER_ONLY)
-        bad = features.copy()
-        bad[2, 3] = np.inf
-        with pytest.raises(Exception):
-            LabeledDataset(bad, np.zeros(4, dtype=int), Case.I, BandMode.LOWER_ONLY)
-
     def test_nearest_centroid_separability(self):
         # Resubstitution nearest-centroid on lower-band features; the
         # guarantee that keeps pipeline-level tests meaningful.

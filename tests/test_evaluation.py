@@ -20,7 +20,7 @@ from rfsentry.evaluation import (
     t_critical,
 )
 from rfsentry.gbdt import TrainConfig
-from rfsentry.spectrum import Band, BandMode, Extraction
+from rfsentry.spectrum import BandMode, Extraction
 
 FRAMES_1024 = Extraction(frame_size=1024)
 
@@ -351,16 +351,16 @@ class TestCompareBands:
         seen = []
         real = dataset_mod.load_segment
 
-        def counting(path, band):
-            seen.append((str(path), band))
-            return real(path, band)
+        def counting(path):
+            seen.append(str(path))
+            return real(path)
 
         monkeypatch.setattr(dataset_mod, "load_segment", counting)
         config = TrainConfig(n_rounds=1, max_depth=1)
         compare_bands(small_corpus, Case.I, config, k=2, seed=0, extraction=FRAMES_1024)
         n = len(small_corpus.entries)
         assert len(seen) == len(set(seen)) == 2 * n
-        assert [band for _, band in seen[:2]] == [Band.LOWER, Band.UPPER]
+        assert seen[:2] == [str(path) for path in small_corpus.resolve(small_corpus.entries[0])]
 
     def test_parallel_report_is_identical(self, small_corpus, comparison):
         config = TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5)

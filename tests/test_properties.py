@@ -17,7 +17,7 @@ from rfsentry import dataset, gbdt
 from rfsentry.cli import main
 from rfsentry.dataset import load_features, load_manifest, load_segment
 from rfsentry.errors import DegenerateLeafError, InsufficientDataError, ParseError, RfSentryError
-from rfsentry.spectrum import Band, Extraction
+from rfsentry.spectrum import Extraction
 
 BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -52,7 +52,7 @@ def test_band_file_bytes(scratch, data):
     path = scratch / "band.csv"
     path.write_bytes(data)
     with contextlib.suppress(RfSentryError):
-        load_segment(path, Band.LOWER)
+        load_segment(path)
 
 
 @BOUNDARY
@@ -94,7 +94,7 @@ def test_band_file_round_trip(scratch, values, data, chunk_bytes):
     path = scratch / "band.csv"
     path.write_bytes(text.encode())
     with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes):
-        samples = load_segment(path, Band.LOWER).samples
+        samples = load_segment(path)
     assert samples.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
 
@@ -122,13 +122,13 @@ def test_band_file_matches_reference(scratch, text, chunk_bytes):
     with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes):
         if isinstance(expected, str):
             with pytest.raises(ParseError) as info:
-                load_segment(path, Band.LOWER)
+                load_segment(path)
             assert str(info.value) == f"{path}: {expected}"
         elif expected.size == 0:
             with pytest.raises(InsufficientDataError):
-                load_segment(path, Band.LOWER)
+                load_segment(path)
         else:
-            assert load_segment(path, Band.LOWER).samples.tobytes() == expected.tobytes()
+            assert load_segment(path).tobytes() == expected.tobytes()
 
 
 def assert_fast_parse_matches(block):

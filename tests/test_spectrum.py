@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from rfsentry import spectrum as spectrum_mod
 
 from rfsentry.errors import (
     ConfigurationError,
@@ -131,11 +135,10 @@ class TestOneSidedMagnitude:
         spectrum = segment_spectrum(x, Band.LOWER, frame_size=8)
         np.testing.assert_allclose(spectrum.bins, [0, 0, 0, 4], atol=1e-12)
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ShapeError):
-            MagnitudeSpectrum(np.zeros((4, 4)), Band.LOWER)
-        with pytest.raises(ShapeError):
-            MagnitudeSpectrum(np.zeros(6), Band.LOWER)
+    def test_finite_samples_that_overflow_the_transform(self):
+        # Each sample is finite; the DC bin, their sum, is not.
+        with pytest.raises(ShapeError, match="finite and non-negative"):
+            segment_spectrum(np.full(2048, 1e306), Band.LOWER)
 
 
 class TestFrameSegment:
@@ -171,6 +174,35 @@ class TestFrameSegment:
     def test_too_short_segment(self):
         with pytest.raises(InsufficientDataError):
             segment_spectrum(np.zeros(100), Band.LOWER, 128, 128)
+
+    # 128-sample frames over 1000 samples: at hop 64 the last frame ends at
+    # 959; at hop 200 frames cover 0..127, 200..327, ... 800..927.
+    @pytest.mark.parametrize("hop, bad", [(1, 999), (64, 959), (128, 0), (200, 210)])
+    def test_non_finite_covered_sample_rejected(self, hop, bad):
+        samples = np.zeros(1000)
+        samples[bad] = np.nan
+        with pytest.raises(InvalidFrameError):
+            segment_spectrum(samples, Band.LOWER, 128, hop)
+
+    @pytest.mark.parametrize("hop, bad", [(64, 960), (200, 150), (200, 999)])
+    def test_uncovered_samples_are_not_read(self, hop, bad):
+        samples = np.zeros(1000)
+        samples[bad] = np.inf
+        assert segment_spectrum(samples, Band.LOWER, 128, hop).bins.tobytes() == bytes(8 * 64)
+
+    @pytest.mark.parametrize("frame_size", [256, 1024])
+    def test_overlap_check_memory_is_bounded(self, frame_size):
+        # At hop 1 the frame view has frame_size entries per sample; checking
+        # it would take that many bytes per sample (32 MB here at N = 1024).
+        # The check takes one byte per sample, the transform a bounded block.
+        samples = np.random.default_rng(frame_size).normal(size=1 << 15)
+        tracemalloc.start()
+        try:
+            segment_spectrum(samples, Band.LOWER, frame_size, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples.size + 48 * spectrum_mod._FFT_BLOCK_SAMPLES
 
     def test_bad_hop(self):
         with pytest.raises(ConfigurationError):
@@ -269,6 +301,13 @@ class TestScalingFactor:
 
 
 class TestConcatenateBands:
+    def test_overflowing_scale_rejected(self):
+        # A finite scale times finite upper-band bins past the float64 range.
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.full(16, 1e200), Band.UPPER)
+        with pytest.raises(ShapeError, match="not finite"):
+            concatenate_bands(lb, ub, 1e200)
+
     def test_lengths(self):
         lb = make_spectrum(np.ones(1024), Band.LOWER)
         ub = make_spectrum(np.ones(1024), Band.UPPER)
