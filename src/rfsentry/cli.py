@@ -24,7 +24,7 @@ from . import dataset as dataset_mod
 from . import evaluation, gbdt
 from .dataset import Case
 from .errors import ConfigurationError, RfSentryError
-from .spectrum import WINDOWS, BandMode, Extraction
+from .spectrum import WINDOWS, Band, BandMode, Extraction
 
 log = logging.getLogger(__name__)
 
@@ -234,10 +234,9 @@ def cmd_predict(args) -> int:
         if args.lb is None and args.ub is None:
             raise ConfigurationError("predict needs --features, or --lb/--ub segment files")
         band_mode = BandMode(args.band or "lower")
-        if band_mode in dataset_mod.NEEDS_LOWER and args.lb is None:
-            raise ConfigurationError(f"--band {band_mode.value} requires --lb")
-        if band_mode in dataset_mod.NEEDS_UPPER and args.ub is None:
-            raise ConfigurationError(f"--band {band_mode.value} requires --ub")
+        for band, path, flag in ((Band.LOWER, args.lb, "--lb"), (Band.UPPER, args.ub, "--ub")):
+            if band in band_mode.bands and path is None:
+                raise ConfigurationError(f"--band {band_mode.value} requires {flag}")
         rows = dataset_mod.extract_pair(args.lb, args.ub, (band_mode,), extraction, "cli-input")
         features = rows[band_mode][None, :]
         source = str(args.lb or args.ub)

@@ -415,48 +415,67 @@ def build_dronerf_manifest(root) -> Manifest:
 
 SYNTH_DEFAULT_LENGTH = 8192
 
-_LB_CARRIER_TONES = ((950, 2.0),)
-_UB_CARRIER_TONES = ((100, 1.8),)
-_LB_BASE_TONES = {
-    0: (),
-    1: ((120, 1.0), (340, 0.8), (560, 0.6)),
-    2: ((180, 1.0), (420, 0.8), (700, 0.6)),
-    3: ((260, 1.0), (500, 0.9), (840, 0.7)),
-}
-_UB_BASE_TONES = {
-    0: (),
-    1: ((150, 0.9), (410, 0.7)),
-    2: ((220, 0.9), (530, 0.7)),
-    3: ((300, 0.9), (660, 0.7)),
-}
-_LB_COMB_START = {1: 60, 2: 90, 3: 130}
-_UB_COMB_START = {1: 700, 2: 740, 3: 780}
-_COMB_SPACINGS = (17, 23, 29, 35)
+_COMB_SPACINGS = (17, 23, 29, 35)  # by mode
 _COMB_TEETH = 5
-_LB_COMB_AMP = 0.5
-_UB_COMB_AMP = 0.25
-_LB_COMB_DROPOUT = 0.25
-_UB_COMB_DROPOUT = 0.55
 
 
-def _comb_tones(start: int, spacing: int, amplitude: float) -> tuple[tuple[int, float], ...]:
-    return tuple((start + spacing * (i + 1), amplitude) for i in range(_COMB_TEETH))
+@dataclass(frozen=True)
+class _BandTones:
+    """One band's synthetic tones as (bin, amplitude) pairs: the carrier, the
+    base tones of drone types 1-3, where each type's comb starts, the comb's
+    amplitude, and the fraction of segments whose comb drops out."""
+
+    carrier: tuple[tuple[int, float], ...]
+    base: dict[int, tuple[tuple[int, float], ...]]
+    comb_start: dict[int, int]
+    comb_amp: float
+    dropout: float
+
+
+_TONES = {
+    Band.LOWER: _BandTones(
+        carrier=((950, 2.0),),
+        base={
+            1: ((120, 1.0), (340, 0.8), (560, 0.6)),
+            2: ((180, 1.0), (420, 0.8), (700, 0.6)),
+            3: ((260, 1.0), (500, 0.9), (840, 0.7)),
+        },
+        comb_start={1: 60, 2: 90, 3: 130},
+        comb_amp=0.5,
+        dropout=0.25,
+    ),
+    Band.UPPER: _BandTones(
+        carrier=((100, 1.8),),
+        base={
+            1: ((150, 0.9), (410, 0.7)),
+            2: ((220, 0.9), (530, 0.7)),
+            3: ((300, 0.9), (660, 0.7)),
+        },
+        comb_start={1: 700, 2: 740, 3: 780},
+        comb_amp=0.25,
+        dropout=0.55,
+    ),
+}
+
+
+def _class_tones(class_id: int, band: Band, comb: bool) -> tuple[tuple[int, float], ...]:
+    """The (bin, amplitude) tones of one band of a synthetic class; none for
+    class 0, and the comb only if ``comb``."""
+    drone_type = Case.II.label(class_id)
+    if drone_type == 0:
+        return ()
+    table = _TONES[band]
+    tones = table.carrier + table.base[drone_type]
+    if comb:
+        start = table.comb_start[drone_type]
+        spacing = _COMB_SPACINGS[DRONERF_CLASSES[class_id].mode]
+        tones += tuple((start + spacing * (i + 1), table.comb_amp) for i in range(_COMB_TEETH))
+    return tones
 
 
 def class_tone_bins(class_id: int, band: Band, include_comb: bool = True) -> tuple[int, ...]:
     """Analysis bins carrying deliberate tones for a synthetic class."""
-    drone_type = Case.II.label(class_id)
-    if drone_type == 0:
-        return ()
-    lower = band is Band.LOWER
-    base = _LB_BASE_TONES if lower else _UB_BASE_TONES
-    bins = [b for b, _ in (_LB_CARRIER_TONES if lower else _UB_CARRIER_TONES)]
-    bins.extend(b for b, _ in base[drone_type])
-    if include_comb:
-        start = (_LB_COMB_START if lower else _UB_COMB_START)[drone_type]
-        spacing = _COMB_SPACINGS[DRONERF_CLASSES[class_id].mode]
-        bins.extend(b for b, _ in _comb_tones(start, spacing, 1.0))
-    return tuple(bins)
+    return tuple(b for b, _ in _class_tones(class_id, band, include_comb))
 
 
 def _tone_signal(rng, tones, amp_scale, sigma, length) -> np.ndarray:
@@ -491,7 +510,7 @@ def synth_segment(
     The counter-based generator is keyed by (seed, class_id, index), so
     parallel generation order cannot change the output.
     """
-    drone_type = Case.II.label(class_id)
+    Case.II.label(class_id)  # an unknown class fails before the other arguments
     if seed < 0 or index < 0 or index >= 1 << 32:
         raise ConfigurationError("seed and index must be non-negative (index < 2^32)")
     if length < DEFAULT_FRAME_SIZE:
@@ -503,22 +522,12 @@ def synth_segment(
 
     amp_scale = rng.uniform(0.8, 1.25)
     sigma = rng.uniform(0.9, 1.1)
-    lb_comb_on = rng.random() >= _LB_COMB_DROPOUT
-    ub_comb_on = rng.random() >= _UB_COMB_DROPOUT
-
-    lb_tones: tuple = ()
-    ub_tones: tuple = ()
-    if drone_type != 0:
-        spacing = _COMB_SPACINGS[DRONERF_CLASSES[class_id].mode]
-        lb_tones = _LB_CARRIER_TONES + _LB_BASE_TONES[drone_type]
-        ub_tones = _UB_CARRIER_TONES + _UB_BASE_TONES[drone_type]
-        if lb_comb_on:
-            lb_tones = lb_tones + _comb_tones(_LB_COMB_START[drone_type], spacing, _LB_COMB_AMP)
-        if ub_comb_on:
-            ub_tones = ub_tones + _comb_tones(_UB_COMB_START[drone_type], spacing, _UB_COMB_AMP)
-
-    lb_samples = _tone_signal(rng, lb_tones, amp_scale, sigma, length)
-    ub_samples = _tone_signal(rng, ub_tones, amp_scale, sigma, length)
+    # Band iterates lower, then upper: both comb draws come before both signals.
+    comb_on = {band: rng.random() >= _TONES[band].dropout for band in Band}
+    lb_samples, ub_samples = (
+        _tone_signal(rng, _class_tones(class_id, band, comb_on[band]), amp_scale, sigma, length)
+        for band in Band
+    )
     stem = f"synth-c{class_id:02d}-i{index:04d}"
     return (
         SegmentRecord(f"{stem}-lb", Band.LOWER, lb_samples),
@@ -611,11 +620,6 @@ def pool_map(fn, jobs: int, tasks: int, *iterables) -> Iterable:
         return list(pool.map(fn, *iterables))
 
 
-# The band modes that read each band file.
-NEEDS_LOWER = (BandMode.LOWER_ONLY, BandMode.CONCATENATED)
-NEEDS_UPPER = (BandMode.UPPER_ONLY, BandMode.CONCATENATED)
-
-
 def extract_pair(
     lb_path,
     ub_path,
@@ -633,9 +637,9 @@ def extract_pair(
     framing = (extraction.frame_size, extraction.hop, extraction.window)
     try:
         lb = ub = None
-        if any(mode in NEEDS_LOWER for mode in modes):
+        if any(Band.LOWER in mode.bands for mode in modes):
             lb = segment_spectrum(load_segment(lb_path), Band.LOWER, *framing)
-        if any(mode in NEEDS_UPPER for mode in modes):
+        if any(Band.UPPER in mode.bands for mode in modes):
             ub = segment_spectrum(load_segment(ub_path), Band.UPPER, *framing)
         rows = {}
         for mode in modes:

@@ -265,87 +265,40 @@ def cross_validate(
 
 
 # ---------------------------------------------------------------------------
-# Student-t critical values via the regularized incomplete beta function.
+# Student-t critical values from the finite series for integer df.
 # ---------------------------------------------------------------------------
 
-_BETA_MAX_ITER = 400
-_BETA_EPS = 3e-16
-_BETA_TINY = 1e-300
 
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    return h
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        + math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+def _check_dof(df) -> None:
+    if not isinstance(df, (int, np.integer)) or isinstance(df, bool) or df < 1:
+        raise ConfigurationError(f"degrees of freedom must be an integer >= 1, got {df!r}")
 
 
 def student_t_cdf(t: float, df: int) -> float:
-    """CDF of the Student-t distribution with df degrees of freedom."""
-    if df < 1:
-        raise ConfigurationError(f"degrees of freedom must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * _betainc(0.5 * df, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    """CDF of the Student-t distribution with integer df >= 1.
+
+    A = P(|T| <= |t|) is a finite series in theta = atan(|t| / sqrt(df))
+    (Abramowitz & Stegun 26.7.3-4): sin(theta) times a sum of powers of
+    cos(theta), plus theta and a factor 2 / pi for odd df.
+    """
+    _check_dof(df)
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos, odd = math.cos(theta), df % 2
+    term = cos if odd else 1.0
+    series = 0.0
+    for j in range(odd + 2, df + 1, 2):
+        series += term
+        term *= (j - 1) / j * cos * cos
+    tail = math.sin(theta) * series
+    a = (theta + tail) * 2.0 / math.pi if odd else tail
+    return 0.5 + math.copysign(0.5 * a, t)
 
 
 def t_critical(prob: float, df: int) -> float:
     """Quantile of the Student-t distribution (inverse CDF) by bisection."""
     if not (0.0 < prob < 1.0):
         raise ConfigurationError(f"quantile probability must be in (0, 1), got {prob}")
-    if df < 1:
-        raise ConfigurationError(f"degrees of freedom must be >= 1, got {df}")
+    _check_dof(df)
     if prob == 0.5:
         return 0.0
     target = prob if prob > 0.5 else 1.0 - prob
@@ -433,7 +386,6 @@ class BandComparison:
     fold_fingerprint: str
 
     def to_dict(self) -> dict:
-        fingerprints = {rep.config_fingerprint for rep in self.reports.values()}
         return {
             "case": self.case.value,
             "bands": {mode.value: rep.to_dict() for mode, rep in self.reports.items()},
@@ -442,7 +394,7 @@ class BandComparison:
                 "lb_vs_both": self.lb_vs_both.to_dict(),
             },
             "alpha": self.alpha,
-            "config_fingerprint": fingerprints.pop() if len(fingerprints) == 1 else sorted(fingerprints),
+            "config_fingerprint": self.reports[BandMode.LOWER_ONLY].config_fingerprint,
             "fold_fingerprint": self.fold_fingerprint,
         }
 

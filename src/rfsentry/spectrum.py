@@ -57,9 +57,15 @@ class BandMode(enum.Enum):
     UPPER_ONLY = "upper"
     CONCATENATED = "both"
 
+    @property
+    def bands(self) -> tuple[Band, ...]:
+        """The bands this layout reads, lower first."""
+        if self is BandMode.CONCATENATED:
+            return (Band.LOWER, Band.UPPER)
+        return (Band.LOWER,) if self is BandMode.LOWER_ONLY else (Band.UPPER,)
+
     def feature_length(self, extraction: Extraction) -> int:
-        half = extraction.frame_size // 2
-        return 2 * half if self is BandMode.CONCATENATED else half
+        return len(self.bands) * (extraction.frame_size // 2)
 
 
 def _check_framing(frame_size: int, hop: int) -> None:
@@ -121,13 +127,14 @@ def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray
     count, n = frames.shape
     step = count if n == 2 else max(1, _FFT_BLOCK_SAMPLES // n)
     rows = np.zeros((min(step, count) + 1, n // 2))  # row 0: the sum of the blocks before
-    for start in range(0, count, step):
-        block = frames[start : start + step]
-        if window is not None:
-            block = block * window
-        np.abs(np.fft.fft(block, axis=-1)[:, : n // 2], out=rows[1 : len(block) + 1])
-        rows[0] = np.add.reduce(rows[int(start == 0) : len(block) + 1], axis=0)
-    return rows[0] / count
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the bins
+        for start in range(0, count, step):
+            block = frames[start : start + step]
+            if window is not None:
+                block = block * window
+            np.abs(np.fft.fft(block, axis=-1)[:, : n // 2], out=rows[1 : len(block) + 1])
+            rows[0] = np.add.reduce(rows[int(start == 0) : len(block) + 1], axis=0)
+        return rows[0] / count
 
 
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
@@ -218,7 +225,8 @@ def concatenate_bands(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float) ->
     _check_band_pair(lb, ub)
     if not np.isfinite(s) or s <= 0:
         raise ConfigurationError(f"scaling factor must be finite and positive, got {s}")
-    row = np.concatenate((lb.bins, s * ub.bins))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        row = np.concatenate((lb.bins, s * ub.bins))
     if not np.isfinite(row).all():
         raise ShapeError(f"joined feature row is not finite at scaling factor {s!r}")
     return row

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,20 @@ class TestTrainPredict:
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0
         assert main(["predict", "--model", str(model_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [
+            (["--ub", "ub.csv"], "--band lower requires --lb"),
+            (["--lb", "lb.csv", "--band", "upper"], "--band upper requires --ub"),
+            (["--ub", "ub.csv", "--band", "both"], "--band both requires --lb"),
+            (["--lb", "lb.csv", "--band", "both"], "--band both requires --ub"),
+        ],
+    )
+    def test_predict_band_needs_its_files(self, flags, missing, lower_model, capsys):
+        # Checked before any band file is read: the named files do not exist.
+        assert main(["predict", "--model", str(lower_model), *flags]) == 2
+        assert f"error: {missing}" in capsys.readouterr().err
+
     def test_model_round_trip_via_cli(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0
@@ -582,7 +597,11 @@ class TestMalformedInputs:
             "entries": [{"lb_path": "big_lb.csv", "ub_path": "big_ub.csv", "label": 1}],
         }))
         out = tmp_path / "out.rfds"
-        assert main(["features", "--manifest", str(manifest), "--case", "1", "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["features", "--manifest", str(manifest), "--case", "1", "--out", str(out)])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: feature extraction failed for entry 0 (big_lb)")
         assert "magnitude bins must be finite" in err
@@ -606,7 +625,11 @@ class TestMalformedInputs:
         out = tmp_path / "predict.json"
         argv = ["predict", "--model", str(model), "--lb", str(tmp_path / "lb.csv")]
         argv += ["--ub", str(tmp_path / "ub.csv"), "--band", "both", "--frame-size", "1024"]
-        assert main([*argv, "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: feature extraction failed for cli-input")
         assert "joined feature row is not finite" in err

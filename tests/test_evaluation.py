@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfsentry.dataset as dataset_mod
 from rfsentry import gbdt
@@ -151,14 +153,29 @@ class TestStudentT:
         assert t_critical(0.975, 9) == pytest.approx(2.262, abs=1e-3)
 
     def test_against_scipy(self):
+        # K <= rows, and DroneRF has 454 segments: df reaches past 450.
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(12)
-        for _ in range(50):
+        for df in [*range(1, 61), 99, 199, 453, 500, *rng.integers(61, 501, 30).tolist()]:
             prob = rng.uniform(0.6, 0.999)
-            df = int(rng.integers(1, 60))
             ours = t_critical(prob, df)
             reference = scipy_stats.t.ppf(prob, df)
             assert ours == pytest.approx(reference, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        t=st.floats(allow_nan=False),
+        gap=st.floats(0.0, 1e3),
+        df=st.integers(1, 40) | st.integers(1, 500),
+    )
+    def test_cdf_properties(self, t, gap, df):
+        low, high = student_t_cdf(t, df), student_t_cdf(t + gap, df)
+        assert 0.0 <= low <= 1.0
+        # Non-decreasing up to rounding: adjacent floats can swap by a few ulps.
+        assert low <= high + 1e-14
+        assert abs(low + student_t_cdf(-t, df) - 1.0) <= 1e-15
+        assert student_t_cdf(-math.inf, df) == 0.0
+        assert student_t_cdf(math.inf, df) == 1.0
 
     def test_symmetry_and_median(self):
         assert t_critical(0.5, 7) == 0.0
@@ -174,6 +191,13 @@ class TestStudentT:
             t_critical(1.0, 5)
         with pytest.raises(ConfigurationError):
             t_critical(0.9, 0)
+
+    @pytest.mark.parametrize("df", [2.5, True, 0])
+    def test_non_integer_or_zero_dof_rejected(self, df):
+        with pytest.raises(ConfigurationError, match="integer >= 1"):
+            student_t_cdf(1.0, df)
+        with pytest.raises(ConfigurationError, match="integer >= 1"):
+            t_critical(0.9, df)
 
 
 class TestPairedTTest:

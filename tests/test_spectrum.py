@@ -16,6 +16,7 @@ from rfsentry.spectrum import (
     MAX_FRAME_SIZE,
     WINDOWS,
     Band,
+    BandMode,
     Extraction,
     MagnitudeSpectrum,
     compute_scaling_factor,
@@ -364,6 +365,13 @@ class TestFeatureVector:
         assert lb.bins.shape == ub.bins.shape == (1024,)
         row = concatenate_bands(lb, ub, 1.0)
         np.testing.assert_array_equal(row, np.concatenate((lb.bins, ub.bins)))
+
+    def test_each_layout_names_its_bands_lower_first(self):
+        assert BandMode.LOWER_ONLY.bands == (Band.LOWER,)
+        assert BandMode.UPPER_ONLY.bands == (Band.UPPER,)
+        assert BandMode.CONCATENATED.bands == (Band.LOWER, Band.UPPER)
+        lengths = [mode.feature_length(Extraction(frame_size=512)) for mode in BandMode]
+        assert lengths == [256, 256, 512]
 
 
 class TestSegmentSpectrum:
