@@ -56,13 +56,12 @@ def _train_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--min-child-weight", type=float, default=1.0, help="minimum child hessian sum")
 
 
-def _case_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
+def _case_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--case",
         type=int,
         choices=(1, 2, 3),
-        required=required,
-        default=None if required else argparse.SUPPRESS,
+        required=True,
         help="classification case: 1 presence, 2 presence+type, 3 presence+type+mode",
     )
 

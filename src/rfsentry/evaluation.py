@@ -2,17 +2,16 @@
 paired t-test used to compare band variants over shared fold partitions.
 
 Fold membership depends only on (labels, K, seed), so runs that differ
-in band mode but share a manifest pair up fold-for-fold; the pairing is
-asserted through fold fingerprints.
+in band mode but share a manifest pair up fold-for-fold; every report
+records its partition's fold fingerprint.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,6 @@ from .errors import (
     ShapeError,
 )
 from .spectrum import BandMode, Extraction
-
-log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
@@ -54,8 +51,8 @@ class FoldAssignment:
 def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     """Shuffle each class with the seeded generator and deal it round-robin.
 
-    The dealing pointer carries over between classes so overall fold
-    sizes stay balanced too.
+    The dealing pointer carries over between classes, so overall fold
+    sizes differ by at most one too, and with k <= n no fold is empty.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -67,10 +64,8 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     fold_of = np.empty(n, dtype=np.int64)
     cursor = 0
     for cls in np.unique(labels):
-        rows = np.flatnonzero(labels == cls)
-        rows = rng.permutation(rows)
-        for j, row in enumerate(rows):
-            fold_of[row] = (cursor + j) % k
+        rows = rng.permutation(np.flatnonzero(labels == cls))
+        fold_of[rows] = (cursor + np.arange(rows.shape[0])) % k
         cursor = (cursor + rows.shape[0]) % k
     return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
 
@@ -141,23 +136,14 @@ def metrics(confusion: np.ndarray) -> MetricSet:
         recall = np.where(row_sums > 0, diag / row_sums, 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / pr, 0.0)
-    undefined_precision = int((col_sums == 0).sum())
-    undefined_recall = int((row_sums == 0).sum())
-    if undefined_precision or undefined_recall:
-        log.warning(
-            "metrics over %d classes: %d with undefined precision, %d with undefined recall",
-            confusion.shape[0],
-            undefined_precision,
-            undefined_recall,
-        )
     return MetricSet(
         accuracy=float(diag.sum() / total),
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
         confusion=confusion,
-        undefined_precision=undefined_precision,
-        undefined_recall=undefined_recall,
+        undefined_precision=int((col_sums == 0).sum()),
+        undefined_recall=int((row_sums == 0).sum()),
     )
 
 
@@ -199,9 +185,9 @@ def _fold_confusion(
     features: np.ndarray,
     labels: np.ndarray,
     fold_of: np.ndarray,
-    fold: int,
     config: gbdt.TrainConfig,
     presort: gbdt.Presort,
+    fold: int,
 ) -> np.ndarray:
     in_train = fold_of != fold
     train_rows = np.flatnonzero(in_train)
@@ -228,19 +214,11 @@ def cross_validate(
             f"dataset's case has {dataset.case.n_classes}"
         )
     folds = stratified_kfold(dataset.labels, k, seed)
-    for fold in range(k):
-        if folds.test_rows(fold).size == 0:
-            raise ConfigurationError(f"fold {fold} has no test rows")
-
-    args = (
-        itertools.repeat(dataset.features),
-        itertools.repeat(dataset.labels),
-        itertools.repeat(folds.fold_of),
-        range(k),
-        itertools.repeat(train_config),
-        itertools.repeat(gbdt.Presort.of(dataset.features)),
+    presort = gbdt.Presort.of(dataset.features)
+    fit = functools.partial(
+        _fold_confusion, dataset.features, dataset.labels, folds.fold_of, train_config, presort
     )
-    per_fold = [metrics(c) for c in dataset_mod.pool_map(_fold_confusion, jobs, k, *args)]
+    per_fold = [metrics(c) for c in dataset_mod.pool_map(fit, jobs, k, range(k))]
     mean = {}
     std = {}
     for name in METRIC_NAMES:
@@ -295,7 +273,11 @@ def student_t_cdf(t: float, df: int) -> float:
 
 
 def t_critical(prob: float, df: int) -> float:
-    """Quantile of the Student-t distribution (inverse CDF) by bisection."""
+    """Quantile of the Student-t distribution (inverse CDF) by bisection.
+
+    The bisection stops when the midpoint rounds to an end of the
+    interval; no later step could move either end.
+    """
     if not (0.0 < prob < 1.0):
         raise ConfigurationError(f"quantile probability must be in (0, 1), got {prob}")
     _check_dof(df)
@@ -303,18 +285,16 @@ def t_critical(prob: float, df: int) -> float:
         return 0.0
     target = prob if prob > 0.5 else 1.0 - prob
     lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, df) < target:
+    while hi <= 1e300 and student_t_cdf(hi, df) < target:
         hi *= 2.0
-        if hi > 1e300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if student_t_cdf(mid, df) < target:
             lo = mid
         else:
             hi = mid
-    t = 0.5 * (lo + hi)
-    return t if prob > 0.5 else -t
+        mid = 0.5 * (lo + hi)
+    return mid if prob > 0.5 else -mid
 
 
 @dataclass(frozen=True)
@@ -339,8 +319,8 @@ def paired_ttest(
 ) -> TTestResult:
     """Test the null that the mean per-fold difference is zero.
 
-    The pairs must come from identical fold partitions; callers enforce
-    that with fold fingerprints. A zero-spread difference vector is
+    The pairs must come from identical fold partitions, as they do when
+    the runs share labels, K and seed. A zero-spread difference vector is
     reported as degenerate: t = 0 and no rejection when the mean is also
     zero, otherwise an infinite t with a point confidence interval.
     """
@@ -360,7 +340,6 @@ def paired_ttest(
     if s_d == 0.0:
         if mean_diff == 0.0:
             return TTestResult(0.0, 0.0, dof, 0.0, 0.0, alpha, False, degenerate=True)
-        log.warning("paired t-test: zero spread with nonzero mean difference %g", mean_diff)
         t_stat = math.inf if mean_diff > 0 else -math.inf
         return TTestResult(
             mean_diff, t_stat, dof, mean_diff, mean_diff, alpha, True, degenerate=True
@@ -383,7 +362,10 @@ class BandComparison:
     lb_vs_ub: TTestResult
     lb_vs_both: TTestResult
     alpha: float
-    fold_fingerprint: str
+
+    @property
+    def fold_fingerprint(self) -> str:
+        return self.reports[BandMode.LOWER_ONLY].fold_fingerprint
 
     def to_dict(self) -> dict:
         return {
@@ -432,9 +414,6 @@ def compare_bands(
         mode: cross_validate(ds, train_config, k=k, seed=seed, jobs=jobs)
         for mode, ds in datasets.items()
     }
-    fingerprints = {rep.fold_fingerprint for rep in reports.values()}
-    if len(fingerprints) != 1:
-        raise ConfigurationError("band runs produced different fold partitions")
     acc = {mode: rep.fold_scores("accuracy") for mode, rep in reports.items()}
     return BandComparison(
         case=case,
@@ -444,7 +423,6 @@ def compare_bands(
             acc[BandMode.LOWER_ONLY], acc[BandMode.CONCATENATED], alpha
         ),
         alpha=alpha,
-        fold_fingerprint=fingerprints.pop(),
     )
 
 

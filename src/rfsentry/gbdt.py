@@ -648,8 +648,8 @@ def load_model(path) -> GbdtModel:
     """Read a model container; predictions round-trip bit-exactly.
 
     Sizes are checked against the file length before any array is read,
-    and the arrays are checked before the model is returned; any
-    violation is a FormatError.
+    and the arrays and the base score (which must be finite) are checked
+    before the model is returned; any violation is a FormatError.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -686,6 +686,10 @@ def load_model(path) -> GbdtModel:
     forest = Tree(**arrays)
     starts = stops - table["nodes"]
     _check_forest(forest, starts, stops, feature_dim, config.max_depth)
+    stored = {"base score": base_score, "threshold": forest.threshold, "leaf value": forest.value}
+    for name, values in stored.items():
+        if not np.isfinite(values).all():
+            raise FormatError(f"model file holds a non-finite {name}")
     trees = [
         (int(rnd), int(c), range(int(a), int(b)))
         for rnd, c, a, b in zip(table["round"], table["class_id"], starts, stops)

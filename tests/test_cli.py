@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import struct
 import warnings
 
@@ -325,6 +327,21 @@ class TestCompare:
         assert message in err
         assert main(argv) == 3  # valid settings: the missing band files fail the run
 
+    def test_folds_missing_classes_are_reported_not_logged(self, corpus_dir, lower_cache, tmp_path, caplog):
+        caplog.set_level(logging.WARNING)
+        cv_out, compare_out = tmp_path / "cv.json", tmp_path / "compare.json"
+        argv = ["cv", "--features", str(lower_cache), *FAST_TRAIN, "--k-folds", "10"]
+        assert main([*argv, "--out", str(cv_out)]) == 0
+        argv = ["compare", "--manifest", str(corpus_dir / "manifest.json"), "--case", "3"]
+        argv += ["--frame-size", "1024", *FAST_TRAIN, "--k-folds", "10"]
+        assert main([*argv, "--out", str(compare_out)]) == 0
+        reports = [json.loads(cv_out.read_text())]
+        reports += json.loads(compare_out.read_text())["bands"].values()
+        # 40 rows over 10 folds: each fold tests 4 rows, so at least 6 classes are absent.
+        for report in reports:
+            assert all(fold["undefined_recall"] >= 6 for fold in report["per_fold"])
+        assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
+
 
 class TestTrainPredict:
     def test_train_then_predict_matches_in_process(self, lower_cache, tmp_path, capsys):
@@ -467,34 +484,104 @@ class TestTrainPredict:
         assert first.read_bytes() == second.read_bytes()
 
 
+def assert_one_error_line(err: str) -> str:
+    """The run's stderr is exactly one `error: ` line, with no traceback."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+MALFORMED_MANIFEST_ENTRIES = pytest.mark.parametrize(
+    "entries",
+    [
+        b"5",
+        b'[{"lb_path": 5, "ub_path": "a_ub.csv", "label": 0}]',
+        b'[{"lb_path": "a\\u0000_lb.csv", "ub_path": "a_ub.csv", "label": 0}]',
+        b'[{"lb_path": "a_lb.csv", "ub_path": "a_ub.csv", "label": Infinity}]',
+        b"[\xff]",
+        b"[" * 100_000,
+    ],
+    ids=[
+        "entries-not-a-list",
+        "path-not-a-string",
+        "path-with-nul",
+        "label-infinite",
+        "not-text",
+        "nested-too-deep",
+    ],
+)
+
+
 class TestMalformedInputs:
     """Malformed manifests and band files exit 3 with an error line, not a traceback."""
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            b"5",
-            b'[{"lb_path": 5, "ub_path": "a_ub.csv", "label": 0}]',
-            b'[{"lb_path": "a\\u0000_lb.csv", "ub_path": "a_ub.csv", "label": 0}]',
-            b'[{"lb_path": "a_lb.csv", "ub_path": "a_ub.csv", "label": Infinity}]',
-            b"[\xff]",
-            b"[" * 100_000,
-        ],
-        ids=[
-            "entries-not-a-list",
-            "path-not-a-string",
-            "path-with-nul",
-            "label-infinite",
-            "not-text",
-            "nested-too-deep",
-        ],
-    )
+    @MALFORMED_MANIFEST_ENTRIES
     def test_malformed_manifest(self, entries, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_bytes(b'{"source": "Synthetic", "entries": ' + entries + b"}")
         out = tmp_path / "out.rfds"
         assert main(["features", "--manifest", str(path), "--case", "1", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @MALFORMED_MANIFEST_ENTRIES
+    def test_malformed_manifest_through_compare(self, entries, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"source": "Synthetic", "entries": ' + entries + b"}")
+        out = tmp_path / "compare.json"
+        argv = ["compare", "--manifest", str(path), "--case", "1", "--k-folds", "2"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["features", "predict"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,0.25\n0.125,1x5\n", "invalid numeric token '1x5' at offset 4 (line 2)"),
+            ("0.5\n0.25\n1e999\n", "non-finite sample '1e999' at offset 3 (line 3)"),
+            (" ,\n\t,, \n", "file contains no samples"),
+            (",".join(["0.5"] * 100) + "\n", "segment has 100 samples, need at least 1024"),
+        ],
+        ids=["invalid-token", "non-finite-token", "separators-only", "shorter-than-a-frame"],
+    )
+    def test_malformed_band_file(self, command, text, message, corpus_dir, lower_model, tmp_path, capsys):
+        lb_path = tmp_path / "bad_lb.csv"
+        lb_path.write_text(text)
+        out = tmp_path / "out"
+        if command == "features":
+            ub_path = corpus_dir / "00_000_ub.csv"
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({
+                "source": "Synthetic",
+                "entries": [{"lb_path": str(lb_path), "ub_path": str(ub_path), "label": 0}],
+            }))
+            argv = ["features", "--manifest", str(manifest), "--case", "1"]
+        else:
+            argv = ["predict", "--model", str(lower_model), "--lb", str(lb_path)]
+        assert main([*argv, "--frame-size", "1024", "--out", str(out)]) == 3
+        err = assert_one_error_line(capsys.readouterr().err)
+        assert message in err
+        if "offset" in message:
+            assert f"{lb_path}: {message}" in err
+        assert not out.exists()
+
+    def test_model_with_non_finite_leaf_value(self, lower_cache, lower_model, tmp_path, capsys):
+        model = gbdt.load_model(lower_model)
+        value = model.forest.value.copy()
+        value[np.flatnonzero(model.forest.feature < 0)[0]] = np.nan
+        model.forest = dataclasses.replace(model.forest, value=value)
+        path = tmp_path / "nan.rfgb"
+        gbdt.save_model(model, path)
+        out = tmp_path / "predict.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["predict", "--model", str(path), "--features", str(lower_cache), "--out", str(out)])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite leaf value" in assert_one_error_line(captured.err)
         assert not out.exists()
 
     @pytest.mark.parametrize("label", ["3.9", "true", '"7"'], ids=["label-float", "label-bool", "label-string"])

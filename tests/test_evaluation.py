@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfsentry.dataset as dataset_mod
-from rfsentry import gbdt
+from rfsentry import evaluation, gbdt
 from rfsentry.dataset import Case, LabeledDataset, build_dataset
 from rfsentry.errors import ConfigurationError, EmptyEvaluationError, ShapeError
 from rfsentry.evaluation import (
@@ -34,6 +34,19 @@ def fold_class_counts(assignment, labels):
     return counts
 
 
+def round_robin_folds(labels, k, seed):
+    """Reference dealing, one row at a time: each class shuffled, the
+    pointer carried over from class to class."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(labels.shape[0], dtype=np.int64)
+    cursor = 0
+    for cls in np.unique(labels):
+        for row in rng.permutation(np.flatnonzero(labels == cls)):
+            fold_of[row] = cursor
+            cursor = (cursor + 1) % k
+    return fold_of
+
+
 class TestStratifiedKfold:
     def test_41_rows_over_10_folds(self):
         labels = np.zeros(41, dtype=int)
@@ -54,19 +67,21 @@ class TestStratifiedKfold:
 
     def test_partition_and_proportionality_on_random_labels(self):
         rng = np.random.default_rng(8)
-        for trial in range(20):
+        for trial in range(40):
             n_classes = int(rng.integers(2, 6))
-            n = int(rng.integers(30, 120))
-            labels = rng.integers(0, n_classes, n)
             k = int(rng.integers(2, 11))
+            # Half the trials have n within a few rows of k, down to n = k.
+            n = k + int(rng.integers(0, 4 if trial % 2 else 110))
+            labels = rng.integers(0, n_classes, n)
             assignment = stratified_kfold(labels, k, trial)
             assert assignment.fold_of.shape == (n,)
             assert set(np.unique(assignment.fold_of)) <= set(range(k))
+            np.testing.assert_array_equal(assignment.fold_of, round_robin_folds(labels, k, trial))
             all_rows = np.concatenate([assignment.test_rows(f) for f in range(k)])
             assert sorted(all_rows.tolist()) == list(range(n))
-            counts = fold_class_counts(assignment, labels)
-            for cls in range(n_classes):
-                per_fold = counts[:, cls]
+            sizes = np.bincount(assignment.fold_of, minlength=k)
+            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+            for per_fold in fold_class_counts(assignment, labels).T:
                 assert per_fold.max() - per_fold.min() <= 1
 
     def test_deterministic_for_seed(self):
@@ -191,6 +206,40 @@ class TestStudentT:
             t_critical(1.0, 5)
         with pytest.raises(ConfigurationError):
             t_critical(0.9, 0)
+
+    def test_bisection_stops_once_the_interval_cannot_move(self, monkeypatch):
+        def two_hundred_steps(prob, df):
+            # The bisection as it was, with a fixed 200 steps.
+            target = prob if prob > 0.5 else 1.0 - prob
+            lo, hi = 0.0, 1.0
+            while student_t_cdf(hi, df) < target:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if student_t_cdf(mid, df) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            t = 0.5 * (lo + hi)
+            return t if prob > 0.5 else -t
+
+        grid = [(p, df) for p in (0.0005, 0.025, 0.1, 0.6, 0.9, 0.975, 0.995, 0.9995)
+                for df in (*range(1, 31), 99, 453)]
+        expected = [two_hundred_steps(p, df) for p, df in grid]
+        calls = []
+        real = evaluation.student_t_cdf
+
+        def counting(t, df):
+            calls.append(t)
+            return real(t, df)
+
+        monkeypatch.setattr(evaluation, "student_t_cdf", counting)
+        for (p, df), reference in zip(grid, expected):
+            calls.clear()
+            assert t_critical(p, df) == reference, (p, df)
+            # The bracket doubles hi from 1; the bisection's calls follow.
+            doubling = next(i for i, t in enumerate(calls) if t != 2.0**i)
+            assert len(calls) - doubling <= 64, (p, df)
 
     @pytest.mark.parametrize("df", [2.5, True, 0])
     def test_non_integer_or_zero_dof_rejected(self, df):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import struct
 import tracemalloc
@@ -690,23 +691,36 @@ class TestModelIO:
             load_model(path)
 
     @staticmethod
-    def chain_model_bytes(depth, max_depth, feature_dim=3, version=2, nodes=None, right=None):
+    def chain_model_bytes(
+        depth,
+        max_depth,
+        feature_dim=3,
+        version=2,
+        nodes=None,
+        right=None,
+        threshold=None,
+        value=None,
+        base_score=0.0,
+    ):
         """A one-tree model whose splits all go left, packed by hand.
 
-        nodes overrides the node count in the tree table and right the
-        right-child array; both default to the true chain's.
+        nodes overrides the node count in the tree table, and right,
+        threshold and value the node arrays; all default to the true
+        chain's.
         """
         config = struct.pack("<ididddi", 1, 0.3, max_depth, 1.0, 0.0, 1.0, 2)
         n = 2 * depth + 1
         feature = [0] * depth + [-1] * (depth + 1)
-        threshold = [0.5] * depth + [0.0] * (depth + 1)
-        value = [0.0] * depth + [-1.0] + [1.0] * depth
+        if threshold is None:
+            threshold = [0.5] * depth + [0.0] * (depth + 1)
+        if value is None:
+            value = [0.0] * depth + [-1.0] + [1.0] * depth
         if right is None:
             right = [2 * depth - i for i in range(depth)] + [-1] * (depth + 1)
         return (
             struct.pack("<4sH", b"RFGB", version)
             + config
-            + struct.pack("<dII", 0.0, feature_dim, 1)
+            + struct.pack("<dII", base_score, feature_dim, 1)
             + struct.pack("<HHI", 0, 1, n if nodes is None else nodes)
             + struct.pack(f"<{n}i", *feature)
             + struct.pack(f"<{n}d", *threshold)
@@ -766,6 +780,23 @@ class TestModelIO:
         path = tmp_path / "nan.rfgb"
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"{name} must be finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "override, name",
+        [
+            ({"value": [0.0, -1.0, math.nan]}, "leaf value"),
+            ({"threshold": [math.inf, 0.0, 0.0]}, "threshold"),
+            ({"base_score": -math.inf}, "base score"),
+        ],
+        ids=["nan-leaf", "inf-threshold", "inf-base-score"],
+    )
+    def test_non_finite_node_or_base_score_is_format_error(self, tmp_path, override, name):
+        path = tmp_path / "model.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=1, max_depth=1))
+        assert len(load_model(path).trees) == 1
+        path.write_bytes(self.chain_model_bytes(depth=1, max_depth=1, **override))
+        with pytest.raises(FormatError, match=f"non-finite {name}"):
             load_model(path)
 
     def test_class_outside_model_rejected(self, tmp_path):
