@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -258,7 +259,9 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rfsentry argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rfsentry",
         description="RF drone detection and identification from signal-strength spectra",
@@ -326,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("RF_SENTRY_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -141,6 +141,7 @@ _FAST_PARSE = bool(
 )
 _POW10 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.longdouble))
 _MAX_ODD_BYTES = 256  # a chunk with more letters and '+' is parsed whole
+_E_PREFIX_BYTES = 1 << 13  # so is one with more 'e's in its first 8 KiB (~315 `%.18e` tokens)
 
 
 def load_segment(path) -> np.ndarray:
@@ -210,9 +211,12 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     chunk whole if more than _MAX_ODD_BYTES of its bytes are letters or
     '+', or if its other tokens are not all of that shape.
     """
+    # Exponent form or integers; the two byte searches are cheaper than any numpy pass.
+    if block.count(b"e", 0, _E_PREFIX_BYTES) > _MAX_ODD_BYTES or b"." not in block:
+        return _parse_piece(block)
     b = np.frombuffer(block, np.uint8)
     odd = (b > 57) | (b == 43)  # a letter or '+'
-    if np.count_nonzero(odd) > _MAX_ODD_BYTES or b"." not in block:  # exponent form or integers
+    if np.count_nonzero(odd) > _MAX_ODD_BYTES:
         return _parse_piece(block)
     odd = np.flatnonzero(odd)
     # Tokens holding those bytes are parsed apart and blanked out of the text
@@ -511,8 +515,8 @@ def synth_segment(
     parallel generation order cannot change the output.
     """
     Case.II.label(class_id)  # an unknown class fails before the other arguments
-    if seed < 0 or index < 0 or index >= 1 << 32:
-        raise ConfigurationError("seed and index must be non-negative (index < 2^32)")
+    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 32):
+        raise ConfigurationError("seed must be in [0, 2^64) and index in [0, 2^32)")
     if length < DEFAULT_FRAME_SIZE:
         raise ConfigurationError(
             f"segment length {length} is below the frame size {DEFAULT_FRAME_SIZE}"

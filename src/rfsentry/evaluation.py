@@ -60,6 +60,8 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
         raise ConfigurationError(f"k must be >= 2, got {k}")
     if k > n:
         raise ConfigurationError(f"k={k} exceeds the {n} available rows")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(n, dtype=np.int64)
     cursor = 0
@@ -395,13 +397,15 @@ def compare_bands(
 
     The three layouts come from one extraction pass, so each band file is
     parsed once. All three runs share one fold partition (same labels, K
-    and seed), which the paired t-tests require. k and alpha are checked
-    before any band file is read.
+    and seed), which the paired t-tests require. k, alpha and seed are
+    checked before any band file is read.
     """
     if not (0.0 < alpha < 1.0 and 2 <= k <= len(manifest.entries)):
         raise ConfigurationError(
             f"need alpha in (0, 1) and k in [2, {len(manifest.entries)}], got {alpha} and {k}"
         )
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     train_config = dataclasses.replace(train_config, n_classes=case.n_classes)
     datasets = dataset_mod.build_datasets(
         manifest,

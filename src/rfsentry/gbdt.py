@@ -211,6 +211,13 @@ class Presort:
         return Presort(local[self.rows[keep]].reshape(d, -1), self.vals[keep].reshape(d, -1))
 
 
+def _midpoint(left, right):
+    """0.5 * (left + right), or 0.5 * left + 0.5 * right where that sum overflows."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (left + right)
+    return np.where(np.isinf(mid), 0.5 * left + 0.5 * right, mid)
+
+
 def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
     # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
     # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
@@ -253,7 +260,10 @@ class _ScanState:
             raise ShapeError(f"presort has shape {presort.rows.shape}, features {(n, d)}")
         self.root_rows, self.root_vals = presort.rows, presort.vals
         left, right = self.root_vals[:, :-1], self.root_vals[:, 1:]
-        self.root_gaps = np.ascontiguousarray(((right > left) & (0.5 * (left + right) > left)).T)
+        # Only values beyond half the float64 range (9e307) can overflow a midpoint's sum.
+        self.can_overflow = bool(np.abs(self.root_vals[:, [0, -1]]).max() > 8.9e307)
+        mid = _midpoint(left, right) if self.can_overflow else 0.5 * (left + right)
+        self.root_gaps = np.ascontiguousarray(((right > left) & (mid > left)).T)
         self.features = features
         self.rows = np.empty(d * n, dtype=np.intp)
         self.vals = np.empty(d * n, dtype=np.float64)
@@ -313,7 +323,10 @@ class _ScanState:
             np.copyto(vals_t, vals[:, lo : hi + 2].T)
             left_v, right_v = vals_t[:-1], vals_t[1:]
             np.greater(right_v, left_v, out=valid)
-            mid = np.multiply(np.add(left_v, right_v, out=temp), 0.5, out=temp)
+            if self.can_overflow:
+                mid = _midpoint(left_v, right_v)
+            else:
+                mid = np.multiply(np.add(left_v, right_v, out=temp), 0.5, out=temp)
             valid &= np.greater(mid, left_v, out=test)
         hr = spare[:w]
         valid &= np.greater_equal(hl, mcw, out=test)
@@ -342,7 +355,8 @@ class _ScanState:
         hits = np.flatnonzero(np.equal(score, best, out=valid))
         first = np.argmin(hits % d)
         pos, feature = divmod(int(hits[first]), d)
-        return feature, float(0.5 * (vals[feature, lo + pos] + vals[feature, lo + pos + 1]))
+        a, b = vals[feature, lo + pos], vals[feature, lo + pos + 1]
+        return feature, float(_midpoint(a, b) if self.can_overflow else 0.5 * (a + b))
 
     def worth_scanning(self, idx, g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
         """False only where `best_split` would find no split in the node of rows idx.

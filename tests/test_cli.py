@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rfsentry import gbdt
+from rfsentry import __version__, cli, gbdt
 from rfsentry.cli import main
 from rfsentry.dataset import load_features, load_manifest
 
@@ -327,6 +327,30 @@ class TestCompare:
         assert message in err
         assert main(argv) == 3  # valid settings: the missing band files fail the run
 
+    @pytest.mark.parametrize(
+        "command, seed, message",
+        [
+            ("synth", str(1 << 64), "seed must be in [0, 2^64)"),
+            ("cv", "-1", "seed must be >= 0, got -1"),
+            ("compare", "-1", "seed must be >= 0, got -1"),
+        ],
+        ids=["synth-2^64", "cv-negative", "compare-negative"],
+    )
+    def test_seed_out_of_range_is_config_error(self, command, seed, message, lower_cache, tmp_path, capsys):
+        # compare's band files do not exist: the seed must fail the run first.
+        manifest = tmp_path / "manifest.json"
+        entries = [{"lb_path": f"{i}_lb.csv", "ub_path": f"{i}_ub.csv", "label": i} for i in range(10)]
+        manifest.write_text(json.dumps({"source": "Synthetic", "entries": entries}))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out-dir", str(out), "--n-per-class", "1"],
+            "cv": ["cv", "--features", str(lower_cache), "--k-folds", "2", "--out", str(out)],
+            "compare": ["compare", "--manifest", str(manifest), "--case", "1", "--out", str(out)],
+        }[command]
+        assert main([*argv, "--seed-data", seed]) == 2
+        assert message in assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists() or not any(out.iterdir())  # synth makes its directory first
+
     def test_folds_missing_classes_are_reported_not_logged(self, corpus_dir, lower_cache, tmp_path, caplog):
         caplog.set_level(logging.WARNING)
         cv_out, compare_out = tmp_path / "cv.json", tmp_path / "compare.json"
@@ -482,6 +506,48 @@ class TestTrainPredict:
                 == 0
             )
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call's options reach the next."""
+
+    def test_earlier_call_does_not_leak_into_a_later_one(self, corpus_dir, tmp_path, capsys):
+        cache, model = tmp_path / "both.rfds", tmp_path / "both.rfgb"
+        extract = ["features", "--manifest", str(corpus_dir / "manifest.json"), "--band", "both"]
+        assert main([*extract, "--case", "3", "--frame-size", "1024", "--out", str(cache)]) == 0
+        assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(model)]) == 0
+        pair = ["--lb", str(corpus_dir / "03_001_lb.csv"), "--ub", str(corpus_dir / "03_001_ub.csv")]
+        a = ["predict", "--model", str(model), *pair, "--band", "both", "--frame-size", "1024", "--hop", "1024"]
+        b = ["predict", "--model", str(model), "--features", str(cache)]
+
+        def run(argv, out):
+            code = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+        capsys.readouterr()
+        cli.build_parser.cache_clear()
+        alone = run(b, tmp_path / "alone.json")
+        assert alone[0] == 0 and alone[2] == ""
+        assert run(a, tmp_path / "a.json")[0] == 0
+        # A leaked --band, --frame-size or --hop would fail B with "drop --...".
+        assert run(b, tmp_path / "after.json") == alone
+
+    def test_usage_error_then_version_and_help(self, capsys):
+        def exits(argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        capsys.readouterr()
+        first = exits(["cv", "--k-folds", "two"])
+        assert first[0] == 2 and "invalid int value: 'two'" in first[2]
+        assert exits(["--version"]) == (0, f"rfsentry {__version__}\n", "")
+        code, out, _ = exits(["--help"])
+        assert code == 0 and out.startswith("usage: rfsentry")
+        assert "{synth,features,cv,compare,train,predict}" in out
+        assert exits(["cv", "--k-folds", "two"]) == first
 
 
 def assert_one_error_line(err: str) -> str:

@@ -232,6 +232,24 @@ class TestFastParse:
         dataset_mod._parse_fast(block[len(odd) + 1 :])
         assert seen[0].split() == [odd.encode()] * dataset_mod._MAX_ODD_BYTES
 
+    def test_exponents_after_the_counted_prefix_still_parse_the_chunk_whole(self, monkeypatch):
+        # Plain tokens fill the prefix whose 'e's are counted first; the
+        # exponent-form tokens after it are found by the full byte count.
+        plain = dataset_mod._E_PREFIX_BYTES // 6 + 1
+        tokens = ["0.125"] * plain + ["1e-05"] * (dataset_mod._MAX_ODD_BYTES + 1)
+        block = " ".join(tokens).encode() + b" "
+        assert block.index(b"e") >= dataset_mod._E_PREFIX_BYTES
+        seen = []
+
+        def parse_piece(text):
+            seen.append(text)
+            return np.fromstring(text, sep=" ")
+
+        monkeypatch.setattr(dataset_mod, "_parse_piece", parse_piece)
+        values = dataset_mod._parse_fast(block)
+        assert seen == [block]
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
     @pytest.mark.parametrize("text", ["12 -3 0 45", "0.5 1.5 2 3.25"])
     def test_chunk_with_a_dotless_token_is_parsed_whole(self, monkeypatch, text):
         seen = []

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,23 @@ class TestBuildTree:
         with pytest.raises(TrainingError, match="row 3"):
             build_tree(x, np.zeros(4), np.ones(4), stump_config())
 
+    def test_values_near_the_float64_limit_split_as_scaled_down_ones(self):
+        # Scaling by a power of two is exact and keeps every midpoint's bits,
+        # so a tree on values beyond half the float64 range, where the sum
+        # of two neighbours overflows, is the tree on the scaled-down values.
+        rng = np.random.default_rng(11)
+        small = rng.choice([-1.0, 1.0], size=(40, 3)) * rng.uniform(0.5, 1.79, size=(40, 3))
+        g, h = rng.normal(size=40), rng.uniform(0.5, 1.0, size=40)
+        config = stump_config(max_depth=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = build_tree(small * 2.0**1023, g, h, config)
+        tree = build_tree(small, g, h, config)
+        assert (huge.feature >= 0).sum() > 3
+        np.testing.assert_array_equal(huge.feature, tree.feature)
+        np.testing.assert_array_equal(huge.threshold, tree.threshold * 2.0**1023)
+        np.testing.assert_array_equal(huge.value, tree.value)
+
     def test_max_depth_respected(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(200, 3))
@@ -410,6 +428,22 @@ class TestTrain:
         scaled_features = features * 3.7
         scaled = predict(train(scaled_features, labels, config), scaled_features)
         np.testing.assert_array_equal(base, scaled)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_whose_sum_overflows_split_at_a_finite_midpoint(self, sign, tmp_path):
+        # 1e308 + 1.5e308 is past the float64 range; the midpoint is not.
+        features = sign * np.array([[1e308], [1.5e308], [1e308], [1.5e308]])
+        labels = np.array([0, 1, 0, 1])
+        config = TrainConfig(n_rounds=2, max_depth=1, min_child_weight=0.0, n_classes=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = train(features, labels, config)
+        splits = model.forest.feature >= 0
+        np.testing.assert_array_equal(model.forest.threshold[splits], sign * 1.25e308)
+        np.testing.assert_array_equal(predict(model, features), labels)
+        path = tmp_path / "huge.rfgb"
+        save_model(model, path)
+        np.testing.assert_array_equal(predict(load_model(path), features), labels)
 
     def test_non_finite_feature_names_row(self):
         features, labels = blobs(36)

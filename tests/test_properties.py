@@ -491,3 +491,111 @@ def test_uniform_node_split_by_rounding_is_scanned():
     x = np.arange(3.0)[:, None]
     config = gbdt.TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
     assert scan_uniform_node(x, np.full(3, 0.1), np.full(3, 0.3), config) == (True, (0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(scratch):
+    """Paths a drawn argument list may name: a 2-per-class corpus, a lower-band
+    case-3 cache and a model trained on it, a corrupt file and a missing one.
+    Each flag maps to (usual, unusual) values, as ARGV_POOLS does."""
+    corpus = scratch / "argv_corpus"
+    dataset.write_synthetic_corpus(corpus, n_per_class=2, seed=2, length=2048)
+    cache, model = scratch / "argv.rfds", scratch / "argv.rfgb"
+    manifest = corpus / "manifest.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["features", "--manifest", str(manifest), "--case", "3", "--out", str(cache)]) == 0
+        assert main(["train", "--features", str(cache), "--rounds", "1", "--out", str(model)]) == 0
+    corrupt = scratch / "argv_corrupt"
+    corrupt.write_bytes(b"RFGB\x01\x00 0.5,1x5\n\xff")
+    (scratch / "argv_dir").mkdir()
+    inputs = {
+        "--manifest": manifest,
+        "--features": cache,
+        "--model": model,
+        "--lb": corpus / "07_001_lb.csv",
+        "--ub": corpus / "07_001_ub.csv",
+    }
+    others = [*inputs.values(), corrupt, scratch / "argv_missing"]
+    pools = {flag: ([path], [p for p in others if p != path]) for flag, path in inputs.items()}
+    # Outputs never overwrite an input: a file, or a directory or a missing parent.
+    pools["--out"] = ([scratch / "argv_out.json"], [scratch / "argv_dir", scratch / "argv_missing" / "o"])
+    pools["--out-dir"] = ([scratch / "argv_synth"], [corrupt / "sub"])
+    return {flag: tuple([str(p) for p in paths] for paths in pair) for flag, pair in pools.items()}
+
+
+# (usual, unusual) values per flag. Flags that set the amount of work are
+# always given, and no value of theirs is large; --jobs stays at most 2.
+WORK_FLAGS = ("--n-per-class", "--length", "--rounds", "--max-depth", "--k-folds", "--jobs")
+ARGV_POOLS = {
+    "--n-per-class": (["1"], ["-1", "0"]),
+    "--length": (["2048", "1024"], ["-5", "0", "100"]),
+    "--rounds": (["1", "2"], ["-1", "0"]),
+    "--max-depth": (["1", "2"], ["-1", "0"]),
+    "--k-folds": (["2", "3"], ["-1", "0", "1", "100"]),
+    "--jobs": (["1", "2"], ["-1", "0"]),
+    "--seed-data": (["0", "1"], ["-1", str(1 << 64)]),
+    "--case": (["3"], ["1", "2"]),
+    "--band": (["lower", "both"], ["upper"]),
+    "--frame-size": (["1024", "2048"], ["512", "4096", "3", "0", str(1 << 21)]),
+    "--hop": (["1024"], ["256", "0", "-1"]),
+    "--q": (["8"], ["1", "0", "100000"]),
+    "--window": (["rectangular"], ["hann"]),
+    "--eta": (["0.3", "1"], ["0", "-1", "nan", "inf"]),
+    "--lambda": (["1", "0"], ["-1", "nan"]),
+    "--gamma": (["0", "1"], ["-1", "inf"]),
+    "--min-child-weight": (["0", "1"], ["-1", "nan"]),
+    "--alpha": (["0.05"], ["0", "1", "nan"]),
+}
+EXTRACTION_FLAGS = ["--frame-size", "--hop", "--q", "--window"]
+TRAINING_FLAGS = ["--rounds", "--eta", "--max-depth", "--lambda", "--gamma", "--min-child-weight"]
+COMMAND_FLAGS = {
+    "synth": ["--out-dir", "--n-per-class", "--seed-data", "--length"],
+    "features": ["--manifest", "--band", "--case", *EXTRACTION_FLAGS, "--jobs", "--out"],
+    "cv": ["--features", "--case", *TRAINING_FLAGS, "--k-folds", "--seed-data", "--jobs", "--out"],
+    "compare": [
+        "--manifest", "--case", *EXTRACTION_FLAGS, *TRAINING_FLAGS,
+        "--k-folds", "--alpha", "--seed-data", "--jobs", "--out",
+    ],
+    "train": ["--features", "--case", *TRAINING_FLAGS, "--out"],
+    "predict": ["--model", "--features", "--lb", "--ub", "--band", *EXTRACTION_FLAGS, "--out"],
+}
+REQUIRED_FLAGS = ("--out-dir", "--manifest", "--case", "--out", "--model")
+# Weighted coin flips: True in 3 of 4 and in 9 of 10 entries.
+OFTEN = st.sampled_from([True, True, True, False])
+NEARLY_ALWAYS = st.sampled_from([True] * 9 + [False])
+# Tokens argparse itself rejects or acts on: a flag of another command, a
+# flag given twice or without its value, a value of the wrong type, --help.
+STRAY_TOKENS = sorted(ARGV_POOLS) + ["--out", "--help", "--version", "bogus"]
+
+
+def draw_value(data, pools, flag):
+    usual, unusual = pools[flag]
+    return data.draw(st.sampled_from(usual if data.draw(OFTEN) else unusual))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_argument_lists(scratch, argv_inputs, data):
+    """Any argument list, run through one process's main: an exit code of
+    0, 2, 3 or 4, or argparse's SystemExit 0 or 2, never another exception."""
+    pools = {**ARGV_POOLS, **argv_inputs}
+    command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command]:
+        required = flag in REQUIRED_FLAGS or (flag == "--features" and command != "predict")
+        if flag in WORK_FLAGS or data.draw(NEARLY_ALWAYS if required else st.booleans()):
+            argv += [flag, draw_value(data, pools, flag)]
+    if not data.draw(OFTEN):
+        for token in data.draw(st.lists(st.sampled_from(STRAY_TOKENS), min_size=1, max_size=2)):
+            argv.append(token)
+            if token in pools and data.draw(st.booleans()):
+                argv.append(data.draw(st.sampled_from(["x", draw_value(data, pools, token)])))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            outcome = f"exit {main(argv)}"
+        except SystemExit as exc:
+            outcome = f"SystemExit {exc.code}"
+    event(f"{command}: {outcome}")
+    assert outcome in {"exit 0", "exit 2", "exit 3", "exit 4", "SystemExit 0", "SystemExit 2"}
+    assert "Traceback" not in stderr.getvalue()
