@@ -13,6 +13,7 @@ whose settings the record rejects is a ``FormatError``.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import logging
@@ -503,6 +504,15 @@ class SegmentRecord:
     samples: np.ndarray
 
 
+def _check_synth_settings(seed: int, length: int, index: int) -> None:
+    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 32):
+        raise ConfigurationError("seed must be in [0, 2^64) and index in [0, 2^32)")
+    if length < DEFAULT_FRAME_SIZE:
+        raise ConfigurationError(
+            f"segment length {length} is below the frame size {DEFAULT_FRAME_SIZE}"
+        )
+
+
 def synth_segment(
     class_id: int,
     seed: int,
@@ -515,12 +525,7 @@ def synth_segment(
     parallel generation order cannot change the output.
     """
     Case.II.label(class_id)  # an unknown class fails before the other arguments
-    if not (0 <= seed < 1 << 64 and 0 <= index < 1 << 32):
-        raise ConfigurationError("seed must be in [0, 2^64) and index in [0, 2^32)")
-    if length < DEFAULT_FRAME_SIZE:
-        raise ConfigurationError(
-            f"segment length {length} is below the frame size {DEFAULT_FRAME_SIZE}"
-        )
+    _check_synth_settings(seed, length, index)
     key = np.array([seed, (class_id << 32) | index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
 
@@ -545,9 +550,13 @@ def write_synthetic_corpus(
     seed: int,
     length: int = SYNTH_DEFAULT_LENGTH,
 ) -> Manifest:
-    """Write segment files for all ten classes plus a manifest referencing them."""
+    """Write segment files for all ten classes plus a manifest referencing them.
+
+    Every setting is checked before ``out_dir`` is made, so a refused run
+    leaves nothing behind."""
     if n_per_class < 1:
         raise ConfigurationError(f"n_per_class must be >= 1, got {n_per_class}")
+    _check_synth_settings(seed, length, n_per_class - 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".write-probe"
@@ -578,8 +587,158 @@ def write_synthetic_corpus(
     return manifest
 
 
+# ---------------------------------------------------------------------------
+# Band-file writing: each sample as Python's shortest round-trip ``repr``.
+#
+# A sample with 1e-4 <= |x| < 1e16 is written in fixed notation without
+# Python objects: |x| * 10**k splits exactly (Dekker's product) into a
+# 17-digit integer m and a remainder r, and digits are dropped while the
+# nearest shorter decimal stays within half an ulp of x, which is repr's
+# rule. ``repr`` writes the rest one value at a time: exponent form, zeros,
+# powers of two (whose lower neighbour is nearer), non-finite values and
+# any decision within _BOUNDARY_MARGIN of its boundary.
+# ---------------------------------------------------------------------------
+
+_WRITE_VALUES = 1 << 12  # samples formatted at a time, under 1 MB of temporaries
+# Built from Python numbers, so importing the module runs no numpy kernel.
+_DOUBLE_POW10 = np.array([float(10**i) for i in range(23)])  # exact as doubles
+_INT_POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
+_VELTKAMP = float(2**27 + 1)  # splits a double into two halves of 26 bits
+_DOUBLE_POW10_HIGH = np.array([_VELTKAMP * p - (_VELTKAMP * p - p) for p in _DOUBLE_POW10.tolist()])
+_DOUBLE_POW10_LOW = np.array([p - h for p, h in zip(_DOUBLE_POW10.tolist(), _DOUBLE_POW10_HIGH.tolist())])
+# In units of m's last digit; the arithmetic errs by less than 1e-14 there.
+_BOUNDARY_MARGIN = 1e-9
+_SIGN4 = np.frombuffer(b"\0\0\0" b"0" b"\0-\0" b"0", dtype=np.uint32)  # by x < 0
+_ROW = 28  # bytes per value: seven groups of four
+
+
+@functools.cache
+def _row_tables() -> tuple[np.ndarray, ...]:
+    """The four ASCII digits of 0..9999 as one group each, and three output-row
+    masks by (decimal exponent e in -4..15, significant digits n); built on
+    the first write, so a process that only reads band files never holds them.
+
+    A source row holds the sign at byte 1, '0000' at bytes 3-6 and digit i
+    of m at byte 7 + i. Output byte c takes source byte c + 1 for the integer
+    part (c <= 6 + e; for e < 0 the single '0' at 6 + e), is '.' at 7 + e,
+    takes source byte c for the fraction, at least one digit, up to the last
+    significant one, and ends the row with ','. Zero bytes are deleted.
+    """
+    digits4 = bytes(itertools.chain.from_iterable(itertools.product(b"0123456789", repeat=4)))
+    keys = [(e, n) for e in range(-4, 16) for n in range(18)]
+    layouts = (
+        lambda e, n: b"\xff" + bytes(5 + min(e, 0)) + b"\xff" * (1 + max(e, 0)) + bytes(_ROW - 7 - e),
+        lambda e, n: bytes(8 + e) + b"\xff" * max(n - 1 - e, 1) + bytes(_ROW - max(7 + n, 9 + e)),
+        lambda e, n: bytes(7 + e) + b"." + bytes(_ROW - 9 - e) + b",",
+    )
+    return (np.frombuffer(digits4, np.uint32),) + tuple(
+        np.frombuffer(b"".join(row(e, n) for e, n in keys), np.uint8).reshape(-1, _ROW) for row in layouts
+    )
+
+
 def _write_segment_file(path: Path, samples: np.ndarray) -> None:
-    path.write_text(",".join(map(str, samples.tolist())) + "\n")
+    """Write ``",".join(map(repr, samples.tolist())) + "\\n"``, the same bytes on
+    every platform, ``_WRITE_VALUES`` samples at a time."""
+    samples = np.asarray(samples, dtype=np.float64)
+    with open(path, "wb") as fh:
+        for start in range(0, samples.size, _WRITE_VALUES):
+            text = _format_values(samples[start : start + _WRITE_VALUES])
+            fh.write(text if start + _WRITE_VALUES < samples.size else memoryview(text)[:-1])
+        fh.write(b"\n")
+
+
+def _format_values(x: np.ndarray) -> bytes:
+    """The repr of each value, each followed by a comma."""
+    digits4, keep_left, keep_right, punct = _row_tables()
+    m, n, e, unsure = _shortest_digits(np.abs(x))
+    groups = np.zeros(x.size * 7 + 1, np.uint32)  # the spare group ends the shifted view
+    rows = groups[:-1].reshape(-1, 7)
+    rows[:, 0] = _SIGN4[(x < 0).view(np.uint8)]
+    high = m // _INT_POW10[8]  # digits 0-8
+    rows[:, 1] = digits4[high // _INT_POW10[8]]
+    for col, part in ((2, high % _INT_POW10[8]), (4, m - high * _INT_POW10[8])):
+        quad = part // 10000
+        rows[:, col] = digits4[quad]
+        rows[:, col + 1] = digits4[part - quad * 10000]
+    source, size = groups.view(np.uint8), x.size * _ROW
+    key = (e + 4) * 18 + n
+    text = np.take(keep_left, key, axis=0)
+    flat = text.reshape(-1)
+    flat &= source[1 : size + 1]
+    part = np.take(keep_right, key, axis=0).reshape(-1)
+    part &= source[:size]
+    flat |= part
+    flat |= np.take(punct, key, axis=0).reshape(-1)
+    for i in np.flatnonzero(unsure).tolist():
+        text[i] = np.frombuffer(f"{float(x[i])!r},".encode().ljust(_ROW, b"\0"), np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """repr's digits of each |x| = a in fixed notation, as (m, n, e, unsure).
+
+    The decimal a reads back from is m * 10**(e - 16): m has 17 digits, of
+    which the first n are significant. Where ``unsure`` holds, repr must
+    write the value instead.
+    """
+    fixed = (a >= 1e-4) & (a < 1e16)
+    v = np.where(fixed, a, 1.5)  # a stand-in keeps the arithmetic finite
+    fraction, exponent = np.frexp(v)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    m, r = _scaled_by_pow10(v, 16 - e)
+    # log10 may round across a power of ten: bring m into [10**16, 10**17).
+    off = (m >= _INT_POW10[17]).astype(np.int64) - (m < _INT_POW10[16])
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] += off[redo]
+        m[redo], r[redo] = _scaled_by_pow10(v[redo], 16 - e[redo])
+    # Half an ulp of v in units of m's last digit. At a power of two
+    # (fraction 0.5) the lower neighbour is nearer: repr writes those.
+    half_ulp = np.ldexp(_DOUBLE_POW10[16 - e], exponent - 54)
+    unsure = ~fixed | (fraction == 0.5)
+    # Drop j digits while the nearest multiple of 10**j reads back as v.
+    dropped = np.zeros(a.size, np.int64)
+    live = np.arange(a.size)
+    lm, lr, lh = m, r, half_ulp
+    for j in range(1, 17):
+        step = _INT_POW10[j]
+        below = lm - lm // step * step
+        miss = np.minimum(below + lr, (step - below) - lr) - lh
+        unsure[live[np.abs(miss) < _BOUNDARY_MARGIN]] = True
+        keep = np.flatnonzero(miss < -_BOUNDARY_MARGIN)
+        live = live[keep]
+        if not live.size:
+            break
+        dropped[live] = j
+        lm, lr, lh = lm[keep], lr[keep], lh[keep]
+    step = _INT_POW10[dropped]
+    quotient = m // step
+    twice_excess = (2 * (m - quotient * step) - step) + 2 * r  # 2 (m + r) mod step, less step
+    unsure |= np.abs(twice_excess) < 2 * _BOUNDARY_MARGIN
+    m = (quotient + (twice_excess > 0)) * step
+    n = 17 - dropped
+    # Rounding up to 10**17 (0.000999...9 to 0.001) is one digit at the next power.
+    carry = m == _INT_POW10[17]
+    m[carry], n[carry] = _INT_POW10[16], 1
+    e += carry
+    return m, n, e, unsure
+
+
+def _scaled_by_pow10(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v * 10**k as an int64 integer part and a remainder in [0, 1].
+
+    Dekker's product gives v * 10**k exactly as hi + lo; hi is an integer
+    (at least 2**53) and only lo - floor(lo) rounds.
+    """
+    p = _DOUBLE_POW10[k]
+    hi = v * p
+    t = _VELTKAMP * v
+    v_high = t - (t - v)
+    v_low = v - v_high
+    p_high, p_low = _DOUBLE_POW10_HIGH[k], _DOUBLE_POW10_LOW[k]
+    lo = ((v_high * p_high - hi) + v_high * p_low + v_low * p_high) + v_low * p_low
+    floor = np.floor(lo)
+    return hi.astype(np.int64) + floor.astype(np.int64), lo - floor
 
 
 # ---------------------------------------------------------------------------

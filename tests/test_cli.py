@@ -82,6 +82,12 @@ class TestSynth:
         for path in sorted(corpus_dir.iterdir()):
             assert (twin / path.name).read_bytes() == path.read_bytes()
 
+    def test_short_length_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(out), "--n-per-class", "1", "--length", "100"]) == 2
+        assert "below the frame size" in assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -331,10 +337,11 @@ class TestCompare:
         "command, seed, message",
         [
             ("synth", str(1 << 64), "seed must be in [0, 2^64)"),
+            ("synth", "-1", "seed must be in [0, 2^64)"),
             ("cv", "-1", "seed must be >= 0, got -1"),
             ("compare", "-1", "seed must be >= 0, got -1"),
         ],
-        ids=["synth-2^64", "cv-negative", "compare-negative"],
+        ids=["synth-2^64", "synth-negative", "cv-negative", "compare-negative"],
     )
     def test_seed_out_of_range_is_config_error(self, command, seed, message, lower_cache, tmp_path, capsys):
         # compare's band files do not exist: the seed must fail the run first.
@@ -349,7 +356,7 @@ class TestCompare:
         }[command]
         assert main([*argv, "--seed-data", seed]) == 2
         assert message in assert_one_error_line(capsys.readouterr().err)
-        assert not out.exists() or not any(out.iterdir())  # synth makes its directory first
+        assert not out.exists()
 
     def test_folds_missing_classes_are_reported_not_logged(self, corpus_dir, lower_cache, tmp_path, caplog):
         caplog.set_level(logging.WARNING)

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import tracemalloc
@@ -513,6 +514,52 @@ class TestSyntheticCorpus:
         reloaded = load_segment(lb_path)
         direct, _ = synth_segment(entry.case3, 2, length=2048, index=0)
         np.testing.assert_array_equal(reloaded, direct.samples)
+
+
+def repr_text(samples: np.ndarray) -> bytes:
+    return (",".join(map(repr, samples.tolist())) + "\n").encode()
+
+
+class TestSegmentWriter:
+    """``_write_segment_file`` writes exactly ``repr``'s bytes, in bounded memory."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_synthetic_class(self, seed, tmp_path):
+        path = tmp_path / "band.csv"
+        for class_id in range(len(DRONERF_CLASSES)):
+            for record in synth_segment(class_id, seed, length=8192, index=1):
+                dataset_mod._write_segment_file(path, record.samples)
+                assert path.read_bytes() == repr_text(record.samples), record.segment_id
+
+    def test_random_bit_patterns(self, tmp_path):
+        # Every exponent, both signs, subnormals, inf and nan; several chunks.
+        samples = np.random.default_rng(8).integers(0, 1 << 64, 1 << 15, dtype=np.uint64)
+        samples = samples.view(np.float64)
+        path = tmp_path / "band.csv"
+        dataset_mod._write_segment_file(path, samples)
+        assert path.read_bytes() == repr_text(samples)
+
+    def test_every_value_through_repr(self, tmp_path, monkeypatch):
+        # With an infinite margin every decision is near its boundary.
+        monkeypatch.setattr(dataset_mod, "_BOUNDARY_MARGIN", math.inf)
+        samples = np.random.default_rng(9).normal(size=10_000)
+        assert dataset_mod._shortest_digits(np.abs(samples))[3].all()
+        path = tmp_path / "band.csv"
+        dataset_mod._write_segment_file(path, samples)
+        assert path.read_bytes() == repr_text(samples)
+
+    def test_memory_is_bounded(self, tmp_path):
+        # One 2^20-sample band file: ''.join over repr strings peaks near 110 MB.
+        samples = np.random.default_rng(10).normal(size=1 << 20)
+        path = tmp_path / "band.csv"
+        tracemalloc.start()
+        try:
+            dataset_mod._write_segment_file(path, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert load_segment(path).tobytes() == samples.tobytes()
 
 
 class TestBuildDataset:

@@ -188,6 +188,46 @@ def test_fast_parse_matches_piece_on_mixed_tokens(tokens, tail):
     assert_fast_parse_matches((" ".join(tokens) + tail).encode())
 
 
+@st.composite
+def seventeen_digit_ties(draw):
+    """A double halfway between two 17-digit decimals, or one ulp from it.
+
+    o / 2**k is exact and equals o * 5**k / 10**k, whose 18 digits end in 5
+    when o is odd and o * 5**k lies in [10**17, 10**18)."""
+    k = draw(st.integers(2, 24))
+    low, high = -(-(10**17) // 5**k), min(10**18 // 5**k, 1 << 53)
+    odd = 2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1
+    tie = math.ldexp(odd, -k)
+    return draw(st.sampled_from([tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)]))
+
+
+EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, 0.125, 2.675, 0.1, 1.7976931348623157e308]
+EDGE_VALUES += [math.nextafter(v, math.inf) for v in (1e-4, 1e16)]
+EDGE_VALUES += [math.nextafter(v, 0.0) for v in (1e-4, 1e16)]
+written_values = st.builds(
+    lambda value, negative: -value if negative else value,
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(EDGE_VALUES),
+        st.integers(-1074, 1023).map(lambda p: math.ldexp(1.0, p)),
+        st.integers(0, 1 << 60).map(float),
+        st.integers(0, 10**8).map(lambda i: i / 1000),
+        seventeen_digit_ties(),
+    ),
+    st.booleans(),
+)
+
+
+@BOUNDARY
+@given(values=st.lists(written_values, max_size=40), chunk=st.integers(1, 8))
+def test_segment_writer_writes_repr(scratch, values, chunk):
+    samples = np.array(values, dtype=np.float64)
+    path = scratch / "written.csv"
+    with mock.patch.object(dataset, "_WRITE_VALUES", chunk):
+        dataset._write_segment_file(path, samples)
+    assert path.read_bytes() == (",".join(map(repr, values)) + "\n").encode()
+
+
 LOADERS = {"rfds": load_features, "rfgb": gbdt.load_model}
 
 
@@ -577,7 +617,8 @@ def draw_value(data, pools, flag):
 @given(data=st.data())
 def test_cli_argument_lists(scratch, argv_inputs, data):
     """Any argument list, run through one process's main: an exit code of
-    0, 2, 3 or 4, or argparse's SystemExit 0 or 2, never another exception."""
+    0, 2, 3 or 4, or argparse's SystemExit 0 or 2, never another exception;
+    a run refused with 2 creates no file and no directory."""
     pools = {**ARGV_POOLS, **argv_inputs}
     command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv = [command]
@@ -591,6 +632,7 @@ def test_cli_argument_lists(scratch, argv_inputs, data):
             if token in pools and data.draw(st.booleans()):
                 argv.append(data.draw(st.sampled_from(["x", draw_value(data, pools, token)])))
     stderr = io.StringIO()
+    before = set(scratch.rglob("*"))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
             outcome = f"exit {main(argv)}"
@@ -599,3 +641,5 @@ def test_cli_argument_lists(scratch, argv_inputs, data):
     event(f"{command}: {outcome}")
     assert outcome in {"exit 0", "exit 2", "exit 3", "exit 4", "SystemExit 0", "SystemExit 2"}
     assert "Traceback" not in stderr.getvalue()
+    if outcome in {"exit 2", "SystemExit 2"}:  # a refused run creates nothing
+        assert set(scratch.rglob("*")) == before
