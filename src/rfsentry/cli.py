@@ -37,6 +37,16 @@ EXIT_IO = 4
 _BAND_CHOICES = tuple(mode.value for mode in BandMode)
 # The extraction flags' destinations; a flag left unset takes Extraction's default.
 _EXTRACTION_OPTIONS = ("frame_size", "hop", "q", "window")
+# Each training flag, its metavar, the TrainConfig field it sets (whose default
+# and type it takes) and its help.
+_TRAIN_OPTIONS = (
+    ("--rounds", "ROUNDS", "n_rounds", "boosting rounds"),
+    ("--eta", "ETA", "learning_rate", "learning rate"),
+    ("--max-depth", "MAX_DEPTH", "max_depth", "maximum tree depth"),
+    ("--lambda", "REG_LAMBDA", "reg_lambda", "L2 leaf penalty"),
+    ("--gamma", "GAMMA", "gamma", "per-leaf split penalty"),
+    ("--min-child-weight", "MIN_CHILD_WEIGHT", "min_child_weight", "minimum child hessian sum"),
+)
 
 
 def _extraction_args(parser: argparse.ArgumentParser) -> None:
@@ -49,12 +59,19 @@ def _extraction_args(parser: argparse.ArgumentParser) -> None:
 
 def _train_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("training")
-    group.add_argument("--rounds", type=int, default=100, help="boosting rounds")
-    group.add_argument("--eta", type=float, default=0.3, help="learning rate")
-    group.add_argument("--max-depth", type=int, default=6, help="maximum tree depth")
-    group.add_argument("--lambda", dest="reg_lambda", type=float, default=1.0, help="L2 leaf penalty")
-    group.add_argument("--gamma", type=float, default=0.0, help="per-leaf split penalty")
-    group.add_argument("--min-child-weight", type=float, default=1.0, help="minimum child hessian sum")
+    defaults = gbdt.TrainConfig()
+    for flag, metavar, name, help_text in _TRAIN_OPTIONS:
+        default = getattr(defaults, name)
+        group.add_argument(
+            flag, dest=name, metavar=metavar, type=type(default), default=default, help=help_text
+        )
+
+
+def _report_args(parser: argparse.ArgumentParser) -> None:
+    """The last flags of cv and compare, which both write a report."""
+    parser.add_argument("--seed-data", type=int, default=0, help="fold-assignment seed")
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
 
 
 def _case_arg(parser: argparse.ArgumentParser) -> None:
@@ -68,15 +85,8 @@ def _case_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args, n_classes: int) -> gbdt.TrainConfig:
-    return gbdt.TrainConfig(
-        n_rounds=args.rounds,
-        learning_rate=args.eta,
-        max_depth=args.max_depth,
-        reg_lambda=args.reg_lambda,
-        gamma=args.gamma,
-        min_child_weight=args.min_child_weight,
-        n_classes=n_classes,
-    )
+    given = {name: getattr(args, name) for _, _, name, _ in _TRAIN_OPTIONS}
+    return gbdt.TrainConfig(**given, n_classes=n_classes)
 
 
 def _extraction(args) -> Extraction:
@@ -88,11 +98,14 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_metric_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_report(path, payload: dict, extraction: Extraction, reports: dict, case: Case) -> None:
+    """The JSON report, with the extraction record added, and beside it the per-fold
+    metric CSV of the reports (band-mode name to `CvReport`)."""
+    _write_json(path, {**payload, "extraction": dataclasses.asdict(extraction)})
+    with open(Path(path).with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "band_mode", "fold", "metric", "value"])
-        writer.writerows(rows)
+        writer.writerows(evaluation.metric_csv_rows(reports, case.value))
 
 
 def cmd_synth(args) -> int:
@@ -141,16 +154,8 @@ def cmd_cv(args) -> int:
     ds = _load_features_for_case(args.features, args.case)
     config = _train_config(args, ds.case.n_classes)
     report = evaluation.cross_validate(ds, config, k=args.k_folds, seed=args.seed_data, jobs=args.jobs)
-    payload = report.to_dict()
-    payload["case"] = ds.case.value
-    payload["band_mode"] = ds.band_mode.value
-    payload["extraction"] = dataclasses.asdict(ds.extraction)
-    _write_json(args.out, payload)
-    csv_path = Path(args.out).with_suffix(".csv")
-    _write_metric_csv(
-        csv_path,
-        evaluation.metric_csv_rows({ds.band_mode.value: report}, ds.case.value),
-    )
+    payload = {**report.to_dict(), "case": ds.case.value, "band_mode": ds.band_mode.value}
+    _write_report(args.out, payload, ds.extraction, {ds.band_mode.value: report}, ds.case)
     print(
         f"case {ds.case.value} {ds.band_mode.value}: "
         f"accuracy {report.mean['accuracy']:.4f} +- {report.std['accuracy']:.4f} "
@@ -182,16 +187,8 @@ def cmd_compare(args) -> int:
         extraction=extraction,
         jobs=args.jobs,
     )
-    payload = comparison.to_dict()
-    payload["extraction"] = dataclasses.asdict(extraction)
-    _write_json(args.out, payload)
-    csv_path = Path(args.out).with_suffix(".csv")
-    _write_metric_csv(
-        csv_path,
-        evaluation.metric_csv_rows(
-            {mode.value: rep for mode, rep in comparison.reports.items()}, case.value
-        ),
-    )
+    reports = {mode.value: report for mode, report in comparison.reports.items()}
+    _write_report(args.out, comparison.to_dict(), extraction, reports, case)
     for mode, report in comparison.reports.items():
         print(
             f"case {case.value} {mode.value}: accuracy "
@@ -290,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, choices=(1, 2, 3), default=None, help="expected case (validated)")
     _train_args(p)
     p.add_argument("--k-folds", type=int, default=10)
-    p.add_argument("--seed-data", type=int, default=0, help="fold-assignment seed")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
+    _report_args(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("compare", help="lower/upper/both band comparison with paired t-tests")
@@ -302,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _train_args(p)
     p.add_argument("--k-folds", type=int, default=10)
     p.add_argument("--alpha", type=float, default=0.05, help="t-test significance level")
-    p.add_argument("--seed-data", type=int, default=0, help="fold-assignment seed")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
+    _report_args(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("train", help="train a model on a full feature cache")

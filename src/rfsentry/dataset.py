@@ -420,6 +420,7 @@ def build_dronerf_manifest(root) -> Manifest:
 
 SYNTH_DEFAULT_LENGTH = 8192
 
+_TONE_BLOCK = 1 << 16
 _COMB_SPACINGS = (17, 23, 29, 35)  # by mode
 _COMB_TEETH = 5
 
@@ -484,12 +485,15 @@ def class_tone_bins(class_id: int, band: Band, include_comb: bool = True) -> tup
 
 
 def _tone_signal(rng, tones, amp_scale, sigma, length) -> np.ndarray:
+    """Gaussian noise plus the tones. The tones are added _TONE_BLOCK samples at a
+    time, so besides the signal only a block's temporaries are held."""
     signal = rng.normal(0.0, sigma, length)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(tones))
-    if tones:
-        t = np.arange(length)
+    for start in range(0, length, _TONE_BLOCK):
+        block = signal[start : start + _TONE_BLOCK]
+        t = np.arange(start, start + block.shape[0])
         for (bin_index, amplitude), phase in zip(tones, phases):
-            signal += amp_scale * amplitude * np.cos(
+            block += amp_scale * amplitude * np.cos(
                 2.0 * np.pi * bin_index * t / DEFAULT_FRAME_SIZE + phase
             )
     return signal

@@ -147,7 +147,6 @@ class GbdtModel:
 
     config: TrainConfig
     feature_dim: int
-    base_score: float = 0.0
     forest: Tree = field(default_factory=lambda: Tree([], [], [], []))
     trees: list[tuple[int, int, range]] = field(default_factory=list)
     objective_history: list[float] = field(default_factory=list)
@@ -527,9 +526,8 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
     k = config.n_classes
     binary = k == 2
     state = _ScanState(features, Presort.of(features) if presort is None else presort)
-    base_score = 0.0
-    logits = np.full((n, k), base_score, dtype=np.float64)
-    model = GbdtModel(config=config, feature_dim=d, base_score=base_score)
+    logits = np.zeros((n, k))
+    model = GbdtModel(config=config, feature_dim=d)
     penalty = 0.0
     model.objective_history.append((_logloss(logits, labels) + penalty) / n)
 
@@ -555,14 +553,14 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
 
 
 def _accumulate_logits(model: GbdtModel, features: np.ndarray) -> np.ndarray:
-    """Base score plus each tree's output, added in forest order per class.
+    """Each tree's output, added from zero in forest order per class.
 
     ufunc.at adds unbuffered in index order, so the sums are
     bit-identical to adding one tree at a time.
     """
     n, k = features.shape[0], model.config.n_classes
     leaf = model.forest.apply(features, [nodes.start for _, _, nodes in model.trees])
-    logits = np.full((n, k), model.base_score)
+    logits = np.zeros((n, k))
     rows = np.broadcast_to(np.arange(n)[:, None], leaf.shape)
     if k == 2:
         np.add.at(logits, (rows, 1), leaf)
@@ -597,7 +595,8 @@ def predict(model: GbdtModel, features: np.ndarray) -> int | np.ndarray:
 
 _MAGIC = b"RFGB"
 _VERSION = 2
-# magic, version, the TrainConfig fields in order, base score, feature dim, tree count
+# magic, version, the TrainConfig fields in order, a reserved slot (0.0: under softmax a
+# base score shared by every class cancels), feature dim, tree count
 _PREFIX = struct.Struct("<4sH ididddi dII")
 _TABLE = np.dtype([("round", "<u2"), ("class_id", "<u2"), ("nodes", "<u4")])
 _NODE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"), ("right", "<i4"))
@@ -612,7 +611,7 @@ def save_model(model: GbdtModel, path) -> None:
     """
     table = np.array([(rnd, c, len(nodes)) for rnd, c, nodes in model.trees], dtype=_TABLE)
     head = _PREFIX.pack(
-        _MAGIC, _VERSION, *astuple(model.config), model.base_score, model.feature_dim, len(table)
+        _MAGIC, _VERSION, *astuple(model.config), 0.0, model.feature_dim, len(table)
     )
     parts = [head, table.tobytes()]
     parts += [getattr(model.forest, name).astype(dtype).tobytes() for name, dtype in _NODE_ARRAYS]
@@ -662,19 +661,21 @@ def load_model(path) -> GbdtModel:
     """Read a model container; predictions round-trip bit-exactly.
 
     Sizes are checked against the file length before any array is read,
-    and the arrays and the base score (which must be finite) are checked
-    before the model is returned; any violation is a FormatError.
+    and the arrays are checked before the model is returned; any
+    violation, or a reserved slot other than 0.0, is a FormatError.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
     try:
-        _, version, *fields, base_score, feature_dim, n_trees = _PREFIX.unpack_from(buf)
+        _, version, *fields, reserved, feature_dim, n_trees = _PREFIX.unpack_from(buf)
     except struct.error as exc:
         raise FormatError(f"model file is truncated: {exc}") from None
     if version != _VERSION:
         raise FormatError(f"unsupported model container version {version}; retrain the model")
+    if reserved != 0.0:
+        raise FormatError(f"model file holds base score {reserved}; the reserved slot must be 0.0")
     try:
         config = TrainConfig(*fields)
     except ConfigurationError as exc:
@@ -700,12 +701,11 @@ def load_model(path) -> GbdtModel:
     forest = Tree(**arrays)
     starts = stops - table["nodes"]
     _check_forest(forest, starts, stops, feature_dim, config.max_depth)
-    stored = {"base score": base_score, "threshold": forest.threshold, "leaf value": forest.value}
-    for name, values in stored.items():
+    for name, values in (("threshold", forest.threshold), ("leaf value", forest.value)):
         if not np.isfinite(values).all():
             raise FormatError(f"model file holds a non-finite {name}")
     trees = [
         (int(rnd), int(c), range(int(a), int(b)))
         for rnd, c, a, b in zip(table["round"], table["class_id"], starts, stops)
     ]
-    return GbdtModel(config, int(feature_dim), base_score, forest, trees)
+    return GbdtModel(config, int(feature_dim), forest, trees)

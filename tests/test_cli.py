@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import logging
@@ -555,6 +556,81 @@ class TestRepeatedCalls:
         assert code == 0 and out.startswith("usage: rfsentry")
         assert "{synth,features,cv,compare,train,predict}" in out
         assert exits(["cv", "--k-folds", "two"]) == first
+
+
+REQUIRED = "required"
+TRAINING = [
+    ("--rounds", 100),
+    ("--eta", 0.3),
+    ("--max-depth", 6),
+    ("--lambda", 1.0),
+    ("--gamma", 0.0),
+    ("--min-child-weight", 1.0),
+]
+EXTRACTION = [("--frame-size", None), ("--hop", None), ("--q", None), ("--window", None)]
+REPORT = [("--seed-data", 0), ("--jobs", 1), ("--out", REQUIRED)]
+OPTIONS = {
+    "synth": [("--out-dir", REQUIRED), ("--n-per-class", 10), ("--seed-data", 0), ("--length", 8192)],
+    "features": [
+        ("--manifest", REQUIRED),
+        ("--band", "lower"),
+        ("--case", REQUIRED),
+        *EXTRACTION,
+        ("--jobs", 1),
+        ("--out", REQUIRED),
+    ],
+    "cv": [("--features", REQUIRED), ("--case", None), *TRAINING, ("--k-folds", 10), *REPORT],
+    "compare": [
+        ("--manifest", REQUIRED),
+        ("--case", REQUIRED),
+        *EXTRACTION,
+        *TRAINING,
+        ("--k-folds", 10),
+        ("--alpha", 0.05),
+        *REPORT,
+    ],
+    "train": [("--features", REQUIRED), ("--case", None), *TRAINING, ("--out", REQUIRED)],
+    "predict": [
+        ("--model", REQUIRED),
+        ("--features", None),
+        ("--lb", None),
+        ("--ub", None),
+        ("--band", None),
+        *EXTRACTION,
+        ("--out", None),
+    ],
+}
+
+
+class TestOptions:
+    def test_option_strings_and_defaults(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(OPTIONS)
+        for command, expected in OPTIONS.items():
+            got = [
+                (flag, REQUIRED if action.required else action.default)
+                for action in sub.choices[command]._actions
+                if action.dest != "help"
+                for flag in action.option_strings
+            ]
+            assert got == expected, command
+            assert [type(v) for _, v in got] == [type(v) for _, v in expected], command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cv", "--features", "a.rfds", "--out", "r.json"],
+            ["compare", "--manifest", "m.json", "--case", "1", "--out", "r.json"],
+            ["train", "--features", "a.rfds", "--out", "m.rfgb"],
+        ],
+    )
+    def test_training_flags_set_train_config(self, argv):
+        parser = cli.build_parser()
+        assert cli._train_config(parser.parse_args(argv), 2) == gbdt.TrainConfig()
+        given = ["--rounds", "7", "--eta", "0.5", "--max-depth", "2", "--lambda", "3"]
+        args = parser.parse_args([*argv, *given, "--gamma", "0.25", "--min-child-weight", "0.5"])
+        assert cli._train_config(args, 4) == gbdt.TrainConfig(7, 0.5, 2, 3.0, 0.25, 0.5, 4)
 
 
 def assert_one_error_line(err: str) -> str:

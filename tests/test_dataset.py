@@ -412,6 +412,9 @@ class TestDroneRfScan:
                 "10101L_10.csv",
                 "10101H_10.csv",
                 "notes.txt",
+                # Lower-band-shaped names that are not DroneRF stems are skipped.
+                "CALL_LOG.csv",
+                "1010L_3.csv",
             ],
         )
         manifest = build_dronerf_manifest(tmp_path)
@@ -487,6 +490,39 @@ class TestSynthSegment:
     def test_length_validation(self):
         with pytest.raises(ConfigurationError):
             synth_segment(1, 0, length=100)
+
+    @pytest.mark.parametrize("class_id", [0, 3, 9])
+    def test_blocked_tones_match_one_full_length_pass(self, class_id):
+        def reference(rng, tones, amp_scale, sigma, length):
+            signal = rng.normal(0.0, sigma, length)
+            phases = rng.uniform(0.0, 2.0 * np.pi, len(tones))
+            t = np.arange(length)
+            for (bin_index, amplitude), phase in zip(tones, phases):
+                signal += amp_scale * amplitude * np.cos(
+                    2.0 * np.pi * bin_index * t / dataset_mod.DEFAULT_FRAME_SIZE + phase
+                )
+            return signal
+
+        length = 3 * dataset_mod._TONE_BLOCK + 1000
+        for band in Band:
+            tones = dataset_mod._class_tones(class_id, band, comb=True)
+            rngs = [np.random.Generator(np.random.Philox(key=[5, class_id])) for _ in range(2)]
+            blocked = dataset_mod._tone_signal(rngs[0], tones, 1.1, 0.95, length)
+            expected = reference(rngs[1], tones, 1.1, 0.95, length)
+            assert blocked.tobytes() == expected.tobytes()
+            # Both generators drew the same numbers, so they are in the same state.
+            assert rngs[0].random() == rngs[1].random()
+
+    def test_memory_is_bounded_at_dronerf_length(self):
+        length = 1 << 21
+        tracemalloc.start()
+        try:
+            synth_segment(9, 1, length=length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Both bands' samples (16 bytes per sample) and one block's temporaries.
+        assert peak <= 24 * length
 
 
 class TestSyntheticCorpus:

@@ -162,6 +162,14 @@ class TestMetrics:
         with pytest.raises(EmptyEvaluationError):
             metrics(np.zeros((3, 3), dtype=int))
 
+    @pytest.mark.parametrize(
+        "confusion, message",
+        [(np.ones((2, 3)), "square"), (np.ones(4), "square"), ([[2, -1], [0, 1]], "non-negative")],
+    )
+    def test_malformed_matrix_rejected(self, confusion, message):
+        with pytest.raises(ShapeError, match=message):
+            metrics(confusion)
+
 
 class TestStudentT:
     def test_pinned_quantile(self):

@@ -147,6 +147,11 @@ class TestLeafWeight:
         with pytest.raises(DegenerateLeafError):
             leaf_weight(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("h_sum, reg_lambda", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_hessian_or_lambda_rejected(self, h_sum, reg_lambda):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            leaf_weight(1.0, h_sum, reg_lambda)
+
 
 class TestSplitGain:
     def test_identical_halves_gain_nothing(self):
@@ -465,6 +470,17 @@ class TestTrain:
         with pytest.raises(SchemaError):
             train(features, labels, TrainConfig(n_classes=2))
 
+    def test_float_labels_rejected(self):
+        features, labels = blobs(37)
+        with pytest.raises(SchemaError, match="integers"):
+            train(features, labels.astype(np.float64), TrainConfig(n_classes=3))
+
+    def test_presort_of_other_rows_rejected(self):
+        features, labels = blobs(38)
+        presort = gbdt.Presort.of(features[:-1])
+        with pytest.raises(ShapeError, match="presort has shape"):
+            train(features, labels, TrainConfig(n_classes=3), presort=presort)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=0.0)
@@ -724,6 +740,18 @@ class TestModelIO:
         with pytest.raises(FormatError, match="feature 10"):
             load_model(path)
 
+    def test_tree_with_no_nodes_rejected(self, tmp_path):
+        model = GbdtModel(
+            config=TrainConfig(n_rounds=2, n_classes=2),
+            feature_dim=1,
+            forest=Tree.from_rows([[-1, 0.0, 0.5, -1]]),
+            trees=[(0, 1, range(1)), (1, 1, range(1, 1))],
+        )
+        path = tmp_path / "model.rfgb"
+        save_model(model, path)
+        with pytest.raises(FormatError, match="tree with no nodes"):
+            load_model(path)
+
     @staticmethod
     def chain_model_bytes(
         depth,
@@ -817,21 +845,24 @@ class TestModelIO:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "override, name",
+        "override, message",
         [
-            ({"value": [0.0, -1.0, math.nan]}, "leaf value"),
-            ({"threshold": [math.inf, 0.0, 0.0]}, "threshold"),
-            ({"base_score": -math.inf}, "base score"),
+            ({"value": [0.0, -1.0, math.nan]}, "non-finite leaf value"),
+            ({"threshold": [math.inf, 0.0, 0.0]}, "non-finite threshold"),
+            ({"base_score": -math.inf}, "base score -inf; the reserved slot must be 0.0"),
+            ({"base_score": 0.5}, "base score 0.5; the reserved slot must be 0.0"),
         ],
-        ids=["nan-leaf", "inf-threshold", "inf-base-score"],
+        ids=["nan-leaf", "inf-threshold", "inf-base-score", "nonzero-base-score"],
     )
-    def test_non_finite_node_or_base_score_is_format_error(self, tmp_path, override, name):
+    def test_non_finite_node_or_base_score_is_format_error(self, tmp_path, override, message):
         path = tmp_path / "model.rfgb"
         path.write_bytes(self.chain_model_bytes(depth=1, max_depth=1))
         assert len(load_model(path).trees) == 1
         path.write_bytes(self.chain_model_bytes(depth=1, max_depth=1, **override))
-        with pytest.raises(FormatError, match=f"non-finite {name}"):
+        with pytest.raises(FormatError, match=message):
             load_model(path)
+        argv = ["predict", "--model", str(path), "--features", str(tmp_path / "absent.rfds")]
+        assert main(argv) == 3
 
     def test_class_outside_model_rejected(self, tmp_path):
         data = bytearray(self.chain_model_bytes(depth=1, max_depth=1))

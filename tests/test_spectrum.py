@@ -91,6 +91,10 @@ class TestDft:
         with pytest.raises(InvalidFrameError):
             dft(np.zeros(bad_length) if bad_length else np.zeros(0))
 
+    def test_rejects_two_dimensional_frame(self):
+        with pytest.raises(InvalidFrameError, match="1-D"):
+            dft(np.ones((2, 8)))
+
     def test_rejects_non_finite_samples(self):
         x = np.ones(8)
         x[5] = np.nan
@@ -395,6 +399,10 @@ class TestSegmentSpectrum:
     def test_unknown_window(self):
         with pytest.raises(ConfigurationError):
             segment_spectrum(np.zeros(512), Band.LOWER, frame_size=256, window="flattop")
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            segment_spectrum(np.zeros((2, 512)), Band.LOWER, frame_size=256)
 
 
 class TestExtraction:
