@@ -98,14 +98,14 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_report(path, payload: dict, extraction: Extraction, reports: dict, case: Case) -> None:
+def _write_report(path, payload: dict, extraction: Extraction, reports: dict) -> None:
     """The JSON report, with the extraction record added, and beside it the per-fold
-    metric CSV of the reports (band-mode name to `CvReport`)."""
+    metric CSV of its cross-validation reports (band-mode value to report)."""
     _write_json(path, {**payload, "extraction": dataclasses.asdict(extraction)})
     with open(Path(path).with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "band_mode", "fold", "metric", "value"])
-        writer.writerows(evaluation.metric_csv_rows(reports, case.value))
+        writer.writerows(evaluation.metric_csv_rows(reports, payload["case"]))
 
 
 def cmd_synth(args) -> int:
@@ -154,21 +154,21 @@ def cmd_cv(args) -> int:
     ds = _load_features_for_case(args.features, args.case)
     config = _train_config(args, ds.case.n_classes)
     report = evaluation.cross_validate(ds, config, k=args.k_folds, seed=args.seed_data, jobs=args.jobs)
-    payload = {**report.to_dict(), "case": ds.case.value, "band_mode": ds.band_mode.value}
-    _write_report(args.out, payload, ds.extraction, {ds.band_mode.value: report}, ds.case)
+    report.update(case=ds.case.value, band_mode=ds.band_mode.value)
+    _write_report(args.out, report, ds.extraction, {ds.band_mode.value: report})
     print(
         f"case {ds.case.value} {ds.band_mode.value}: "
-        f"accuracy {report.mean['accuracy']:.4f} +- {report.std['accuracy']:.4f} "
-        f"over {report.k} folds -> {args.out}"
+        f"accuracy {report['mean']['accuracy']:.4f} +- {report['std']['accuracy']:.4f} "
+        f"over {report['k_folds']} folds -> {args.out}"
     )
     return EXIT_OK
 
 
-def _format_ttest(name: str, result) -> str:
-    verdict = "rejected" if result.rejected else "not rejected"
+def _format_ttest(name: str, result: dict) -> str:
+    verdict = "rejected" if result["rejected"] else "not rejected"
     return (
-        f"{name}: mean diff {result.mean_diff:+.4f}, t={result.t_stat:.3f} "
-        f"(dof {result.dof}), CI [{result.ci_low:.4f}, {result.ci_high:.4f}], {verdict}"
+        f"{name}: mean diff {result['mean_diff']:+.4f}, t={result['t_stat']:.3f} "
+        f"(dof {result['dof']}), CI [{result['ci_low']:.4f}, {result['ci_high']:.4f}], {verdict}"
     )
 
 
@@ -187,15 +187,14 @@ def cmd_compare(args) -> int:
         extraction=extraction,
         jobs=args.jobs,
     )
-    reports = {mode.value: report for mode, report in comparison.reports.items()}
-    _write_report(args.out, comparison.to_dict(), extraction, reports, case)
-    for mode, report in comparison.reports.items():
+    _write_report(args.out, comparison, extraction, comparison["bands"])
+    for band, report in comparison["bands"].items():
         print(
-            f"case {case.value} {mode.value}: accuracy "
-            f"{report.mean['accuracy']:.4f} +- {report.std['accuracy']:.4f}"
+            f"case {case.value} {band}: accuracy "
+            f"{report['mean']['accuracy']:.4f} +- {report['std']['accuracy']:.4f}"
         )
-    print(_format_ttest("LB vs UB", comparison.lb_vs_ub))
-    print(_format_ttest("LB vs both", comparison.lb_vs_both))
+    print(_format_ttest("LB vs UB", comparison["ttests"]["lb_vs_ub"]))
+    print(_format_ttest("LB vs both", comparison["ttests"]["lb_vs_both"]))
     print(f"report -> {args.out}")
     return EXIT_OK
 

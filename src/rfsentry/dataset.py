@@ -295,12 +295,6 @@ class ManifestEntry:
     ub_path: str
     case3: int
 
-    def __post_init__(self) -> None:
-        paths = (self.lb_path, self.ub_path)
-        if not all(isinstance(p, str) and p and "\0" not in p for p in paths):
-            raise SchemaError("manifest entry band paths must be non-empty strings without NUL")
-        Case.III.label(self.case3)
-
     @property
     def segment_id(self) -> str:
         return Path(self.lb_path).stem
@@ -308,18 +302,16 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Ordered list of segment entries; row order in datasets follows it."""
+    """Ordered list of segment entries; row order in datasets follows it.
+
+    Manifest and ManifestEntry are plain records: load_manifest checks the
+    paths, labels and source it reads.
+    """
 
     entries: tuple[ManifestEntry, ...]
     source: str
     root: Path = Path(".")
     config: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "root", Path(self.root))
-        if self.source not in ("DroneRF", "Synthetic"):
-            raise SchemaError(f"manifest source must be DroneRF or Synthetic, got {self.source!r}")
 
     def resolve(self, entry: ManifestEntry) -> tuple[Path, Path]:
         return self.root / entry.lb_path, self.root / entry.ub_path
@@ -365,9 +357,15 @@ def load_manifest(path) -> Manifest:
             label = raw["label"]
             if not isinstance(label, int) or isinstance(label, bool):
                 raise SchemaError(f"label must be an integer, got {label!r}")
-            entries.append(ManifestEntry(lb_path=raw["lb_path"], ub_path=raw["ub_path"], case3=label))
+            paths = raw["lb_path"], raw["ub_path"]
+            if not all(isinstance(p, str) and p and "\0" not in p for p in paths):
+                raise SchemaError("manifest entry band paths must be non-empty strings without NUL")
+            Case.III.label(label)
+            entries.append(ManifestEntry(*paths, case3=label))
         except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: bad manifest entry {i}: {exc}") from None
+    if payload["source"] not in ("DroneRF", "Synthetic"):
+        raise SchemaError(f"manifest source must be DroneRF or Synthetic, got {payload['source']!r}")
     return Manifest(
         entries=tuple(entries),
         source=payload["source"],

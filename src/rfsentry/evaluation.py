@@ -109,15 +109,8 @@ class MetricSet:
     undefined_precision: int = 0
     undefined_recall: int = 0
 
-    def values(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
     def to_dict(self) -> dict:
-        out = self.values()
-        out["confusion"] = self.confusion.tolist()
-        out["undefined_precision"] = self.undefined_precision
-        out["undefined_recall"] = self.undefined_recall
-        return out
+        return {**dataclasses.asdict(self), "confusion": self.confusion.tolist()}
 
 
 def metrics(confusion: np.ndarray) -> MetricSet:
@@ -154,35 +147,6 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CvReport:
-    """Per-fold metrics with their sample mean and standard deviation."""
-
-    per_fold: list[MetricSet]
-    k: int
-    seed: int
-    mean: dict[str, float]
-    std: dict[str, float]
-    config: dict
-    config_fingerprint: str
-    fold_fingerprint: str
-
-    def fold_scores(self, metric: str = "accuracy") -> np.ndarray:
-        return np.array([getattr(m, metric) for m in self.per_fold])
-
-    def to_dict(self) -> dict:
-        return {
-            "k_folds": self.k,
-            "seed_data": self.seed,
-            "per_fold": [m.to_dict() for m in self.per_fold],
-            "mean": self.mean,
-            "std": self.std,
-            "config": self.config,
-            "config_fingerprint": self.config_fingerprint,
-            "fold_fingerprint": self.fold_fingerprint,
-        }
-
-
 def _fold_confusion(
     features: np.ndarray,
     labels: np.ndarray,
@@ -199,49 +163,46 @@ def _fold_confusion(
     return confusion_matrix(labels[test_rows], predicted, config.n_classes)
 
 
+def _check_n_classes(train_config: gbdt.TrainConfig, case: "dataset_mod.Case") -> None:
+    if train_config.n_classes != case.n_classes:
+        raise ConfigurationError(
+            f"train config declares {train_config.n_classes} classes but "
+            f"case {case.value} has {case.n_classes}"
+        )
+
+
 def cross_validate(
     dataset: "dataset_mod.LabeledDataset",
     train_config: gbdt.TrainConfig,
     k: int = 10,
     seed: int = 0,
     jobs: int = 1,
-) -> CvReport:
+) -> dict:
     """Train K times, each fold held out once; folds are fixed by seed.
 
-    The features are sorted once, and each fold's fit filters that presort.
+    Returns the report `rfsentry cv` writes, less its case, band_mode and
+    extraction keys. The features are sorted once, and each fold's fit
+    filters that presort.
     """
-    if train_config.n_classes != dataset.case.n_classes:
-        raise ConfigurationError(
-            f"train config declares {train_config.n_classes} classes but the "
-            f"dataset's case has {dataset.case.n_classes}"
-        )
+    _check_n_classes(train_config, dataset.case)
     folds = stratified_kfold(dataset.labels, k, seed)
     presort = gbdt.Presort.of(dataset.features)
     fit = functools.partial(
         _fold_confusion, dataset.features, dataset.labels, folds.fold_of, train_config, presort
     )
-    per_fold = [metrics(c) for c in dataset_mod.pool_map(fit, jobs, k, range(k))]
-    mean = {}
-    std = {}
-    for name in METRIC_NAMES:
-        scores = np.array([getattr(m, name) for m in per_fold])
-        mean[name] = float(scores.mean())
-        std[name] = float(scores.std(ddof=1))
-    config = {
-        "train": dataclasses.asdict(train_config),
+    per_fold = [metrics(c).to_dict() for c in dataset_mod.pool_map(fit, jobs, k, range(k))]
+    scores = {name: np.array([m[name] for m in per_fold]) for name in METRIC_NAMES}
+    config = {"train": dataclasses.asdict(train_config), "k_folds": k, "seed_data": seed}
+    return {
         "k_folds": k,
         "seed_data": seed,
+        "per_fold": per_fold,
+        "mean": {name: float(s.mean()) for name, s in scores.items()},
+        "std": {name: float(s.std(ddof=1)) for name, s in scores.items()},
+        "config": config,
+        "config_fingerprint": config_fingerprint(config),
+        "fold_fingerprint": folds.fingerprint,
     }
-    return CvReport(
-        per_fold=per_fold,
-        k=k,
-        seed=seed,
-        mean=mean,
-        std=std,
-        config=config,
-        config_fingerprint=config_fingerprint(config),
-        fold_fingerprint=folds.fingerprint,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +273,6 @@ class TTestResult:
     rejected: bool
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def paired_ttest(
     scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05
@@ -355,34 +313,6 @@ def paired_ttest(
     return TTestResult(mean_diff, t_stat, dof, ci_low, ci_high, alpha, rejected)
 
 
-@dataclass(frozen=True)
-class BandComparison:
-    """Cross-validation of all three band layouts over one fold partition."""
-
-    case: "dataset_mod.Case"
-    reports: dict[BandMode, CvReport]
-    lb_vs_ub: TTestResult
-    lb_vs_both: TTestResult
-    alpha: float
-
-    @property
-    def fold_fingerprint(self) -> str:
-        return self.reports[BandMode.LOWER_ONLY].fold_fingerprint
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "bands": {mode.value: rep.to_dict() for mode, rep in self.reports.items()},
-            "ttests": {
-                "lb_vs_ub": self.lb_vs_ub.to_dict(),
-                "lb_vs_both": self.lb_vs_both.to_dict(),
-            },
-            "alpha": self.alpha,
-            "config_fingerprint": self.reports[BandMode.LOWER_ONLY].config_fingerprint,
-            "fold_fingerprint": self.fold_fingerprint,
-        }
-
-
 def compare_bands(
     manifest: "dataset_mod.Manifest",
     case: "dataset_mod.Case",
@@ -392,12 +322,15 @@ def compare_bands(
     alpha: float = 0.05,
     extraction: Extraction = Extraction(),
     jobs: int = 1,
-) -> BandComparison:
+) -> dict:
     """Run lower-only, upper-only and concatenated CV plus the two t-tests.
 
-    The three layouts come from one extraction pass, so each band file is
-    parsed once. All three runs share one fold partition (same labels, K
-    and seed), which the paired t-tests require. k, alpha and seed are
+    Returns the report `rfsentry compare` writes, less its extraction key:
+    the three cross_validate reports under "bands", keyed by band-mode
+    value, and the t-tests on their per-fold accuracies. The three layouts
+    come from one extraction pass, so each band file is parsed once. All
+    three runs share one fold partition (same labels, K and seed), which
+    the paired t-tests require. The class count, k, alpha and seed are
     checked before any band file is read.
     """
     if not (0.0 < alpha < 1.0 and 2 <= k <= len(manifest.entries)):
@@ -406,7 +339,7 @@ def compare_bands(
         )
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    train_config = dataclasses.replace(train_config, n_classes=case.n_classes)
+    _check_n_classes(train_config, case)
     datasets = dataset_mod.build_datasets(
         manifest,
         (BandMode.LOWER_ONLY, BandMode.UPPER_ONLY, BandMode.CONCATENATED),
@@ -414,27 +347,30 @@ def compare_bands(
         extraction,
         jobs=jobs,
     )
-    reports = {
-        mode: cross_validate(ds, train_config, k=k, seed=seed, jobs=jobs)
+    bands = {
+        mode.value: cross_validate(ds, train_config, k=k, seed=seed, jobs=jobs)
         for mode, ds in datasets.items()
     }
-    acc = {mode: rep.fold_scores("accuracy") for mode, rep in reports.items()}
-    return BandComparison(
-        case=case,
-        reports=reports,
-        lb_vs_ub=paired_ttest(acc[BandMode.LOWER_ONLY], acc[BandMode.UPPER_ONLY], alpha),
-        lb_vs_both=paired_ttest(
-            acc[BandMode.LOWER_ONLY], acc[BandMode.CONCATENATED], alpha
-        ),
-        alpha=alpha,
-    )
+    acc = {band: [m["accuracy"] for m in rep["per_fold"]] for band, rep in bands.items()}
+    return {
+        "case": case.value,
+        "bands": bands,
+        "ttests": {
+            name: dataclasses.asdict(paired_ttest(acc["lower"], acc[other], alpha))
+            for name, other in (("lb_vs_ub", "upper"), ("lb_vs_both", "both"))
+        },
+        "alpha": alpha,
+        "config_fingerprint": bands["lower"]["config_fingerprint"],
+        "fold_fingerprint": bands["lower"]["fold_fingerprint"],
+    }
 
 
-def metric_csv_rows(reports: dict[str, CvReport], case_value: int) -> list[tuple]:
-    """Plot-ready rows: one per fold x band-mode x metric."""
+def metric_csv_rows(reports: dict[str, dict], case_value: int) -> list[tuple]:
+    """Plot-ready rows: one per fold x band-mode x metric, from reports keyed
+    by band-mode value."""
     rows = []
     for band_label, report in reports.items():
-        for fold, metric_set in enumerate(report.per_fold):
-            for name, value in metric_set.values().items():
-                rows.append((case_value, band_label, fold, name, value))
+        for fold, metric_set in enumerate(report["per_fold"]):
+            for name in METRIC_NAMES:
+                rows.append((case_value, band_label, fold, name, metric_set[name]))
     return rows

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rfsentry import __version__, cli, gbdt
+from rfsentry import __version__, cli, evaluation, gbdt
 from rfsentry.cli import main
-from rfsentry.dataset import load_features, load_manifest
+from rfsentry.dataset import Case, load_features, load_manifest
+from rfsentry.spectrum import Extraction
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +374,29 @@ class TestCompare:
         for report in reports:
             assert all(fold["undefined_recall"] >= 6 for fold in report["per_fold"])
         assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
+
+
+class TestReportsAreLibraryResults:
+    def test_cv_and_compare_write_what_the_library_returns(self, corpus_dir, lower_cache, tmp_path):
+        # The same settings through the library: the CLI adds only its own keys.
+        config = gbdt.TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5, n_classes=10)
+        settings = [*FAST_TRAIN, "--k-folds", "5", "--seed-data", "2"]
+        cv_out, compare_out = tmp_path / "cv.json", tmp_path / "compare.json"
+        assert main(["cv", "--features", str(lower_cache), *settings, "--out", str(cv_out)]) == 0
+        written = json.loads(cv_out.read_text())
+        for key in ("case", "band_mode", "extraction"):
+            del written[key]
+        assert evaluation.cross_validate(load_features(lower_cache), config, k=5, seed=2) == written
+
+        manifest = corpus_dir / "manifest.json"
+        argv = ["compare", "--manifest", str(manifest), "--case", "3", "--frame-size", "1024"]
+        assert main([*argv, *settings, "--out", str(compare_out)]) == 0
+        written = json.loads(compare_out.read_text())
+        del written["extraction"]
+        returned = evaluation.compare_bands(
+            load_manifest(manifest), Case.III, config, k=5, seed=2, extraction=Extraction(frame_size=1024)
+        )
+        assert returned == written
 
 
 class TestTrainPredict:

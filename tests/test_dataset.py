@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -364,17 +365,25 @@ class TestManifest:
         assert loaded.source == "Synthetic"
         assert loaded.root == tmp_path
 
-    def test_missing_band_path_rejected(self):
-        with pytest.raises(SchemaError):
-            ManifestEntry("a_lb.csv", "", 0)
+    @staticmethod
+    def load_one(tmp_path, lb_path="a_lb.csv", ub_path="a_ub.csv", label=0, source="Synthetic"):
+        """load_manifest on a one-entry manifest file holding these values."""
+        path = tmp_path / "manifest.json"
+        entry = {"lb_path": lb_path, "ub_path": ub_path, "label": label}
+        path.write_text(json.dumps({"source": source, "entries": [entry]}))
+        return load_manifest(path)
 
-    def test_label_out_of_range(self):
-        with pytest.raises(SchemaError):
-            ManifestEntry("a_lb.csv", "a_ub.csv", 12)
+    def test_missing_band_path_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="non-empty strings without NUL"):
+            self.load_one(tmp_path, ub_path="")
+
+    def test_label_out_of_range(self, tmp_path):
+        with pytest.raises(SchemaError, match="must be in 0..9, got 12"):
+            self.load_one(tmp_path, label=12)
 
     def test_bad_source(self, tmp_path):
-        with pytest.raises(SchemaError):
-            Manifest(entries=(), source="Else", root=tmp_path)
+        with pytest.raises(SchemaError, match="DroneRF or Synthetic, got 'Else'"):
+            self.load_one(tmp_path, source="Else")
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "manifest.json"

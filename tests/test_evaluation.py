@@ -154,7 +154,7 @@ class TestMetrics:
             if matrix.sum() == 0:
                 continue
             m = metrics(matrix)
-            for value in m.values().values():
+            for value in (m.accuracy, m.macro_precision, m.macro_recall, m.macro_f1):
                 assert 0.0 <= value <= 1.0
             assert m.accuracy == pytest.approx(np.trace(matrix) / matrix.sum())
 
@@ -341,32 +341,30 @@ class TestCrossValidate:
         ds = blob_dataset(20, spread=0.1)
         config = TrainConfig(n_rounds=8, max_depth=3, n_classes=2)
         report = cross_validate(ds, config, k=5, seed=1)
-        assert report.mean["accuracy"] >= 0.99
-        assert report.std["accuracy"] == pytest.approx(0.0, abs=1e-9)
-        assert len(report.per_fold) == 5
+        assert report["mean"]["accuracy"] >= 0.99
+        assert report["std"]["accuracy"] == pytest.approx(0.0, abs=1e-9)
+        assert len(report["per_fold"]) == 5
 
     def test_bit_identical_reports_for_same_seed(self):
         ds = blob_dataset(21, spread=1.5)
         config = TrainConfig(n_rounds=4, max_depth=3, n_classes=2)
         a = cross_validate(ds, config, k=4, seed=9)
         b = cross_validate(ds, config, k=4, seed=9)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_jobs_do_not_change_results(self):
         ds = blob_dataset(22, spread=1.0)
         config = TrainConfig(n_rounds=3, max_depth=3, n_classes=2)
         serial = cross_validate(ds, config, k=4, seed=2, jobs=1)
         parallel = cross_validate(ds, config, k=4, seed=2, jobs=3)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            parallel.to_dict(), sort_keys=True
-        )
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
     def test_mean_std_recomputable_from_folds(self):
         ds = blob_dataset(23, spread=2.0)
         report = cross_validate(ds, TrainConfig(n_rounds=3, max_depth=2, n_classes=2), k=5, seed=3)
-        scores = report.fold_scores("accuracy")
-        assert report.mean["accuracy"] == pytest.approx(scores.mean())
-        assert report.std["accuracy"] == pytest.approx(scores.std(ddof=1))
+        scores = np.array([fold["accuracy"] for fold in report["per_fold"]])
+        assert report["mean"]["accuracy"] == pytest.approx(scores.mean())
+        assert report["std"]["accuracy"] == pytest.approx(scores.std(ddof=1))
 
     @pytest.mark.parametrize("case", [Case.I, Case.III])
     def test_fold_models_match_plain_train(self, small_corpus, case, monkeypatch):
@@ -408,24 +406,23 @@ def comparison(small_corpus):
 
 class TestCompareBands:
     def test_three_reports_and_two_tests(self, comparison):
-        assert set(comparison.reports) == {
-            BandMode.LOWER_ONLY,
-            BandMode.UPPER_ONLY,
-            BandMode.CONCATENATED,
+        assert set(comparison["bands"]) == {
+            BandMode.LOWER_ONLY.value,
+            BandMode.UPPER_ONLY.value,
+            BandMode.CONCATENATED.value,
         }
-        assert comparison.lb_vs_ub.dof == 4
-        assert comparison.lb_vs_both.dof == 4
+        assert comparison["ttests"]["lb_vs_ub"]["dof"] == 4
+        assert comparison["ttests"]["lb_vs_both"]["dof"] == 4
 
     def test_shared_fold_partition(self, comparison):
-        fingerprints = {rep.fold_fingerprint for rep in comparison.reports.values()}
-        assert fingerprints == {comparison.fold_fingerprint}
+        fingerprints = {rep["fold_fingerprint"] for rep in comparison["bands"].values()}
+        assert fingerprints == {comparison["fold_fingerprint"]}
 
     def test_report_dict_structure(self, comparison):
-        payload = comparison.to_dict()
-        assert payload["case"] == 1
-        assert set(payload["bands"]) == {"lower", "upper", "both"}
-        assert set(payload["ttests"]) == {"lb_vs_ub", "lb_vs_both"}
-        for block in payload["ttests"].values():
+        assert comparison["case"] == 1
+        assert set(comparison["bands"]) == {"lower", "upper", "both"}
+        assert set(comparison["ttests"]) == {"lb_vs_ub", "lb_vs_both"}
+        for block in comparison["ttests"].values():
             assert {"mean_diff", "t_stat", "dof", "ci_low", "ci_high", "rejected"} <= set(block)
 
     def test_each_band_file_parsed_once(self, small_corpus, monkeypatch):
@@ -443,19 +440,27 @@ class TestCompareBands:
         assert len(seen) == len(set(seen)) == 2 * n
         assert seen[:2] == [str(path) for path in small_corpus.resolve(small_corpus.entries[0])]
 
+    def test_class_count_mismatch_rejected_before_band_files_are_read(self, tmp_path, monkeypatch):
+        # Ten entries whose band files do not exist: only the config can fail first.
+        entries = tuple(
+            dataset_mod.ManifestEntry(f"{i}_lb.csv", f"{i}_ub.csv", i) for i in range(10)
+        )
+        manifest = dataset_mod.Manifest(entries=entries, source="Synthetic", root=tmp_path)
+        seen = []
+        monkeypatch.setattr(dataset_mod, "load_segment", seen.append)
+        with pytest.raises(ConfigurationError, match="declares 2 classes but case 3 has 10"):
+            compare_bands(manifest, Case.III, TrainConfig(n_rounds=1), k=2)
+        assert seen == []
+
     def test_parallel_report_is_identical(self, small_corpus, comparison):
         config = TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.5)
         parallel = compare_bands(
             small_corpus, Case.I, config, k=5, seed=4, extraction=FRAMES_1024, jobs=2
         )
-        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
-            comparison.to_dict(), sort_keys=True
-        )
+        assert json.dumps(parallel, sort_keys=True) == json.dumps(comparison, sort_keys=True)
 
     def test_csv_rows_cover_folds_and_metrics(self, comparison):
-        rows = metric_csv_rows(
-            {mode.value: rep for mode, rep in comparison.reports.items()}, 1
-        )
+        rows = metric_csv_rows(comparison["bands"], 1)
         assert len(rows) == 3 * 5 * 4
         assert {row[3] for row in rows} == {
             "accuracy",
@@ -470,7 +475,7 @@ class TestSyntheticEndToEnd:
         ds = build_dataset(small_corpus, BandMode.LOWER_ONLY, Case.I, FRAMES_1024)
         config = TrainConfig(n_rounds=6, max_depth=3, n_classes=2)
         report = cross_validate(ds, config, k=5, seed=5)
-        assert report.mean["accuracy"] >= 0.99
+        assert report["mean"]["accuracy"] >= 0.99
 
     def test_case1_training_accuracy_within_20_rounds(self):
         from rfsentry.dataset import synth_segment

@@ -50,19 +50,20 @@ def test_lower_band_accuracy_matches_published(manifest, case):
     )
     target, tolerance = LOWER_BAND_TARGETS[case]
     print(
-        f"case {case.value}: lower-band accuracy {report.mean['accuracy']:.4f} "
-        f"+- {report.std['accuracy']:.4f} (published {target:.4f})"
+        f"case {case.value}: lower-band accuracy {report['mean']['accuracy']:.4f} "
+        f"+- {report['std']['accuracy']:.4f} (published {target:.4f})"
     )
-    assert abs(report.mean["accuracy"] - target) <= tolerance
+    assert abs(report["mean"]["accuracy"] - target) <= tolerance
 
 
 def test_case3_lower_vs_upper_rejected(manifest):
     comparison = compare_bands(
         manifest, Case.III, train_config(10), k=10, seed=FOLD_SEED, jobs=os.cpu_count() or 1
     )
-    lower = comparison.reports[BandMode.LOWER_ONLY].mean["accuracy"]
-    upper = comparison.reports[BandMode.UPPER_ONLY].mean["accuracy"]
-    print(f"case 3: lower {lower:.4f} vs upper {upper:.4f}; t={comparison.lb_vs_ub.t_stat:.3f}")
+    lower = comparison["bands"][BandMode.LOWER_ONLY.value]["mean"]["accuracy"]
+    upper = comparison["bands"][BandMode.UPPER_ONLY.value]["mean"]["accuracy"]
+    lb_vs_ub = comparison["ttests"]["lb_vs_ub"]
+    print(f"case 3: lower {lower:.4f} vs upper {upper:.4f}; t={lb_vs_ub['t_stat']:.3f}")
     assert lower > upper
-    assert comparison.lb_vs_ub.rejected
-    assert comparison.lb_vs_ub.mean_diff > 0
+    assert lb_vs_ub["rejected"]
+    assert lb_vs_ub["mean_diff"] > 0

@@ -718,6 +718,12 @@ class TestModelIO:
         path.write_bytes(data[: len(data) - 9])
         with pytest.raises(FormatError):
             load_model(path)
+        # A prefix that declares 5 trees and ends before the tree table.
+        prefix = bytearray(data[: gbdt._PREFIX.size])
+        struct.pack_into("<I", prefix, gbdt._PREFIX.size - 4, 5)
+        path.write_bytes(bytes(prefix))
+        with pytest.raises(FormatError, match="no room for a table of 5 trees"):
+            load_model(path)
 
     def test_trailing_bytes(self, tmp_path):
         features, labels = blobs(55)
@@ -909,11 +915,14 @@ class TestModelIO:
             ([1, 4, -1, -1, -1], "right child"),
             ([4, 5, -1, -1, -1], "right child"),
             ([3, 3, -1, -1, -1], "more than one split"),  # node 3 shared, node 4 unreached
+            # Split 2 is also split 0's right child: the level walk makes 9 visits to 7 nodes.
+            ([2, 5, 6, -1, -1, -1, -1], "^a node is the child of more than one split"),
         ],
     )
     def test_bad_right_child_rejected(self, tmp_path, right, message):
-        # depth-2 chain: splits 0 and 1, leaves 2-4; right children lie in (i + 1, 5).
+        # depth-d chain: splits 0..d-1, leaves d..2d; right children lie in (i + 1, 2d + 1).
+        depth = len(right) // 2
         path = tmp_path / "right.rfgb"
-        path.write_bytes(self.chain_model_bytes(depth=2, max_depth=2, right=right))
+        path.write_bytes(self.chain_model_bytes(depth=depth, max_depth=depth, right=right))
         with pytest.raises(FormatError, match=message):
             load_model(path)

@@ -25,8 +25,8 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     names = {}
     exec(compile(block, "README.md", "exec"), names)
     assert names["ds"].n_rows == 20
-    assert names["report"].k == 10
-    assert len(names["comparison"].reports) == 3
+    assert names["report"]["k_folds"] == 10
+    assert len(names["comparison"]["bands"]) == 3
 
 
 def test_dronerf_block_imports_resolve():
