@@ -26,11 +26,13 @@ each prefix-sum step adds d lanes in one call. Because h >= 0, the
 sorted positions where some feature can leave min_child_weight on both
 sides form one range, the hessian window, and only it is scored. A node
 is not scanned when its hessian sum is below twice min_child_weight, or
-when its rows all carry one (g, h) and the one score row all features
-then share cannot gain; a split whose children are both unscanned is
-not partitioned. On equal scores the lowest feature wins, then the
-lowest threshold. Every sum is taken in the same order as a plain
-per-node scan, so the trees are bit-identical to one.
+when a bound on the score of every cut of its rows (`_cannot_gain`),
+taken in O(m log m) from their (g, h) pairs alone, shows that no cut
+can gain; a split whose children are both unscanned is not partitioned.
+On equal scores the lowest feature wins, then the lowest threshold.
+Every sum is taken in the same order as a plain per-node scan, and a
+pruned node is one the scan would turn down, so the trees are
+bit-identical to one.
 
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
@@ -40,6 +42,7 @@ step, and the model container stores the arrays as they are.
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 from dataclasses import astuple, dataclass, field
@@ -54,6 +57,8 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,40 @@ def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
     return m >= 2 and h_total >= 2.0 * mcw * (1.0 - 1e-9)
 
 
+def _peak_score(g, h, g_total: float, h_total: float, lam: float) -> float:
+    """The highest score GL^2/(HL+lam) + GR^2/(HR+lam) of any cut of the rows (g, h).
+
+    For lam > 0 the score is convex in (GL, HL), so over all proper row
+    sets it peaks at a vertex of the hull of their (g, h) sums: a prefix
+    in angular order (h >= 0 puts all rows in one half-plane; the key
+    g / (|g| + h) falls as the angle rises, to a few ulp, and puts zero
+    rows last), one row, or all rows but one, which scores as that row.
+    """
+    with np.errstate(all="ignore"):
+        order = np.argsort(g / (np.abs(g) + h), kind="stable")
+        gl = np.concatenate([np.cumsum(g[order])[:-1], g])
+        hl = np.concatenate([np.cumsum(h[order])[:-1], h])
+        gr = g_total - gl
+        return float((gl * gl / (hl + lam) + gr * gr / (np.maximum(h_total - hl, 0.0) + lam)).max())
+
+
+def _cannot_gain(g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
+    """True only where no cut of the node whose rows carry (g, h) can gain: the
+    gain of `_peak_score` is below -margin, which covers the rounding of the scan,
+    of the bound (underflow too) and of the angular order. Never with lambda = 0
+    or a non-finite value."""
+    lam, m = config.reg_lambda, g.shape[0]
+    if not lam > 0.0:
+        return False
+    peak = _peak_score(g, h, g_total, h_total, lam)
+    gain = 0.5 * (peak - g_total * g_total / (h_total + lam)) - config.gamma
+    s_g = float(np.abs(g).sum())
+    s = s_g + h_total
+    margin = 2.0**-47 * ((m + 2) * s * (s_g / lam) * (1.0 + s / lam) + config.gamma)
+    margin += 2.0**-1068 * (m + 2) * (1.0 + 1.0 / lam)
+    return gain < -margin
+
+
 class _ScanState:
     """Buffers of the exact split scan, built once per fit and reused by
     every node of every tree.
@@ -235,9 +274,10 @@ class _ScanState:
     and sorted values, one row per feature. When it splits, the block is
     stably partitioned in place into [left | right] through a scratch
     buffer, so each child's block keeps its rows in sorted order and a
-    node costs d x m, not d x n; a split whose children both stay
-    unscanned (`worth_scanning`) is not partitioned. Blocks live in two
-    flat (d x n) arrays; a child's block is the part of its parent's
+    node costs d x m, not d x n. `worth_scanning` skips a node too light
+    to split or ruled out by the gain bound (`_cannot_gain`), and a split
+    whose children both stay unscanned is not partitioned. Blocks live in
+    two flat (d x n) arrays; a child's block is the part of its parent's
     that it takes, so depth-first growth never overwrites a block that
     is still pending.
 
@@ -269,6 +309,7 @@ class _ScanState:
         self.scratch = np.empty((4, d * n), dtype=np.float64)
         self.masks = np.empty((2, d * n), dtype=np.bool_)
         self.go_left = np.empty(n, dtype=np.bool_)
+        self.scanned = self.pruned = 0
 
     def block(self, depth: int, offset: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ids and sorted values, (d, m), of the node whose block starts at offset."""
@@ -358,17 +399,12 @@ class _ScanState:
         return feature, float(_midpoint(a, b) if self.can_overflow else 0.5 * (a + b))
 
     def worth_scanning(self, idx, g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
-        """False only where `best_split` would find no split in the node of rows idx.
-
-        If the rows all carry one (g, h), every feature has the same prefix
-        sums, so the node is scored as one feature whose every gap can hold
-        a threshold; leaving out the gap mask can only add candidates.
-        """
-        g_node, h_node = g[idx], h[idx]
-        if idx.size and (g_node == g_node[0]).all() and (h_node == h_node[0]).all():
-            ramp = np.arange(idx.size, dtype=np.float64)[None, :]
-            return self.best_split(idx[None, :], ramp, g, h, g_total, h_total, config) is not None
-        return _heavy_enough(idx.size, h_total, config.min_child_weight)
+        """False only where `best_split` would find no split in the node of rows idx."""
+        if not _heavy_enough(idx.size, h_total, config.min_child_weight):
+            return False
+        pruned = _cannot_gain(g[idx], h[idx], g_total, h_total, config)
+        self.pruned += pruned
+        return not pruned
 
     def partition(self, rows, vals, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
@@ -429,6 +465,7 @@ def _grow_tree(
         if parent >= 0:
             nodes[parent][3] = len(nodes)
         if scan:
+            state.scanned += 1
             rows, vals = state.block(depth, offset, idx.shape[0])
             found = state.best_split(rows, vals, g, h, g_total, h_total, config)
             if found is not None:
@@ -548,6 +585,9 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
             model.trees.append((rnd, c, range(start, len(nodes))))
             penalty += _penalty(nodes, start, config)
         model.objective_history.append((_logloss(logits, labels) + penalty) / n)
+        log.info("round %d: objective %.6f", rnd + 1, model.objective_history[-1])
+    counts = (n, d, len(model.trees), state.scanned, state.pruned)
+    log.info("fit on %d x %d: %d trees, %d nodes scanned, %d pruned by the gain bound", *counts)
     model.forest = Tree.from_rows(nodes)
     return model
 

@@ -179,6 +179,20 @@ class TestCv:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_info_log_leaves_the_report_unchanged(self, lower_cache, tmp_path, monkeypatch, caplog):
+        argv = ["cv", "--features", str(lower_cache), *FAST_TRAIN, "--k-folds", "4", "--seed-data", "2"]
+        assert main([*argv, "--out", str(tmp_path / "default.json")]) == 0
+        assert not caplog.records
+        monkeypatch.setenv("RF_SENTRY_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="rfsentry.gbdt")
+        assert main([*argv, "--out", str(tmp_path / "info.json")]) == 0
+        messages = [record.getMessage() for record in caplog.records]
+        assert sum(m.startswith("round ") for m in messages) == 4 * 3
+        fits = [m for m in messages if m.endswith("pruned by the gain bound")]
+        assert len(fits) == 4
+        assert sum(int(m.split()[-6]) for m in fits) > 0
+        assert (tmp_path / "info.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
     def test_k1_is_config_error(self, lower_cache, tmp_path):
         code = main(
             ["cv", "--features", str(lower_cache), "--k-folds", "1", "--out", str(tmp_path / "x.json")]

@@ -359,9 +359,33 @@ class TestBuildTree:
         monkeypatch.setattr(gbdt._ScanState, "partition", recording_partition)
         tree = build_tree(x, g, h, TrainConfig(max_depth=3))
         assert tree.feature.tolist() == [0, -1, -1]
-        # The root's full scan, then each child as one feature of 8 rows.
-        assert scans == [(2, 16), (1, 8), (1, 8)]
+        # Only the root is scanned: the gain bound prunes both children.
+        assert scans == [(2, 16)]
         assert partitions == []
+
+    def test_node_with_distinct_gradients_that_cannot_gain_is_not_scanned(self, monkeypatch):
+        # Six gradients of one sign within a factor of two: with lambda = 1
+        # every cut scores below the unsplit node, though no two rows agree.
+        x = np.arange(6.0)[:, None]
+        g, h = np.array([0.1, 0.2, 0.15, 0.12, 0.18, 0.11]), np.full(6, 0.25)
+        config = TrainConfig(max_depth=3, min_child_weight=0.0)
+        state = gbdt._ScanState(x, gbdt.Presort.of(x))
+        g_total, h_total = float(g.sum()), float(h.sum())
+        args = (g, h, g_total, h_total, config)
+        assert state.best_split(state.root_rows, state.root_vals, *args) is None
+        assert not state.worth_scanning(np.arange(6), *args)
+        assert state.pruned == 1
+        scans = []
+        best_split = gbdt._ScanState.best_split
+
+        def recording_scan(state, rows, *args):
+            scans.append(rows.shape)
+            return best_split(state, rows, *args)
+
+        monkeypatch.setattr(gbdt._ScanState, "best_split", recording_scan)
+        tree = build_tree(x, g, h, config)
+        assert tree.feature.tolist() == [-1]
+        assert scans == []
 
 
 def blobs(seed, n_per_class=40, n_classes=3, dim=5, spread=1.0):

@@ -509,7 +509,7 @@ def uniform_nodes(draw):
 
 
 def scan_uniform_node(x, g, h, config):
-    """The uniform-node rule's verdict and the full scan's split of the node."""
+    """worth_scanning's verdict and the full scan's split of the node."""
     state = gbdt._ScanState(x, gbdt.Presort.of(x))
     g_total, h_total = float(g.sum()), float(h.sum())
     rule = state.worth_scanning(np.arange(x.shape[0]), g, h, g_total, h_total, config)
@@ -531,6 +531,100 @@ def test_uniform_node_split_by_rounding_is_scanned():
     x = np.arange(3.0)[:, None]
     config = gbdt.TrainConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
     assert scan_uniform_node(x, np.full(3, 0.1), np.full(3, 0.3), config) == (True, (0, 0.5))
+
+
+def floats_array(m, elements):
+    return st.lists(elements, min_size=m, max_size=m).map(np.array)
+
+
+def signed_powers_of_ten(m, lo, hi):
+    """m floats +-10^e, e uniform in [lo, hi], so every magnitude between is drawn."""
+    signs = floats_array(m, st.sampled_from([-1.0, 1.0]))
+    return st.tuples(signs, floats_array(m, st.floats(lo, hi))).map(lambda se: se[0] * 10.0 ** se[1])
+
+
+def near_ulps(m, value):
+    """m copies of value, each moved by -3 to +3 ulp."""
+    return floats_array(m, st.integers(-3, 3)).map(lambda k: value + k * np.spacing(value))
+
+
+@st.composite
+def gain_bound_nodes(draw, max_rows):
+    """(g, h) of 2 to max_rows rows near the edge of the gain bound: one (g, h)
+    moved by up to 3 ulp per row; g a ratio of h within 3 ulp (parallel rows
+    of different lengths, which the angular order must rank); |g| down to
+    1e-300 against h up to 10; or g and h of magnitudes up to 1e150."""
+    m = draw(st.integers(2, max_rows))
+    kind = draw(st.sampled_from(["uniform", "parallel", "tiny", "wide"]))
+    if kind == "uniform":
+        g = draw(near_ulps(m, draw(st.floats(-4.0, 4.0))))
+        h = np.maximum(draw(near_ulps(m, draw(st.floats(0.0, 4.0)))), 0.0)
+    elif kind == "parallel":
+        h = draw(floats_array(m, st.floats(0.0, 10.0)))
+        g = h * draw(near_ulps(m, draw(st.floats(-2.0, 2.0))))
+    elif kind == "tiny":
+        g = draw(signed_powers_of_ten(m, -300.0, 0.0))
+        h = draw(floats_array(m, st.floats(0.0, 10.0)))
+    else:
+        g = draw(signed_powers_of_ten(m, -150.0, 150.0))
+        h = np.abs(draw(signed_powers_of_ten(m, -150.0, 150.0))) * draw(st.sampled_from([0.0, 1.0]))
+    event(kind)
+    return g, h
+
+
+@BOUNDARY
+@given(node=gain_bound_nodes(24), data=st.data())
+def test_gain_bound_prunes_only_nodes_without_a_split(node, data):
+    g, h = node
+    m, d = g.size, data.draw(st.integers(1, 3))
+    x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m * d, max_size=m * d)), float)
+    config = gbdt.TrainConfig(
+        reg_lambda=data.draw(st.just(0.0) | st.floats(1e-8, 5.0)),
+        gamma=data.draw(st.sampled_from([0.0, 1e-12, 0.1])),
+        min_child_weight=data.draw(st.sampled_from([0.0, 1e-3, 1.0])),
+    )
+    state = gbdt._ScanState(x.reshape(m, d), gbdt.Presort.of(x.reshape(m, d)))
+    args = (g, h, float(g.sum()), float(h.sum()), config)
+    pruned = gbdt._cannot_gain(*args)
+    with np.errstate(over="ignore"):  # the scan's scores overflow at magnitudes near 1e150
+        found = state.best_split(state.root_rows, state.root_vals, *args)
+    event(f"bound {'prunes' if pruned else 'keeps'}, scan {'splits' if found else 'finds nothing'}")
+    assert not (pruned and found is not None)
+
+
+def every_cut(m):
+    """(m, 2^(m-1) - 1) 0/1 features, one per way to cut m rows in two:
+    feature j sends row i right of the threshold 0.5 when bit i of j + 1 is set."""
+    cuts = np.arange(1, 2 ** (m - 1))
+    return ((cuts >> np.arange(m)[:, None]) & 1).astype(np.float64)
+
+
+@BOUNDARY
+@given(node=gain_bound_nodes(12), lam=st.floats(1e-8, 5.0))
+def test_gain_bound_peak_covers_every_cut(node, lam):
+    g, h = node
+    m = g.size
+    x = every_cut(m)
+    left = x.T == 0.0
+    g_total, h_total = float(g.sum()), float(h.sum())
+    gl, hl = left @ g, left @ h
+    with np.errstate(all="ignore"):
+        psi = gl * gl / (hl + lam) + (g_total - gl) ** 2 / (np.maximum(h_total - hl, 0.0) + lam)
+        s_g = np.abs(g).sum()
+        s = s_g + h_total
+        slack = 2.0**-46 * (m + 2) * s * (s_g / lam) * (1.0 + s / lam)
+    if not np.isfinite([psi.max(), slack]).all():
+        return
+    peak = gbdt._peak_score(g, h, g_total, h_total, lam)
+    assert peak >= psi.max() - slack
+    # A gamma just under the best cut's gain leaves that cut a sliver of
+    # gain, which the scan over every cut takes; the bound must not prune.
+    best = 0.5 * (psi.max() - g_total * g_total / (h_total + lam))
+    config = gbdt.TrainConfig(reg_lambda=lam, gamma=max(best * (1 - 2.0**-20), 0.0), min_child_weight=0.0)
+    state = gbdt._ScanState(x, gbdt.Presort.of(x))
+    args = (g, h, g_total, h_total, config)
+    found = state.best_split(state.root_rows, state.root_vals, *args)
+    assert not (gbdt._cannot_gain(*args) and found is not None)
 
 
 @pytest.fixture(scope="module")
