@@ -13,16 +13,20 @@ tree per round on the positive class and mirrors its output on the
 negative class, which reproduces the two-tree softmax model at half the
 cost.
 
-The scan follows exact greedy search over presorted columns. Each fit
-takes every feature's sorted order from a `Presort` (cross-validation
-sorts once and filters per fold) and builds one workspace of flat
-(d x n) buffers that every node of every tree reuses through out=
-arguments. A node keeps a (d, m) block of its rows in per-feature
-sorted order, one row per feature; when it splits, the block is stably
-partitioned in place into its children's blocks, so a node costs d x m
-rather than d x n. The scan reads the block position-major, as
-(m - 1, d) planes whose row p holds every feature's p-th sorted row, so
-each prefix-sum step adds d lanes in one call. Because h >= 0, the
+The scan follows exact greedy search over presorted columns. Each value
+is computed once, at the level where it is fixed. Per cross-validation:
+every feature's sorted order (a `Presort`, filtered per fold). Per fit:
+one workspace of flat (d x n) buffers that every node of every tree
+reuses through out= arguments, and which gaps of the root's sorted
+values can hold a threshold. Per round: the K class roots' g and h sums
+and gain bounds, in one pass over (K, n) arrays, then their scans, which
+share one position-major layout of the root's row ids. A node keeps a
+(d, m) block of its rows in per-feature sorted order, one row per
+feature; when it splits, the block is stably partitioned in place into
+its children's blocks, so a node costs d x m rather than d x n. The scan
+reads the block position-major, as (m - 1, d) planes whose row p holds
+every feature's p-th sorted row, so each prefix-sum step adds d lanes in
+one call, through row views built once per fit. Because h >= 0, the
 sorted positions where some feature can leave min_child_weight on both
 sides form one range, the hessian window, and only it is scored. A node
 is not scanned when its hessian sum is below twice min_child_weight, or
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import logging
 import math
+import resource
 import struct
 from dataclasses import astuple, dataclass, field
 
@@ -222,13 +227,13 @@ def _midpoint(left, right):
     return np.where(np.isinf(mid), 0.5 * left + 0.5 * right, mid)
 
 
-def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
+def _heavy_enough(m: int, h_total, mcw: float):
     # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
     # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
-    return m >= 2 and h_total >= 2.0 * mcw * (1.0 - 1e-9)
+    return (m >= 2) & (h_total >= 2.0 * mcw * (1.0 - 1e-9))
 
 
-def _peak_score(g, h, g_total: float, h_total: float, lam: float) -> float:
+def _peak_score(g, h, g_total, h_total, lam: float):
     """The highest score GL^2/(HL+lam) + GR^2/(HR+lam) of any cut of the rows (g, h).
 
     For lam > 0 the score is convex in (GL, HL), so over all proper row
@@ -236,30 +241,36 @@ def _peak_score(g, h, g_total: float, h_total: float, lam: float) -> float:
     in angular order (h >= 0 puts all rows in one half-plane; the key
     g / (|g| + h) falls as the angle rises, to a few ulp, and puts zero
     rows last), one row, or all rows but one, which scores as that row.
+    A node's rows lie along the last axis, so (K, m) arrays with (K,)
+    sums give K nodes' peaks in one pass, each as its own 1-D call would.
     """
     with np.errstate(all="ignore"):
-        order = np.argsort(g / (np.abs(g) + h), kind="stable")
-        gl = np.concatenate([np.cumsum(g[order])[:-1], g])
-        hl = np.concatenate([np.cumsum(h[order])[:-1], h])
-        gr = g_total - gl
-        return float((gl * gl / (hl + lam) + gr * gr / (np.maximum(h_total - hl, 0.0) + lam)).max())
+        order = np.argsort(g / (np.abs(g) + h), axis=-1, kind="stable")
+        if g.ndim == 2:  # flat indices into the (K, m) rows
+            order += np.arange(0, g.size, g.shape[1])[:, None]
+        gl = np.concatenate([np.cumsum(g.ravel()[order], axis=-1)[..., :-1], g], axis=-1)
+        hl = np.concatenate([np.cumsum(h.ravel()[order], axis=-1)[..., :-1], h], axis=-1)
+        gr = np.asarray(g_total)[..., None] - gl
+        hr = np.maximum(np.asarray(h_total)[..., None] - hl, 0.0)
+        return (gl * gl / (hl + lam) + gr * gr / (hr + lam)).max(axis=-1)
 
 
-def _cannot_gain(g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
+def _cannot_gain(g, h, g_total, h_total, config: TrainConfig):
     """True only where no cut of the node whose rows carry (g, h) can gain: the
     gain of `_peak_score` is below -margin, which covers the rounding of the scan,
     of the bound (underflow too) and of the angular order. Never with lambda = 0
-    or a non-finite value."""
-    lam, m = config.reg_lambda, g.shape[0]
+    or a non-finite value. Like `_peak_score`, it takes K nodes along axis 0."""
+    lam, m = config.reg_lambda, g.shape[-1]
     if not lam > 0.0:
-        return False
-    peak = _peak_score(g, h, g_total, h_total, lam)
-    gain = 0.5 * (peak - g_total * g_total / (h_total + lam)) - config.gamma
-    s_g = float(np.abs(g).sum())
-    s = s_g + h_total
-    margin = 2.0**-47 * ((m + 2) * s * (s_g / lam) * (1.0 + s / lam) + config.gamma)
-    margin += 2.0**-1068 * (m + 2) * (1.0 + 1.0 / lam)
-    return gain < -margin
+        return np.zeros(np.shape(g_total), dtype=np.bool_)
+    with np.errstate(all="ignore"):
+        peak = _peak_score(g, h, g_total, h_total, lam)
+        gain = 0.5 * (peak - g_total * g_total / (h_total + lam)) - config.gamma
+        s_g = np.abs(g).sum(axis=-1)
+        s = s_g + h_total
+        margin = 2.0**-47 * ((m + 2) * s * (s_g / lam) * (1.0 + s / lam) + config.gamma)
+        margin += 2.0**-1068 * (m + 2) * (1.0 + 1.0 / lam)
+        return gain < -margin
 
 
 class _ScanState:
@@ -270,27 +281,33 @@ class _ScanState:
     values, shape (d, n), come from a `Presort` (in cross-validation, one
     filtered per fold), and which gaps between consecutive sorted values
     can hold a threshold is computed once, stored position-major as
-    (n - 1, d) for the scan. A node works on a (d, m) block of row ids
-    and sorted values, one row per feature. When it splits, the block is
-    stably partitioned in place into [left | right] through a scratch
-    buffer, so each child's block keeps its rows in sorted order and a
-    node costs d x m, not d x n. `worth_scanning` skips a node too light
+    (n - 1, d) for the scan. `roots` gives a round's K roots their sums
+    and gain bounds in one pass and scans them before any block is
+    partitioned, so when more than one of them is scanned, one
+    position-major (n - 1, d) layout of their row ids, in the block
+    buffer that no node uses yet, serves them all. A node works on a
+    (d, m) block of row ids and sorted values, one row per feature. When
+    it splits, the block is stably partitioned in place into [left |
+    right] through a scratch buffer, so each child's block keeps its
+    rows in sorted order and a node costs d x m, not d x n. `worth_scanning` skips a node too light
     to split or ruled out by the gain bound (`_cannot_gain`), and a split
     whose children both stay unscanned is not partitioned. Blocks live in
     two flat (d x n) arrays; a child's block is the part of its parent's
     that it takes, so depth-first growth never overwrites a block that
     is still pending.
 
-    The scan transposes a block's row ids into the third scratch buffer
-    and gathers h, and g up to the window's end, into the first two as
-    (m - 1, d) planes of prefix sums. Once the gathers are done the third
-    buffer holds the window's transposed values, then hr; the fourth
-    holds midpoints, then the score. Every temporary is written with
-    out=; a partition allocates only its two index arrays. Row ids stay
-    intp: np.take casts any other index dtype to a fresh intp array on
-    each call. np.take runs with mode="clip" because with out= and the
-    default mode="raise" it writes into a copy of out; the ids are in
-    range.
+    Below the root, the scan transposes a block's row ids into the third
+    scratch buffer. It gathers h, and g up to the window's end, into the
+    first two as (m - 1, d) planes and adds their prefix sums through
+    (row p - 1, row p) views built once, np.add(a, b, out=b): row p of a
+    plane is the same d lanes for every m. Once the gathers are
+    done the third buffer holds the window's transposed values, then hr;
+    the fourth holds midpoints, then the score. Every temporary is
+    written with out=; a partition allocates only its two index arrays.
+    Row ids stay intp: np.take casts any other index dtype to a fresh
+    intp array on each call. np.take runs with mode="clip" because with
+    out= and the default mode="raise" it writes into a copy of out; the
+    ids are in range.
     """
 
     def __init__(self, features: np.ndarray, presort: Presort) -> None:
@@ -309,6 +326,8 @@ class _ScanState:
         self.scratch = np.empty((4, d * n), dtype=np.float64)
         self.masks = np.empty((2, d * n), dtype=np.bool_)
         self.go_left = np.empty(n, dtype=np.bool_)
+        lanes = (list(buf[: d * (n - 1)].reshape(n - 1, d)) for buf in self.scratch[:2])
+        self.h_steps, self.g_steps = (list(zip(rows[:-1], rows[1:])) for rows in lanes)
         self.scanned = self.pruned = 0
 
     def block(self, depth: int, offset: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +339,7 @@ class _ScanState:
         return self.rows[span].reshape(d, m), self.vals[span].reshape(d, m)
 
     def best_split(
-        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig
+        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig, rows_t=None
     ) -> tuple[int, float] | None:
         """The split of highest gain among all features, or None if none gains.
 
@@ -330,18 +349,22 @@ class _ScanState:
         sorted row, and prefix sums are added one row at a time, d lanes
         per call, in the same order as a per-feature cumsum. Only the rows
         of the hessian window are scored. On score ties the lowest feature
-        wins, then the lowest threshold.
+        wins, then the lowest threshold. A node whose best score is not
+        finite (GL^2/(HL+lambda) can overflow for |g| near 1e150) gets no
+        split and stays a leaf. rows_t, if given, is rows[:, :-1].T laid
+        out outside the scratch buffers; otherwise the scan lays it out.
         """
         lam, mcw = config.reg_lambda, config.min_child_weight
         d, m = rows.shape
         if not _heavy_enough(m, h_total, mcw):
             return None
         cum_h, cum_g, spare, temp = (buf[: d * (m - 1)].reshape(m - 1, d) for buf in self.scratch)
-        rows_t = spare.view(np.intp)
-        np.copyto(rows_t, rows[:, :-1].T)
+        if rows_t is None:
+            rows_t = spare.view(np.intp)
+            np.copyto(rows_t, rows[:, :-1].T)
         np.take(h, rows_t, out=cum_h, mode="clip")
-        for p in range(1, m - 1):
-            np.add(cum_h[p - 1], cum_h[p], out=cum_h[p])
+        for a, b in self.h_steps[: m - 2]:
+            np.add(a, b, out=b)
         # h >= 0, so along each feature hl never falls and fl(h_total - hl)
         # never rises: rows before lo have every hl < mcw, rows after hi
         # every fl(h_total - hl) < mcw, and no candidate there is valid.
@@ -350,8 +373,8 @@ class _ScanState:
         if lo > hi:
             return None
         np.take(g, rows_t[: hi + 1], out=cum_g[: hi + 1], mode="clip")
-        for p in range(1, hi + 1):
-            np.add(cum_g[p - 1], cum_g[p], out=cum_g[p])
+        for a, b in self.g_steps[:hi]:
+            np.add(a, b, out=b)
         w = hi + 1 - lo
         gl, hl, temp = cum_g[lo : hi + 1], cum_h[lo : hi + 1], temp[:w]
         valid, test = (buf[: w * d].reshape(w, d) for buf in self.masks)
@@ -379,10 +402,10 @@ class _ScanState:
             valid &= np.greater(hl, 0.0, out=test)
             valid &= np.greater(hr, 0.0, out=test)
         score = np.subtract(g_total, gl, out=temp)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(np.multiply(score, score, out=score), hr, out=score)
             np.divide(np.multiply(gl, gl, out=gl), hl, out=gl)
-        np.add(gl, score, out=score)
+            np.add(gl, score, out=score)
         np.copyto(score, -np.inf, where=np.logical_not(valid, out=valid))
         best = score.max()
         if not np.isfinite(best):
@@ -402,9 +425,41 @@ class _ScanState:
         """False only where `best_split` would find no split in the node of rows idx."""
         if not _heavy_enough(idx.size, h_total, config.min_child_weight):
             return False
-        pruned = _cannot_gain(g[idx], h[idx], g_total, h_total, config)
+        pruned = bool(_cannot_gain(g[idx], h[idx], g_total, h_total, config))
         self.pruned += pruned
         return not pruned
+
+    def roots(self, g, h, config: TrainConfig) -> list[tuple[float, float, tuple | None]]:
+        """The g sum, h sum and best split (None for a leaf) of K roots over
+        all rows, one per row of the contiguous (K, n) g and h.
+
+        The sums and `worth_scanning` verdicts come from one pass along
+        axis 1; a row sum of a contiguous array adds in the order of the
+        1-D sum, so each is what its own call gives. The roots are scanned
+        before any of their trees partitions a block, so the block buffer
+        is free to hold one position-major layout of the root's row ids
+        that every root scan of the pass reads.
+        """
+        g_total, h_total = g.sum(axis=1), h.sum(axis=1)
+        heavy = _heavy_enough(g.shape[1], h_total, config.min_child_weight)
+        pruned = heavy & _cannot_gain(g, h, g_total, h_total, config)
+        scan = heavy & ~pruned
+        n_scans = int(scan.sum())
+        self.pruned += int(pruned.sum())
+        self.scanned += n_scans
+        (d, n), ids = self.root_rows.shape, None
+        if n_scans > 1:
+            # A lone scan lays its ids out in scratch, as every node below
+            # the root does; the block buffer stays untouched in fits that
+            # never partition, such as two-class stumps.
+            ids = self.rows[: d * (n - 1)].reshape(n - 1, d)
+            np.copyto(ids, self.root_rows[:, :-1].T)
+        g_sums, h_sums, root = g_total.tolist(), h_total.tolist(), (self.root_rows, self.root_vals)
+        found = [
+            self.best_split(*root, g_c, h_c, g_s, h_s, config, ids) if s else None
+            for g_c, h_c, g_s, h_s, s in zip(g, h, g_sums, h_sums, scan.tolist())
+        ]
+        return list(zip(g_sums, h_sums, found))
 
     def partition(self, rows, vals, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
@@ -441,9 +496,11 @@ def _grow_tree(
     config: TrainConfig,
     nodes: list[list],
     scale: float,
+    root: tuple[float, float, tuple | None],
 ) -> np.ndarray:
     """Depth-first growth from an explicit stack, left child first.
 
+    The root's g sum, h sum and split come from `_ScanState.roots`.
     Appends the tree to `nodes` in pre-order, one [feature, threshold,
     value, right] row per node, with `right` counting from the start of
     `nodes` and leaf values multiplied by `scale`. Returns the leaf
@@ -459,15 +516,19 @@ def _grow_tree(
         scan = depth < config.max_depth and state.worth_scanning(idx, g, h, g_total, h_total, config)
         return idx, depth, parent, offset, g_total, h_total, scan
 
-    pending = [entry(np.arange(n), 0, -1, 0)]
+    g_total, h_total, root_split = root
+    pending = [(np.arange(n), 0, -1, 0, g_total, h_total, root_split is not None)]
     while pending:
         idx, depth, parent, offset, g_total, h_total, scan = pending.pop()
         if parent >= 0:
             nodes[parent][3] = len(nodes)
         if scan:
-            state.scanned += 1
             rows, vals = state.block(depth, offset, idx.shape[0])
-            found = state.best_split(rows, vals, g, h, g_total, h_total, config)
+            if depth:
+                state.scanned += 1
+                found = state.best_split(rows, vals, g, h, g_total, h_total, config)
+            else:
+                found = root_split
             if found is not None:
                 feature, threshold = found
                 go_left = state.features[idx, feature] < threshold
@@ -506,7 +567,8 @@ def build_tree(
     if bad.size:
         raise TrainingError(f"h must be >= 0, got {h[bad[0]]} in row {bad[0]}")
     nodes = []
-    _grow_tree(_ScanState(features, Presort.of(features)), g, h, config, nodes, 1.0)
+    state = _ScanState(features, Presort.of(features))
+    _grow_tree(state, g, h, config, nodes, 1.0, state.roots(g[None], h[None], config)[0])
     return Tree.from_rows(nodes)
 
 
@@ -559,6 +621,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
             f"[{labels.min()}, {labels.max()}]"
         )
 
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     n, d = features.shape
     k = config.n_classes
     binary = k == 2
@@ -568,15 +631,16 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
     penalty = 0.0
     model.objective_history.append((_logloss(logits, labels) + penalty) / n)
 
-    class_ids = (1,) if binary else tuple(range(k))
+    first = 1 if binary else 0  # the two-class model fits class 1 only
     nodes = []
     for rnd in range(config.n_rounds):
         grad, hess = softmax_grad_hess(logits, labels)
-        for c in class_ids:
-            g_c = np.ascontiguousarray(grad[:, c])
-            h_c = np.ascontiguousarray(hess[:, c])
+        # (K, n): each class's g and h contiguous, and the K roots in one pass
+        g_rows, h_rows = (np.ascontiguousarray(a.T[first:]) for a in (grad, hess))
+        roots = state.roots(g_rows, h_rows, config)
+        for c, g_c, h_c, root in zip(range(first, k), g_rows, h_rows, roots):
             start = len(nodes)
-            out = _grow_tree(state, g_c, h_c, config, nodes, config.learning_rate)
+            out = _grow_tree(state, g_c, h_c, config, nodes, config.learning_rate, root)
             if binary:
                 logits[:, 1] += out
                 logits[:, 0] -= out
@@ -586,8 +650,13 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
             penalty += _penalty(nodes, start, config)
         model.objective_history.append((_logloss(logits, labels) + penalty) / n)
         log.info("round %d: objective %.6f", rnd + 1, model.objective_history[-1])
-    counts = (n, d, len(model.trees), state.scanned, state.pruned)
-    log.info("fit on %d x %d: %d trees, %d nodes scanned, %d pruned by the gain bound", *counts)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    counts = (n, d, faults, len(model.trees), state.scanned, state.pruned)
+    log.info(
+        "fit on %d x %d: %d minor page faults, %d trees, %d nodes scanned, "
+        "%d pruned by the gain bound",
+        *counts,
+    )
     model.forest = Tree.from_rows(nodes)
     return model
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import re
 import struct
 import warnings
 
@@ -191,6 +192,8 @@ class TestCv:
         fits = [m for m in messages if m.endswith("pruned by the gain bound")]
         assert len(fits) == 4
         assert sum(int(m.split()[-6]) for m in fits) > 0
+        for m in fits:
+            assert re.match(r"fit on \d+ x \d+: \d+ minor page faults, \d+ trees, ", m), m
         assert (tmp_path / "info.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
     def test_k1_is_config_error(self, lower_cache, tmp_path):

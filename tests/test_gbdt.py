@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import random
 import struct
@@ -316,6 +317,17 @@ class TestBuildTree:
         np.testing.assert_array_equal(huge.threshold, tree.threshold * 2.0**1023)
         np.testing.assert_array_equal(huge.value, tree.value)
 
+    def test_gradients_whose_scores_overflow_leave_a_silent_leaf(self):
+        # With lambda = 1e-8 and h = 0, GL^2/(HL+lambda) of the middle cut is
+        # (2e150)^2 / 1e-8, past the float64 range: the best score is inf,
+        # so the node stays a leaf, and no RuntimeWarning is printed.
+        x = np.arange(4.0)[:, None]
+        g = np.array([1e150, 1e150, -1e150, -1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = build_tree(x, g, np.zeros(4), stump_config(reg_lambda=1e-8))
+        assert tree.feature.tolist() == [-1]
+
     def test_max_depth_respected(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(200, 3))
@@ -473,6 +485,72 @@ class TestTrain:
         path = tmp_path / "huge.rfgb"
         save_model(model, path)
         np.testing.assert_array_equal(predict(load_model(path), features), labels)
+
+    def test_absent_class_root_is_pruned_beside_scanned_roots(self, caplog):
+        # Class 3 has no rows: its gradients start uniform and its root is
+        # pruned by the gain bound in every round, next to three scanned
+        # roots. One pass gives each root the sums, verdict and split of its
+        # own per-node calls on a fresh scan state, its tree is one leaf,
+        # and the fit's INFO line counts it as pruned.
+        features, labels = blobs(39, n_per_class=8)
+        config = TrainConfig(n_rounds=4, max_depth=3, n_classes=4)
+        verdicts, roots = [], gbdt._ScanState.roots
+
+        def recording(state, g, h, config):
+            found = roots(state, g, h, config)
+            reference = gbdt._ScanState(features, gbdt.Presort.of(features))
+            verdicts.append([])
+            for g_c, h_c, (g_total, h_total, split) in zip(g, h, found):
+                assert (g_total, h_total) == (float(g_c.sum()), float(h_c.sum()))
+                args = (g_c, h_c, g_total, h_total, config)
+                verdicts[-1].append(reference.worth_scanning(np.arange(24), *args))
+                root = (reference.root_rows, reference.root_vals)
+                assert split == (reference.best_split(*root, *args) if verdicts[-1][-1] else None)
+            return found
+
+        caplog.set_level(logging.INFO, logger="rfsentry.gbdt")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbdt._ScanState, "roots", recording)
+            model = train(features, labels, config)
+        assert verdicts == [[True, True, True, False]] * 4
+        assert [len(nodes) for _, c, nodes in model.trees if c == 3] == [1] * 4
+        (fit,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit on")]
+        assert int(fit.split()[-6]) >= 4
+        # A fresh fit without the recording grows the same forest.
+        plain = train(features, labels, config)
+        for name in ("feature", "threshold", "value", "right"):
+            assert getattr(model.forest, name).tobytes() == getattr(plain.forest, name).tobytes()
+
+    def test_one_feature_forest_matches_a_duplicated_column(self):
+        # Every round scans one root per class over the same root gap
+        # flags. Ties go to the lowest feature, so a second copy of the
+        # one column must leave every tree as it is.
+        rng = np.random.default_rng(42)
+        labels = np.repeat(np.arange(3), 12)
+        x = rng.normal(size=labels.size) + labels
+        config = TrainConfig(n_rounds=3, max_depth=3, n_classes=3)
+        one = train(x[:, None], labels, config)
+        two = train(np.stack([x, x], axis=1), labels, config)
+        for name in ("feature", "threshold", "value", "right"):
+            assert getattr(one.forest, name).tobytes() == getattr(two.forest, name).tobytes()
+        assert one.trees == two.trees
+
+    @pytest.mark.parametrize("shape", [(12, 1), (2, 3)])
+    def test_root_scan_leaves_the_root_gap_flags_as_they_were(self, shape):
+        # For one feature or two rows the position-major gap flags have
+        # the layout of the scan's mask buffers, so a view of those would
+        # pass as them. A scan that writes its masks and finds no gain
+        # must leave the flags as they were for the next root.
+        n, d = shape
+        x = np.arange(n * d, dtype=np.float64).reshape(d, n).T
+        x[:, -1] = 1.0
+        state = gbdt._ScanState(x, gbdt.Presort.of(x))
+        gaps = state.root_gaps.copy()
+        g = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        root = (state.root_rows, state.root_vals)
+        config = stump_config(gamma=1e6)
+        assert state.best_split(*root, g, np.ones(n), 0.0, float(n), config) is None
+        np.testing.assert_array_equal(state.root_gaps, gaps)
 
     def test_non_finite_feature_names_row(self):
         features, labels = blobs(36)
