@@ -26,10 +26,6 @@ class DegenerateSpectrumError(RfSentryError):
     """A spectrum is unusable for the requested operation (e.g. zero band mean)."""
 
 
-class DegenerateLeafError(RfSentryError):
-    """A tree leaf has zero combined hessian mass and no regularization."""
-
-
 class ShapeError(RfSentryError):
     """Array dimensions do not match the operation's contract."""
 

@@ -92,29 +92,14 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> 
     return matrix
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """The four headline metrics plus the confusion matrix they came from.
+def metrics(confusion: np.ndarray) -> dict:
+    """Accuracy plus macro-averaged precision, recall and F1, with the confusion
+    matrix they came from as nested lists: the per-fold entry of a cv report.
 
     A class never predicted (zero column) contributes precision 0 to the
     macro mean, and a class never present (zero row) contributes recall
-    0; the undefined_* counters record how often that happened.
+    0; undefined_precision and undefined_recall count how often that happened.
     """
-
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    confusion: np.ndarray
-    undefined_precision: int = 0
-    undefined_recall: int = 0
-
-    def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "confusion": self.confusion.tolist()}
-
-
-def metrics(confusion: np.ndarray) -> MetricSet:
-    """Accuracy plus macro-averaged precision, recall and F1."""
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
         raise ShapeError(f"confusion matrix must be square, got {confusion.shape}")
@@ -131,15 +116,15 @@ def metrics(confusion: np.ndarray) -> MetricSet:
         recall = np.where(row_sums > 0, diag / row_sums, 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / pr, 0.0)
-    return MetricSet(
-        accuracy=float(diag.sum() / total),
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        confusion=confusion,
-        undefined_precision=int((col_sums == 0).sum()),
-        undefined_recall=int((row_sums == 0).sum()),
-    )
+    return {
+        "accuracy": float(diag.sum() / total),
+        "macro_precision": float(precision.mean()),
+        "macro_recall": float(recall.mean()),
+        "macro_f1": float(f1.mean()),
+        "confusion": confusion.tolist(),
+        "undefined_precision": int((col_sums == 0).sum()),
+        "undefined_recall": int((row_sums == 0).sum()),
+    }
 
 
 def config_fingerprint(config: dict) -> str:
@@ -190,7 +175,7 @@ def cross_validate(
     fit = functools.partial(
         _fold_confusion, dataset.features, dataset.labels, folds.fold_of, train_config, presort
     )
-    per_fold = [metrics(c).to_dict() for c in dataset_mod.pool_map(fit, jobs, k, range(k))]
+    per_fold = [metrics(c) for c in dataset_mod.pool_map(fit, jobs, k, range(k))]
     scores = {name: np.array([m[name] for m in per_fold]) for name in METRIC_NAMES}
     config = {"train": dataclasses.asdict(train_config), "k_folds": k, "seed_data": seed}
     return {
@@ -260,29 +245,15 @@ def t_critical(prob: float, df: int) -> float:
     return mid if prob > 0.5 else -mid
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    """Two-sided paired t-test on per-fold score differences a - b."""
+def paired_ttest(scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05) -> dict:
+    """Test the null that the mean per-fold difference a - b is zero.
 
-    mean_diff: float
-    t_stat: float
-    dof: int
-    ci_low: float
-    ci_high: float
-    alpha: float
-    rejected: bool
-    degenerate: bool = False
-
-
-def paired_ttest(
-    scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05
-) -> TTestResult:
-    """Test the null that the mean per-fold difference is zero.
-
-    The pairs must come from identical fold partitions, as they do when
-    the runs share labels, K and seed. A zero-spread difference vector is
-    reported as degenerate: t = 0 and no rejection when the mean is also
-    zero, otherwise an infinite t with a point confidence interval.
+    Returns the t-test entry of a compare report: mean_diff, t_stat, dof,
+    ci_low, ci_high, alpha, rejected and degenerate. The pairs must come
+    from identical fold partitions, as they do when the runs share labels,
+    K and seed. A zero-spread difference vector is reported as degenerate:
+    t = 0 and no rejection when the mean is also zero, otherwise an
+    infinite t with a point confidence interval.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -298,19 +269,24 @@ def paired_ttest(
     s_d = float(diff.std(ddof=1))
     dof = k - 1
     if s_d == 0.0:
-        if mean_diff == 0.0:
-            return TTestResult(0.0, 0.0, dof, 0.0, 0.0, alpha, False, degenerate=True)
-        t_stat = math.inf if mean_diff > 0 else -math.inf
-        return TTestResult(
-            mean_diff, t_stat, dof, mean_diff, mean_diff, alpha, True, degenerate=True
-        )
-    se = s_d / math.sqrt(k)
-    t_stat = mean_diff / se
-    half_width = t_critical(1.0 - alpha / 2.0, dof) * se
-    ci_low = mean_diff - half_width
-    ci_high = mean_diff + half_width
-    rejected = not (ci_low <= 0.0 <= ci_high)
-    return TTestResult(mean_diff, t_stat, dof, ci_low, ci_high, alpha, rejected)
+        t_stat = math.copysign(math.inf, mean_diff) if mean_diff else 0.0
+        mean_diff = ci_low = ci_high = mean_diff or 0.0  # a zero mean is reported as +0.0
+    else:
+        se = s_d / math.sqrt(k)
+        t_stat = mean_diff / se
+        half_width = t_critical(1.0 - alpha / 2.0, dof) * se
+        ci_low = mean_diff - half_width
+        ci_high = mean_diff + half_width
+    return {
+        "mean_diff": mean_diff,
+        "t_stat": t_stat,
+        "dof": dof,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+        "alpha": alpha,
+        "rejected": not (ci_low <= 0.0 <= ci_high),
+        "degenerate": s_d == 0.0,
+    }
 
 
 def compare_bands(
@@ -356,7 +332,7 @@ def compare_bands(
         "case": case.value,
         "bands": bands,
         "ttests": {
-            name: dataclasses.asdict(paired_ttest(acc["lower"], acc[other], alpha))
+            name: paired_ttest(acc["lower"], acc[other], alpha)
             for name, other in (("lb_vs_ub", "upper"), ("lb_vs_both", "both"))
         },
         "alpha": alpha,

@@ -56,7 +56,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DegenerateLeafError,
     FormatError,
     SchemaError,
     ShapeError,
@@ -187,13 +186,15 @@ def softmax_grad_hess(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarra
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
-    """Optimal leaf value -G / (H + lambda) of the quadratic objective."""
+    """Optimal leaf value -G / (H + lambda) of the quadratic objective.
+
+    A leaf with no hessian mass and lambda = 0 has no finite optimum; it
+    gets 0, XGBoost's value for a leaf whose hessian sum is not positive.
+    """
     if h_sum < 0 or reg_lambda < 0:
         raise ConfigurationError("hessian sum and lambda must be >= 0")
     denom = h_sum + reg_lambda
-    if denom <= 0:
-        raise DegenerateLeafError("leaf has zero hessian mass and no regularization")
-    return -g_sum / denom
+    return -g_sum / denom if denom > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,14 @@ class TestCv:
             assert re.match(r"fit on \d+ x \d+: \d+ minor page faults, \d+ trees, ", m), m
         assert (tmp_path / "info.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
+    def test_lambda_zero_runs_all_default_rounds(self, lower_cache, tmp_path):
+        # At lambda 0 the softmax saturates within the default 100 rounds and
+        # leaves with no hessian mass appear; they get the value 0.
+        out = tmp_path / "x.json"
+        argv = ["cv", "--features", str(lower_cache), "--lambda", "0", "--min-child-weight", "0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["train"]["n_rounds"] == 100
+
     def test_k1_is_config_error(self, lower_cache, tmp_path):
         code = main(
             ["cv", "--features", str(lower_cache), "--k-folds", "1", "--out", str(tmp_path / "x.json")]

@@ -14,7 +14,6 @@ from rfsentry.cli import main
 from rfsentry.dataset import BandMode, Case, build_dataset
 from rfsentry.errors import (
     ConfigurationError,
-    DegenerateLeafError,
     FormatError,
     SchemaError,
     ShapeError,
@@ -145,8 +144,8 @@ class TestLeafWeight:
             assert objective(w) <= objective(grid).min() + 1e-12
 
     def test_degenerate_leaf(self):
-        with pytest.raises(DegenerateLeafError):
-            leaf_weight(1.0, 0.0, 0.0)
+        # No hessian mass and lambda = 0: XGBoost's leaf value 0, not an error.
+        assert leaf_weight(1.0, 0.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("h_sum, reg_lambda", [(-1.0, 1.0), (1.0, -0.5)])
     def test_negative_hessian_or_lambda_rejected(self, h_sum, reg_lambda):
