@@ -803,9 +803,9 @@ def extract_pair(
     try:
         lb = ub = None
         if any(Band.LOWER in mode.bands for mode in modes):
-            lb = segment_spectrum(load_segment(lb_path), *framing)
+            lb = segment_spectrum(load_segment(lb_path), Band.LOWER, *framing)
         if any(Band.UPPER in mode.bands for mode in modes):
-            ub = segment_spectrum(load_segment(ub_path), *framing)
+            ub = segment_spectrum(load_segment(ub_path), Band.UPPER, *framing)
         rows = {}
         for mode in modes:
             if mode is BandMode.CONCATENATED:
@@ -816,7 +816,7 @@ def extract_pair(
                     scale = 1.0
                 rows[mode] = concatenate_bands(lb, ub, scale)
             else:
-                rows[mode] = lb if mode is BandMode.LOWER_ONLY else ub
+                rows[mode] = (lb if mode is BandMode.LOWER_ONLY else ub).bins
         return rows
     except (RfSentryError, OSError) as exc:
         raise DataError(f"feature extraction failed for {name}: {exc}") from exc

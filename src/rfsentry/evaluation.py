@@ -245,15 +245,29 @@ def t_critical(prob: float, df: int) -> float:
     return mid if prob > 0.5 else -mid
 
 
-def paired_ttest(scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05) -> dict:
-    """Test the null that the mean per-fold difference a - b is zero.
+@dataclass(frozen=True)
+class TTestResult:
+    """Two-sided paired t-test on per-fold score differences a - b."""
 
-    Returns the t-test entry of a compare report: mean_diff, t_stat, dof,
-    ci_low, ci_high, alpha, rejected and degenerate. The pairs must come
-    from identical fold partitions, as they do when the runs share labels,
-    K and seed. A zero-spread difference vector is reported as degenerate:
-    t = 0 and no rejection when the mean is also zero, otherwise an
-    infinite t with a point confidence interval.
+    mean_diff: float
+    t_stat: float
+    dof: int
+    ci_low: float
+    ci_high: float
+    alpha: float
+    rejected: bool
+    degenerate: bool = False
+
+
+def paired_ttest(
+    scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05
+) -> TTestResult:
+    """Test the null that the mean per-fold difference is zero.
+
+    The pairs must come from identical fold partitions, as they do when
+    the runs share labels, K and seed. A zero-spread difference vector is
+    reported as degenerate: t = 0 and no rejection when the mean is also
+    zero, otherwise an infinite t with a point confidence interval.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -269,24 +283,19 @@ def paired_ttest(scores_a: np.ndarray, scores_b: np.ndarray, alpha: float = 0.05
     s_d = float(diff.std(ddof=1))
     dof = k - 1
     if s_d == 0.0:
-        t_stat = math.copysign(math.inf, mean_diff) if mean_diff else 0.0
-        mean_diff = ci_low = ci_high = mean_diff or 0.0  # a zero mean is reported as +0.0
-    else:
-        se = s_d / math.sqrt(k)
-        t_stat = mean_diff / se
-        half_width = t_critical(1.0 - alpha / 2.0, dof) * se
-        ci_low = mean_diff - half_width
-        ci_high = mean_diff + half_width
-    return {
-        "mean_diff": mean_diff,
-        "t_stat": t_stat,
-        "dof": dof,
-        "ci_low": ci_low,
-        "ci_high": ci_high,
-        "alpha": alpha,
-        "rejected": not (ci_low <= 0.0 <= ci_high),
-        "degenerate": s_d == 0.0,
-    }
+        if mean_diff == 0.0:
+            return TTestResult(0.0, 0.0, dof, 0.0, 0.0, alpha, False, degenerate=True)
+        t_stat = math.inf if mean_diff > 0 else -math.inf
+        return TTestResult(
+            mean_diff, t_stat, dof, mean_diff, mean_diff, alpha, True, degenerate=True
+        )
+    se = s_d / math.sqrt(k)
+    t_stat = mean_diff / se
+    half_width = t_critical(1.0 - alpha / 2.0, dof) * se
+    ci_low = mean_diff - half_width
+    ci_high = mean_diff + half_width
+    rejected = not (ci_low <= 0.0 <= ci_high)
+    return TTestResult(mean_diff, t_stat, dof, ci_low, ci_high, alpha, rejected)
 
 
 def compare_bands(
@@ -332,7 +341,7 @@ def compare_bands(
         "case": case.value,
         "bands": bands,
         "ttests": {
-            name: paired_ttest(acc["lower"], acc[other], alpha)
+            name: dataclasses.asdict(paired_ttest(acc["lower"], acc[other], alpha))
             for name, other in (("lb_vs_ub", "upper"), ("lb_vs_both", "both"))
         },
         "alpha": alpha,

@@ -3,13 +3,14 @@
 There is one path from samples to features. ``segment_spectrum`` cuts a
 segment into power-of-two frames through one strided view, transforms
 the frame matrix row-wise with ``np.fft`` and averages the one-sided
-magnitudes into one bins array per band, which is a single-band feature
-row; ``compute_scaling_factor`` and ``concatenate_bands`` join the two
-bands' arrays into one row with no seam step. ``dft`` is the plain
-transform of one frame.
+magnitudes into a ``MagnitudeSpectrum`` per band. A single-band feature
+row is that spectrum's ``bins``; ``compute_scaling_factor`` and
+``concatenate_bands`` join the two bands into one row with no seam step.
+``dft`` is the plain transform of one frame.
 
 ``segment_spectrum`` checks the samples its frames cover and the bins it
-makes, and ``concatenate_bands`` the row it joins.
+makes, and ``concatenate_bands`` the row it joins; ``MagnitudeSpectrum``
+only carries bins.
 
 What a feature row means depends on four settings: frame size, hop,
 seam bins q and window. ``Extraction`` carries them as one validated
@@ -104,6 +105,17 @@ class Extraction:
             raise ConfigurationError(f"unknown window {self.window!r} (expected one of {WINDOWS})")
 
 
+@dataclass(frozen=True)
+class MagnitudeSpectrum:
+    """One band's averaged one-sided magnitude spectrum: bins 0 .. N/2 - 1 (a plain record)."""
+
+    bins: np.ndarray
+    band: Band
+
+    def __len__(self) -> int:
+        return self.bins.shape[0]
+
+
 def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray:
     """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2.
 
@@ -165,11 +177,12 @@ def dft(frame: np.ndarray) -> np.ndarray:
 
 def segment_spectrum(
     samples: np.ndarray,
+    band: Band,
     frame_size: int = DEFAULT_FRAME_SIZE,
     hop: int | None = None,
     window: str = "rectangular",
-) -> np.ndarray:
-    """Reduce one segment to its averaged magnitude spectrum, bins 0 .. N/2 - 1.
+) -> MagnitudeSpectrum:
+    """Reduce one segment to a single averaged magnitude spectrum.
 
     Frames are non-overlapping by default (hop = frame_size) and
     unweighted; a Hann window can be selected instead. Finite samples can
@@ -184,21 +197,22 @@ def segment_spectrum(
     bins = _mean_magnitude(frames, weights)
     if not np.isfinite(bins).all():
         raise ShapeError("magnitude bins must be finite and non-negative")
-    return bins
+    return MagnitudeSpectrum(bins, band=band)
 
 
-def compute_scaling_factor(lb: np.ndarray, ub: np.ndarray, q: int = DEFAULT_SEAM_BINS) -> float:
+def compute_scaling_factor(
+    lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, q: int = DEFAULT_SEAM_BINS
+) -> float:
     """Ratio of the LB tail mean to the UB head mean over q boundary bins.
 
     Scaling the upper band by this factor makes the joined spectrum
     continuous at the seam in the q-bin-average sense.
     """
-    if len(lb) != len(ub):
-        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")
+    _check_band_pair(lb, ub)
     if not (1 <= q <= len(lb)):
         raise ConfigurationError(f"q must be in [1, {len(lb)}], got {q}")
-    tail = float(lb[-q:].mean())
-    head = float(ub[:q].mean())
+    tail = float(lb.bins[-q:].mean())
+    head = float(ub.bins[:q].mean())
     if head <= np.finfo(np.float64).eps:
         raise DegenerateSpectrumError(
             f"upper-band head mean {head!r} is too small to derive a scale factor"
@@ -206,14 +220,20 @@ def compute_scaling_factor(lb: np.ndarray, ub: np.ndarray, q: int = DEFAULT_SEAM
     return tail / head
 
 
-def concatenate_bands(lb: np.ndarray, ub: np.ndarray, s: float) -> np.ndarray:
+def concatenate_bands(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float) -> np.ndarray:
     """Join the two bands into one row [LB bins, s * UB bins]; ShapeError if it overflows."""
-    if len(lb) != len(ub):
-        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")
+    _check_band_pair(lb, ub)
     if not np.isfinite(s) or s <= 0:
         raise ConfigurationError(f"scaling factor must be finite and positive, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        row = np.concatenate((lb, s * ub))
+        row = np.concatenate((lb.bins, s * ub.bins))
     if not np.isfinite(row).all():
         raise ShapeError(f"joined feature row is not finite at scaling factor {s!r}")
     return row
+
+
+def _check_band_pair(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum) -> None:
+    if lb.band is not Band.LOWER or ub.band is not Band.UPPER:
+        raise ShapeError("expected a (lower, upper) spectrum pair")
+    if len(lb) != len(ub):
+        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")

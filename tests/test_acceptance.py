@@ -18,6 +18,7 @@ from rfsentry.dataset import synth_segment
 from rfsentry.evaluation import paired_ttest, stratified_kfold
 from rfsentry.gbdt import TrainConfig, leaf_weight, softmax_grad_hess, train
 from rfsentry.spectrum import (
+    Band,
     compute_scaling_factor,
     concatenate_bands,
     dft,
@@ -62,10 +63,10 @@ def test_criterion_1_fft_matches_naive_sum_and_parseval():
 
 def test_criterion_2_feature_dimensions_and_seam_continuity():
     lb_record, ub_record = synth_segment(3, 8, length=4096, index=0)
-    lb = segment_spectrum(lb_record.samples, frame_size=2048)
-    ub = segment_spectrum(ub_record.samples, frame_size=2048)
-    assert len(lb) == 1024
-    assert len(ub) == 1024
+    lb = segment_spectrum(lb_record.samples, Band.LOWER, frame_size=2048)
+    ub = segment_spectrum(ub_record.samples, Band.UPPER, frame_size=2048)
+    assert len(lb.bins) == 1024
+    assert len(ub.bins) == 1024
     for q in (4, 8, 16):
         scale = compute_scaling_factor(lb, ub, q=q)
         row = concatenate_bands(lb, ub, scale)
@@ -233,17 +234,17 @@ def test_criterion_6_paired_ttest_oracle():
         se = d.std(ddof=1) / math.sqrt(10)
         t_ref = d.mean() / se
         crit = scipy.stats.t.ppf(1 - alpha / 2, 9)
-        assert abs(result["t_stat"] - t_ref) <= 1e-10
-        assert abs(result["ci_low"] - (d.mean() - crit * se)) <= 1e-10
-        assert abs(result["ci_high"] - (d.mean() + crit * se)) <= 1e-10
+        assert abs(result.t_stat - t_ref) <= 1e-10
+        assert abs(result.ci_low - (d.mean() - crit * se)) <= 1e-10
+        assert abs(result.ci_high - (d.mean() + crit * se)) <= 1e-10
 
     a = np.array([0.5, 0.7, 0.9, 1.1])
     b = a - np.array([0.1, 0.2, 0.3, 0.4])
     result = paired_ttest(a, b, alpha=0.05)
-    assert result["t_stat"] == pytest.approx(3.873, abs=1e-3)
-    assert result["ci_low"] == pytest.approx(0.0446, abs=1e-3)
-    assert result["ci_high"] == pytest.approx(0.4554, abs=1e-3)
-    assert result["rejected"]
+    assert result.t_stat == pytest.approx(3.873, abs=1e-3)
+    assert result.ci_low == pytest.approx(0.0446, abs=1e-3)
+    assert result.ci_high == pytest.approx(0.4554, abs=1e-3)
+    assert result.rejected
     ok("criterion 6: paired t-test matches textbook values (1e-10) and the K=4 example (1e-3)")
 
 

@@ -473,28 +473,28 @@ class TestSynthSegment:
         for seed in (0, 7, 123):
             lb, ub = synth_segment(0, seed, length=8192)
             for record in (lb, ub):
-                spec = segment_spectrum(record.samples)
-                assert spec.max() <= 6.0 * np.median(spec)
+                spec = segment_spectrum(record.samples, record.band)
+                assert spec.bins.max() <= 6.0 * np.median(spec.bins)
 
     def test_sibling_modes_share_base_tones_but_not_comb(self):
         # Seed chosen so the mode comb is active in both segments.
         seed = 0
         m1, _ = synth_segment(1, seed, length=8192)  # Bebop mode 1
         m2, _ = synth_segment(2, seed, length=8192)  # Bebop mode 2
-        spec1 = segment_spectrum(m1.samples)
-        spec2 = segment_spectrum(m2.samples)
-        floor1 = 6.0 * np.median(spec1)
-        floor2 = 6.0 * np.median(spec2)
+        spec1 = segment_spectrum(m1.samples, Band.LOWER)
+        spec2 = segment_spectrum(m2.samples, Band.LOWER)
+        floor1 = 6.0 * np.median(spec1.bins)
+        floor2 = 6.0 * np.median(spec2.bins)
         base = set(class_tone_bins(1, Band.LOWER, include_comb=False))
         comb1 = set(class_tone_bins(1, Band.LOWER)) - base
         comb2 = set(class_tone_bins(2, Band.LOWER)) - base
         assert base == set(class_tone_bins(2, Band.LOWER, include_comb=False))
         assert comb1.isdisjoint(comb2 - {min(comb2)}) or comb1 != comb2
         for b in base:
-            assert spec1[b] > floor1 and spec2[b] > floor2
-        assert all(spec1[b] > floor1 for b in comb1)
-        assert all(spec2[b] > floor2 for b in comb2)
-        assert not all(spec1[b] > floor1 for b in comb2 - comb1)
+            assert spec1.bins[b] > floor1 and spec2.bins[b] > floor2
+        assert all(spec1.bins[b] > floor1 for b in comb1)
+        assert all(spec2.bins[b] > floor2 for b in comb2)
+        assert not all(spec1.bins[b] > floor1 for b in comb2 - comb1)
 
     def test_length_validation(self):
         with pytest.raises(ConfigurationError):
@@ -687,8 +687,8 @@ class TestMultiModeExtraction:
         both = joint[BandMode.CONCATENATED].features
         np.testing.assert_array_equal(both[:, :512], joint[BandMode.LOWER_ONLY].features)
         _, ub_path = small_corpus.resolve(small_corpus.entries[0])
-        ub = segment_spectrum(load_segment(ub_path), 1024)
-        np.testing.assert_array_equal(joint[BandMode.UPPER_ONLY].features[0], ub)
+        ub = segment_spectrum(load_segment(ub_path), Band.UPPER, 1024)
+        np.testing.assert_array_equal(joint[BandMode.UPPER_ONLY].features[0], ub.bins)
 
     def test_missing_lower_band_is_data_error(self, small_corpus, tmp_path):
         _, ub_path = small_corpus.resolve(small_corpus.entries[0])
@@ -815,7 +815,7 @@ class TestRecordsAndDatasets:
         for class_id in range(10):
             for index in range(15):
                 lb, _ = synth_segment(class_id, 77, length=4096, index=index)
-                rows.append(segment_spectrum(lb.samples))
+                rows.append(segment_spectrum(lb.samples, Band.LOWER).bins)
                 labels.append(0 if class_id == 0 else 1)
         features = np.array(rows)
         labels = np.array(labels)

@@ -261,9 +261,9 @@ class TestPairedTTest:
     def test_equal_scores_not_rejected(self):
         scores = np.array([0.9, 0.8, 0.95, 0.85])
         result = paired_ttest(scores, scores)
-        assert result["mean_diff"] == 0.0
-        assert not result["rejected"]
-        assert result["ci_low"] <= 0.0 <= result["ci_high"]
+        assert result.mean_diff == 0.0
+        assert not result.rejected
+        assert result.ci_low <= 0.0 <= result.ci_high
 
     def test_hand_derived_k4_example(self):
         # d = (0.1, 0.2, 0.3, 0.4): mean 0.25, sample std 0.1291,
@@ -271,12 +271,12 @@ class TestPairedTTest:
         a = np.array([0.5, 0.7, 0.9, 1.1])
         b = a - np.array([0.1, 0.2, 0.3, 0.4])
         result = paired_ttest(a, b, alpha=0.05)
-        assert result["dof"] == 3
-        assert result["mean_diff"] == pytest.approx(0.25)
-        assert result["t_stat"] == pytest.approx(3.873, abs=1e-3)
-        assert result["ci_low"] == pytest.approx(0.0446, abs=1e-3)
-        assert result["ci_high"] == pytest.approx(0.4554, abs=1e-3)
-        assert result["rejected"]
+        assert result.dof == 3
+        assert result.mean_diff == pytest.approx(0.25)
+        assert result.t_stat == pytest.approx(3.873, abs=1e-3)
+        assert result.ci_low == pytest.approx(0.0446, abs=1e-3)
+        assert result.ci_high == pytest.approx(0.4554, abs=1e-3)
+        assert result.rejected
 
     def test_textbook_formula_oracle(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -292,10 +292,10 @@ class TestPairedTTest:
             se = sd / math.sqrt(10)
             t_ref = mean / se
             crit = scipy_stats.t.ppf(1 - alpha / 2, 9)
-            assert result["t_stat"] == pytest.approx(t_ref, abs=1e-10)
-            assert result["ci_low"] == pytest.approx(mean - crit * se, abs=1e-10)
-            assert result["ci_high"] == pytest.approx(mean + crit * se, abs=1e-10)
-            assert result["rejected"] == (not (result["ci_low"] <= 0 <= result["ci_high"]))
+            assert result.t_stat == pytest.approx(t_ref, abs=1e-10)
+            assert result.ci_low == pytest.approx(mean - crit * se, abs=1e-10)
+            assert result.ci_high == pytest.approx(mean + crit * se, abs=1e-10)
+            assert result.rejected == (not (result.ci_low <= 0 <= result.ci_high))
 
     def test_symmetry(self):
         rng = np.random.default_rng(14)
@@ -303,19 +303,19 @@ class TestPairedTTest:
         b = rng.uniform(0, 1, 10)
         ab = paired_ttest(a, b)
         ba = paired_ttest(b, a)
-        assert ab["mean_diff"] == pytest.approx(-ba["mean_diff"])
-        assert ab["t_stat"] == pytest.approx(-ba["t_stat"])
-        assert ab["ci_low"] == pytest.approx(-ba["ci_high"])
-        assert ab["ci_high"] == pytest.approx(-ba["ci_low"])
-        assert ab["rejected"] == ba["rejected"]
+        assert ab.mean_diff == pytest.approx(-ba.mean_diff)
+        assert ab.t_stat == pytest.approx(-ba.t_stat)
+        assert ab.ci_low == pytest.approx(-ba.ci_high)
+        assert ab.ci_high == pytest.approx(-ba.ci_low)
+        assert ab.rejected == ba.rejected
 
     def test_degenerate_zero_spread(self):
         same = np.full(5, 0.9)
         result = paired_ttest(same, same)
-        assert result["degenerate"] and not result["rejected"] and result["t_stat"] == 0.0
+        assert result.degenerate and not result.rejected and result.t_stat == 0.0
         shifted = paired_ttest(same + 0.1, same)
-        assert shifted["degenerate"] and shifted["rejected"]
-        assert math.isinf(shifted["t_stat"]) and shifted["t_stat"] > 0
+        assert shifted.degenerate and shifted.rejected
+        assert math.isinf(shifted.t_stat) and shifted.t_stat > 0
 
     def test_input_validation(self):
         with pytest.raises(ShapeError):
@@ -480,13 +480,13 @@ class TestSyntheticEndToEnd:
     def test_case1_training_accuracy_within_20_rounds(self):
         from rfsentry.dataset import synth_segment
         from rfsentry.gbdt import predict, train
-        from rfsentry.spectrum import segment_spectrum
+        from rfsentry.spectrum import Band, segment_spectrum
 
         rows, labels = [], []
         for class_id in range(10):
             for index in range(20):
                 lb, _ = synth_segment(class_id, 55, length=4096, index=index)
-                rows.append(segment_spectrum(lb.samples))
+                rows.append(segment_spectrum(lb.samples, Band.LOWER).bins)
                 labels.append(int(class_id > 0))
         features = np.array(rows)
         labels = np.array(labels)

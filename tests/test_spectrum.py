@@ -18,6 +18,7 @@ from rfsentry.spectrum import (
     Band,
     BandMode,
     Extraction,
+    MagnitudeSpectrum,
     compute_scaling_factor,
     concatenate_bands,
     dft,
@@ -43,6 +44,10 @@ def reference_spectrum(samples, frame_size, hop=None, window=None):
     starts = range(0, len(samples) - frame_size + 1, hop)
     frames = [samples[i : i + frame_size] * weights for i in starts]
     return np.mean([np.abs(naive_dft(frame))[: frame_size // 2] for frame in frames], axis=0)
+
+
+def make_spectrum(bins, band):
+    return MagnitudeSpectrum(bins, band=band)
 
 
 class TestDft:
@@ -123,22 +128,22 @@ class TestOneSidedMagnitude:
     """Each frame keeps |X[k]| for k = 0 .. N/2 - 1; the Nyquist bin is dropped."""
 
     def test_half_length(self):
-        spectrum = segment_spectrum(np.random.default_rng(0).normal(size=2048))
+        spectrum = segment_spectrum(np.random.default_rng(0).normal(size=2048), Band.LOWER)
         assert len(spectrum) == 1024
 
     def test_zero_spectrum(self):
-        spectrum = segment_spectrum(np.zeros(16), frame_size=16)
-        np.testing.assert_array_equal(spectrum, np.zeros(8))
+        spectrum = segment_spectrum(np.zeros(16), Band.UPPER, frame_size=16)
+        np.testing.assert_array_equal(spectrum.bins, np.zeros(8))
 
     def test_single_tone_bins(self):
         x = np.cos(2 * np.pi * 3 * np.arange(8) / 8)
-        spectrum = segment_spectrum(x, frame_size=8)
-        np.testing.assert_allclose(spectrum, [0, 0, 0, 4], atol=1e-12)
+        spectrum = segment_spectrum(x, Band.LOWER, frame_size=8)
+        np.testing.assert_allclose(spectrum.bins, [0, 0, 0, 4], atol=1e-12)
 
     def test_finite_samples_that_overflow_the_transform(self):
         # Each sample is finite; the DC bin, their sum, is not.
         with pytest.raises(ShapeError, match="finite and non-negative"):
-            segment_spectrum(np.full(2048, 1e306))
+            segment_spectrum(np.full(2048, 1e306), Band.LOWER)
 
 
 class TestFrameSegment:
@@ -148,32 +153,32 @@ class TestFrameSegment:
         # Frame i holds the constant i, and the 576-sample remainder holds 488.
         # The mean DC bin is N * mean(0..487); a 489th frame would give N * 244.
         samples = np.repeat(np.arange(489.0), 2048)[:1_000_000]
-        bins = segment_spectrum(samples, 2048, 2048)
+        bins = segment_spectrum(samples, Band.LOWER, 2048, 2048).bins
         assert bins[0] == pytest.approx(2048 * 243.5, rel=1e-12)
         np.testing.assert_allclose(bins[1:], 0.0, atol=1e-9 * bins[0])
 
     def test_identity_case(self):
         samples = np.random.default_rng(1).normal(size=256)
-        spectrum = segment_spectrum(samples, 256, 9999)
+        spectrum = segment_spectrum(samples, Band.LOWER, 256, 9999)
         expected = np.abs(naive_dft(samples))[:128]
-        np.testing.assert_allclose(spectrum, expected, rtol=1e-9)
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-9)
 
     def test_overlap_matches_index_arithmetic(self):
         samples = np.random.default_rng(2).normal(size=4096)
-        spectrum = segment_spectrum(samples, 2048, 1024)
+        spectrum = segment_spectrum(samples, Band.LOWER, 2048, 1024)
         expected = np.mean(
             [np.abs(naive_dft(samples[i : i + 2048]))[:1024] for i in (0, 1024, 2048)], axis=0
         )
-        np.testing.assert_allclose(spectrum, expected, rtol=1e-9)
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-9)
 
     def test_trailing_remainder_discarded(self):
-        spectrum = segment_spectrum(np.arange(10.0), 4, 4)
+        spectrum = segment_spectrum(np.arange(10.0), Band.LOWER, 4, 4)
         expected = (np.abs(naive_dft([0, 1, 2, 3])) + np.abs(naive_dft([4, 5, 6, 7])))[:2] / 2
-        np.testing.assert_allclose(spectrum, expected, rtol=1e-12)
+        np.testing.assert_allclose(spectrum.bins, expected, rtol=1e-12)
 
     def test_too_short_segment(self):
         with pytest.raises(InsufficientDataError):
-            segment_spectrum(np.zeros(100), 128, 128)
+            segment_spectrum(np.zeros(100), Band.LOWER, 128, 128)
 
     # 128-sample frames over 1000 samples: at hop 64 the last frame ends at
     # 959; at hop 200 frames cover 0..127, 200..327, ... 800..927.
@@ -182,13 +187,13 @@ class TestFrameSegment:
         samples = np.zeros(1000)
         samples[bad] = np.nan
         with pytest.raises(InvalidFrameError):
-            segment_spectrum(samples, 128, hop)
+            segment_spectrum(samples, Band.LOWER, 128, hop)
 
     @pytest.mark.parametrize("hop, bad", [(64, 960), (200, 150), (200, 999)])
     def test_uncovered_samples_are_not_read(self, hop, bad):
         samples = np.zeros(1000)
         samples[bad] = np.inf
-        assert segment_spectrum(samples, 128, hop).tobytes() == bytes(8 * 64)
+        assert segment_spectrum(samples, Band.LOWER, 128, hop).bins.tobytes() == bytes(8 * 64)
 
     @pytest.mark.parametrize("frame_size", [256, 1024])
     def test_overlap_check_memory_is_bounded(self, frame_size):
@@ -198,7 +203,7 @@ class TestFrameSegment:
         samples = np.random.default_rng(frame_size).normal(size=1 << 15)
         tracemalloc.start()
         try:
-            segment_spectrum(samples, frame_size, 1)
+            segment_spectrum(samples, Band.LOWER, frame_size, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -206,7 +211,7 @@ class TestFrameSegment:
 
     def test_bad_hop(self):
         with pytest.raises(ConfigurationError):
-            segment_spectrum(np.zeros(256), 128, 0)
+            segment_spectrum(np.zeros(256), Band.LOWER, 128, 0)
 
 
 class TestAverageSpectrum:
@@ -214,23 +219,23 @@ class TestAverageSpectrum:
 
     def test_single_frame_is_identity(self):
         samples = np.random.default_rng(5).normal(size=64)
-        spectrum = segment_spectrum(samples, frame_size=64)
-        np.testing.assert_allclose(spectrum, np.abs(dft(samples))[:32], rtol=1e-12)
+        spectrum = segment_spectrum(samples, Band.LOWER, frame_size=64)
+        np.testing.assert_allclose(spectrum.bins, np.abs(dft(samples))[:32], rtol=1e-12)
 
     def test_mean_of_identical_frames_is_idempotent(self):
         samples = np.random.default_rng(6).normal(size=64)
-        one = segment_spectrum(samples, frame_size=64)
-        two = segment_spectrum(np.tile(samples, 2), frame_size=64)
-        np.testing.assert_allclose(two, one, rtol=1e-12)
+        one = segment_spectrum(samples, Band.LOWER, frame_size=64)
+        two = segment_spectrum(np.tile(samples, 2), Band.LOWER, frame_size=64)
+        np.testing.assert_allclose(two.bins, one.bins, rtol=1e-12)
 
     def test_matches_explicit_accumulation(self):
         samples = np.random.default_rng(7).normal(size=10 * 128)
-        spectrum = segment_spectrum(samples, frame_size=128)
+        spectrum = segment_spectrum(samples, Band.UPPER, frame_size=128)
         acc = np.zeros(64)
         for i in range(10):
             acc += np.abs(naive_dft(samples[128 * i : 128 * (i + 1)]))[:64]
         acc /= 10
-        np.testing.assert_allclose(spectrum, acc, rtol=1e-9)
+        np.testing.assert_allclose(spectrum.bins, acc, rtol=1e-9)
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize(
@@ -250,15 +255,15 @@ class TestAverageSpectrum:
             frames = frames * np.hanning(frame_size)
         whole = np.abs(np.fft.fft(frames, axis=-1)[:, : frame_size // 2]).mean(axis=0)
         spectrum = segment_spectrum(
-            samples, frame_size=frame_size, hop=hop, window=window
+            samples, Band.LOWER, frame_size=frame_size, hop=hop, window=window
         )
-        assert spectrum.tobytes() == whole.tobytes()
+        assert spectrum.bins.tobytes() == whole.tobytes()
 
 
 class TestScalingFactor:
     def test_forced_ratio(self):
-        lb = np.concatenate([np.ones(8), np.full(8, 6.0)])
-        ub = np.concatenate([np.full(8, 3.0), np.ones(8)])
+        lb = make_spectrum(np.concatenate([np.ones(8), np.full(8, 6.0)]), Band.LOWER)
+        ub = make_spectrum(np.concatenate([np.full(8, 3.0), np.ones(8)]), Band.UPPER)
         assert compute_scaling_factor(lb, ub, q=8) == pytest.approx(2.0)
 
     def test_identical_spectra_give_unity(self):
@@ -268,69 +273,76 @@ class TestScalingFactor:
         half = np.random.default_rng(9).uniform(0.5, 2.0, 16)
         mirrored = np.concatenate([half, half[::-1]])
         for bins in (flat, mirrored):
+            lb = make_spectrum(bins, Band.LOWER)
+            ub = make_spectrum(bins, Band.UPPER)
             for q in (1, 5, 32):
-                assert compute_scaling_factor(bins, bins, q=q) == pytest.approx(1.0)
+                assert compute_scaling_factor(lb, ub, q=q) == pytest.approx(1.0)
 
     def test_matches_hand_rolled_ratio(self):
         rng = np.random.default_rng(10)
-        lb = rng.uniform(0.1, 5.0, 64)
-        ub = rng.uniform(0.1, 5.0, 64)
-        expected = lb[-10:].mean() / ub[:10].mean()
+        lb_bins = rng.uniform(0.1, 5.0, 64)
+        ub_bins = rng.uniform(0.1, 5.0, 64)
+        lb = make_spectrum(lb_bins, Band.LOWER)
+        ub = make_spectrum(ub_bins, Band.UPPER)
+        expected = lb_bins[-10:].mean() / ub_bins[:10].mean()
         assert compute_scaling_factor(lb, ub, q=10) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_upper_band(self):
-        lb = np.ones(16)
-        ub = np.zeros(16)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.zeros(16), Band.UPPER)
         with pytest.raises(DegenerateSpectrumError):
             compute_scaling_factor(lb, ub, q=4)
 
+    def test_band_order_enforced(self):
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        with pytest.raises(ShapeError):
+            compute_scaling_factor(lb, lb, q=4)
+
     def test_q_range(self):
-        lb = np.ones(16)
-        ub = np.ones(16)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.ones(16), Band.UPPER)
         with pytest.raises(ConfigurationError):
             compute_scaling_factor(lb, ub, q=17)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError, match="band lengths differ"):
-            compute_scaling_factor(np.ones(16), np.ones(32), q=4)
 
 
 class TestConcatenateBands:
     def test_overflowing_scale_rejected(self):
         # A finite scale times finite upper-band bins past the float64 range.
-        lb = np.ones(16)
-        ub = np.full(16, 1e200)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.full(16, 1e200), Band.UPPER)
         with pytest.raises(ShapeError, match="not finite"):
             concatenate_bands(lb, ub, 1e200)
 
     def test_lengths(self):
-        lb = np.ones(1024)
-        ub = np.ones(1024)
+        lb = make_spectrum(np.ones(1024), Band.LOWER)
+        ub = make_spectrum(np.ones(1024), Band.UPPER)
         row = concatenate_bands(lb, ub, 1.0)
         assert row.shape == (2048,)
 
     def test_zero_upper_band_tail(self):
-        lb = np.random.default_rng(11).uniform(0.0, 1.0, 16)
-        ub = np.zeros(16)
+        lb_bins = np.random.default_rng(11).uniform(0.0, 1.0, 16)
+        lb = make_spectrum(lb_bins, Band.LOWER)
+        ub = make_spectrum(np.zeros(16), Band.UPPER)
         row = concatenate_bands(lb, ub, 1.0)
-        np.testing.assert_array_equal(row[:16], lb)
+        np.testing.assert_array_equal(row[:16], lb_bins)
         np.testing.assert_array_equal(row[16:], np.zeros(16))
 
     def test_scale_applies_to_upper_only(self):
-        lb = np.ones(16)
-        ub = np.random.default_rng(12).uniform(0.0, 1.0, 16)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub_bins = np.random.default_rng(12).uniform(0.0, 1.0, 16)
+        ub = make_spectrum(ub_bins, Band.UPPER)
         row = concatenate_bands(lb, ub, 2.0)
-        np.testing.assert_allclose(row[16:], 2.0 * ub)
+        np.testing.assert_allclose(row[16:], 2.0 * ub_bins)
 
     def test_length_mismatch(self):
-        lb = np.ones(16)
-        ub = np.ones(32)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.ones(32), Band.UPPER)
         with pytest.raises(ShapeError):
             concatenate_bands(lb, ub, 1.0)
 
     def test_bad_scale(self):
-        lb = np.ones(16)
-        ub = np.ones(16)
+        lb = make_spectrum(np.ones(16), Band.LOWER)
+        ub = make_spectrum(np.ones(16), Band.UPPER)
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ConfigurationError):
                 concatenate_bands(lb, ub, bad)
@@ -338,8 +350,8 @@ class TestConcatenateBands:
     def test_seam_continuity(self):
         rng = np.random.default_rng(13)
         for q in (4, 8, 16):
-            lb = rng.uniform(0.5, 4.0, 1024)
-            ub = rng.uniform(0.5, 4.0, 1024)
+            lb = make_spectrum(rng.uniform(0.5, 4.0, 1024), Band.LOWER)
+            ub = make_spectrum(rng.uniform(0.5, 4.0, 1024), Band.UPPER)
             scale = compute_scaling_factor(lb, ub, q=q)
             row = concatenate_bands(lb, ub, scale)
             lb_tail = row[1024 - q : 1024].mean()
@@ -352,11 +364,11 @@ class TestFeatureVector:
 
     def test_feature_lengths_at_default_frame_size(self):
         rng = np.random.default_rng(14)
-        lb = segment_spectrum(rng.normal(size=4096))
-        ub = segment_spectrum(rng.normal(size=4096))
-        assert lb.shape == ub.shape == (1024,)
+        lb = segment_spectrum(rng.normal(size=4096), Band.LOWER)
+        ub = segment_spectrum(rng.normal(size=4096), Band.UPPER)
+        assert lb.bins.shape == ub.bins.shape == (1024,)
         row = concatenate_bands(lb, ub, 1.0)
-        np.testing.assert_array_equal(row, np.concatenate((lb, ub)))
+        np.testing.assert_array_equal(row, np.concatenate((lb.bins, ub.bins)))
 
     def test_each_layout_names_its_bands_lower_first(self):
         assert BandMode.LOWER_ONLY.bands == (Band.LOWER,)
@@ -369,28 +381,28 @@ class TestFeatureVector:
 class TestSegmentSpectrum:
     def test_default_reduction_is_plain_mean(self):
         samples = np.random.default_rng(15).normal(size=1024)
-        reduced = segment_spectrum(samples, frame_size=256)
-        np.testing.assert_allclose(reduced, reference_spectrum(samples, 256), rtol=1e-9)
+        reduced = segment_spectrum(samples, Band.LOWER, frame_size=256)
+        np.testing.assert_allclose(reduced.bins, reference_spectrum(samples, 256), rtol=1e-9)
 
     def test_hann_window_matches_weighted_reference(self):
         samples = np.random.default_rng(17).normal(size=1024)
-        hann = segment_spectrum(samples, frame_size=256, hop=128, window="hann")
+        hann = segment_spectrum(samples, Band.LOWER, frame_size=256, hop=128, window="hann")
         expected = reference_spectrum(samples, 256, 128, window=np.hanning(256))
-        np.testing.assert_allclose(hann, expected, rtol=1e-9)
+        np.testing.assert_allclose(hann.bins, expected, rtol=1e-9)
 
     def test_hann_window_changes_output(self):
         samples = np.random.default_rng(16).normal(size=1024)
-        rect = segment_spectrum(samples, frame_size=256)
-        hann = segment_spectrum(samples, frame_size=256, window="hann")
-        assert not np.allclose(rect, hann)
+        rect = segment_spectrum(samples, Band.LOWER, frame_size=256)
+        hann = segment_spectrum(samples, Band.LOWER, frame_size=256, window="hann")
+        assert not np.allclose(rect.bins, hann.bins)
 
     def test_unknown_window(self):
         with pytest.raises(ConfigurationError):
-            segment_spectrum(np.zeros(512), frame_size=256, window="flattop")
+            segment_spectrum(np.zeros(512), Band.LOWER, frame_size=256, window="flattop")
 
     def test_two_dimensional_samples_rejected(self):
         with pytest.raises(ShapeError, match="1-D"):
-            segment_spectrum(np.zeros((2, 512)), frame_size=256)
+            segment_spectrum(np.zeros((2, 512)), Band.LOWER, frame_size=256)
 
 
 class TestExtraction:
@@ -443,4 +455,4 @@ class TestExtraction:
 
     def test_segment_spectrum_applies_the_same_frame_rule(self):
         with pytest.raises(ConfigurationError, match="power of two"):
-            segment_spectrum(np.zeros(2048), 1000)
+            segment_spectrum(np.zeros(2048), Band.LOWER, 1000)
