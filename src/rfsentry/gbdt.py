@@ -17,26 +17,25 @@ The scan follows exact greedy search over presorted columns. Each value
 is computed once, at the level where it is fixed. Per cross-validation:
 every feature's sorted order (a `Presort`, filtered per fold). Per fit:
 one workspace of flat (d x n) buffers that every node of every tree
-reuses through out= arguments, and which gaps of the root's sorted
-values can hold a threshold. Per round: the K class roots' g and h sums
-and gain bounds, in one pass over (K, n) arrays, then their scans, which
-share one position-major layout of the root's row ids. A node keeps a
-(d, m) block of its rows in per-feature sorted order, one row per
-feature; when it splits, the block is stably partitioned in place into
-its children's blocks, so a node costs d x m rather than d x n. The scan
-reads the block position-major, as (m - 1, d) planes whose row p holds
-every feature's p-th sorted row, so each prefix-sum step adds d lanes in
-one call, through row views built once per fit. Because h >= 0, the
-sorted positions where some feature can leave min_child_weight on both
-sides form one range, the hessian window, and only it is scored. A node
-is not scanned when its hessian sum is below twice min_child_weight, or
-when a bound on the score of every cut of its rows (`_cannot_gain`),
-taken in O(m log m) from their (g, h) pairs alone, shows that no cut
-can gain; a split whose children are both unscanned is not partitioned.
-On equal scores the lowest feature wins, then the lowest threshold.
-Every sum is taken in the same order as a plain per-node scan, and a
-pruned node is one the scan would turn down, so the trees are
-bit-identical to one.
+reuses through out= arguments, which gaps of the root's sorted values
+can hold a threshold, and one position-major layout of the root's row
+ids. Every node, roots included, passes one gate and one scan call. A
+node keeps a (d, m) block of its rows in per-feature sorted order, one
+row per feature; when it splits, the block is stably partitioned in
+place into its children's blocks, so a node costs d x m rather than
+d x n. The scan reads the block position-major, as (m - 1, d) planes
+whose row p holds every feature's p-th sorted row, so each prefix-sum
+step adds d lanes in one call, through row views built once per fit.
+Because h >= 0, the sorted positions where some feature can leave
+min_child_weight on both sides form one range, the hessian window, and
+only it is scored. A node is not scanned when its hessian sum is below
+twice min_child_weight, or when a bound on the score of every cut of its
+rows (`_cannot_gain`), taken in O(m log m) from their (g, h) pairs
+alone, shows that no cut can gain; a split whose children are both
+unscanned is not partitioned. On equal scores the lowest feature wins,
+then the lowest threshold. Every sum is taken in the same order as a
+plain per-node scan, and a pruned node is one the scan would turn down,
+so the trees are bit-identical to one.
 
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
@@ -228,13 +227,13 @@ def _midpoint(left, right):
     return np.where(np.isinf(mid), 0.5 * left + 0.5 * right, mid)
 
 
-def _heavy_enough(m: int, h_total, mcw: float):
+def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
     # Below 2 * mcw every hl >= mcw leaves fl(h_total - hl) < mcw, so no
     # candidate is valid; the 1e-9 margin covers the subtraction's rounding.
-    return (m >= 2) & (h_total >= 2.0 * mcw * (1.0 - 1e-9))
+    return m >= 2 and h_total >= 2.0 * mcw * (1.0 - 1e-9)
 
 
-def _peak_score(g, h, g_total, h_total, lam: float):
+def _peak_score(g, h, g_total: float, h_total: float, lam: float) -> float:
     """The highest score GL^2/(HL+lam) + GR^2/(HR+lam) of any cut of the rows (g, h).
 
     For lam > 0 the score is convex in (GL, HL), so over all proper row
@@ -242,36 +241,32 @@ def _peak_score(g, h, g_total, h_total, lam: float):
     in angular order (h >= 0 puts all rows in one half-plane; the key
     g / (|g| + h) falls as the angle rises, to a few ulp, and puts zero
     rows last), one row, or all rows but one, which scores as that row.
-    A node's rows lie along the last axis, so (K, m) arrays with (K,)
-    sums give K nodes' peaks in one pass, each as its own 1-D call would.
     """
     with np.errstate(all="ignore"):
-        order = np.argsort(g / (np.abs(g) + h), axis=-1, kind="stable")
-        if g.ndim == 2:  # flat indices into the (K, m) rows
-            order += np.arange(0, g.size, g.shape[1])[:, None]
-        gl = np.concatenate([np.cumsum(g.ravel()[order], axis=-1)[..., :-1], g], axis=-1)
-        hl = np.concatenate([np.cumsum(h.ravel()[order], axis=-1)[..., :-1], h], axis=-1)
-        gr = np.asarray(g_total)[..., None] - gl
-        hr = np.maximum(np.asarray(h_total)[..., None] - hl, 0.0)
-        return (gl * gl / (hl + lam) + gr * gr / (hr + lam)).max(axis=-1)
+        order = np.argsort(g / (np.abs(g) + h), kind="stable")
+        gl = np.concatenate([np.cumsum(g[order])[:-1], g])
+        hl = np.concatenate([np.cumsum(h[order])[:-1], h])
+        gr = g_total - gl
+        hr = np.maximum(h_total - hl, 0.0)
+        return (gl * gl / (hl + lam) + gr * gr / (hr + lam)).max()
 
 
-def _cannot_gain(g, h, g_total, h_total, config: TrainConfig):
-    """True only where no cut of the node whose rows carry (g, h) can gain: the
+def _cannot_gain(g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
+    """True only if no cut of the node whose rows carry (g, h) can gain: the
     gain of `_peak_score` is below -margin, which covers the rounding of the scan,
     of the bound (underflow too) and of the angular order. Never with lambda = 0
-    or a non-finite value. Like `_peak_score`, it takes K nodes along axis 0."""
-    lam, m = config.reg_lambda, g.shape[-1]
+    or a non-finite value."""
+    lam, m = config.reg_lambda, g.size
     if not lam > 0.0:
-        return np.zeros(np.shape(g_total), dtype=np.bool_)
+        return False
     with np.errstate(all="ignore"):
         peak = _peak_score(g, h, g_total, h_total, lam)
         gain = 0.5 * (peak - g_total * g_total / (h_total + lam)) - config.gamma
-        s_g = np.abs(g).sum(axis=-1)
+        s_g = np.abs(g).sum()
         s = s_g + h_total
         margin = 2.0**-47 * ((m + 2) * s * (s_g / lam) * (1.0 + s / lam) + config.gamma)
         margin += 2.0**-1068 * (m + 2) * (1.0 + 1.0 / lam)
-        return gain < -margin
+        return bool(gain < -margin)
 
 
 class _ScanState:
@@ -282,20 +277,18 @@ class _ScanState:
     values, shape (d, n), come from a `Presort` (in cross-validation, one
     filtered per fold), and which gaps between consecutive sorted values
     can hold a threshold is computed once, stored position-major as
-    (n - 1, d) for the scan. `roots` gives a round's K roots their sums
-    and gain bounds in one pass and scans them before any block is
-    partitioned, so when more than one of them is scanned, one
-    position-major (n - 1, d) layout of their row ids, in the block
-    buffer that no node uses yet, serves them all. A node works on a
-    (d, m) block of row ids and sorted values, one row per feature. When
-    it splits, the block is stably partitioned in place into [left |
-    right] through a scratch buffer, so each child's block keeps its
-    rows in sorted order and a node costs d x m, not d x n. `worth_scanning` skips a node too light
-    to split or ruled out by the gain bound (`_cannot_gain`), and a split
-    whose children both stay unscanned is not partitioned. Blocks live in
-    two flat (d x n) arrays; a child's block is the part of its parent's
-    that it takes, so depth-first growth never overwrites a block that
-    is still pending.
+    (n - 1, d) for the scan, as are the root's row ids, in an array of
+    their own that no scan or partition writes. A node works on a (d, m)
+    block of row ids and sorted values, one row per feature. When it
+    splits, the block is stably partitioned in place into [left | right]
+    through a scratch buffer, so each child's block keeps its rows in
+    sorted order and a node costs d x m, not d x n. Every node, roots
+    included, passes one gate, `worth_scanning`, which skips a node too
+    light to split or ruled out by the gain bound (`_cannot_gain`), and
+    one scan, `best_split`; a split whose children both stay unscanned is
+    not partitioned. Blocks live in two flat (d x n) arrays; a child's
+    block is the part of its parent's that it takes, so depth-first growth
+    never overwrites a block that is still pending.
 
     Below the root, the scan transposes a block's row ids into the third
     scratch buffer. It gathers h, and g up to the window's end, into the
@@ -321,6 +314,7 @@ class _ScanState:
         self.can_overflow = bool(np.abs(self.root_vals[:, [0, -1]]).max() > 8.9e307)
         mid = _midpoint(left, right) if self.can_overflow else 0.5 * (left + right)
         self.root_gaps = np.ascontiguousarray(((right > left) & (mid > left)).T)
+        self.root_ids = np.ascontiguousarray(self.root_rows[:, :-1].T)
         self.features = features
         self.rows = np.empty(d * n, dtype=np.intp)
         self.vals = np.empty(d * n, dtype=np.float64)
@@ -340,7 +334,7 @@ class _ScanState:
         return self.rows[span].reshape(d, m), self.vals[span].reshape(d, m)
 
     def best_split(
-        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig, rows_t=None
+        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig
     ) -> tuple[int, float] | None:
         """The split of highest gain among all features, or None if none gains.
 
@@ -352,15 +346,17 @@ class _ScanState:
         of the hessian window are scored. On score ties the lowest feature
         wins, then the lowest threshold. A node whose best score is not
         finite (GL^2/(HL+lambda) can overflow for |g| near 1e150) gets no
-        split and stays a leaf. rows_t, if given, is rows[:, :-1].T laid
-        out outside the scratch buffers; otherwise the scan lays it out.
+        split and stays a leaf.
         """
         lam, mcw = config.reg_lambda, config.min_child_weight
         d, m = rows.shape
         if not _heavy_enough(m, h_total, mcw):
             return None
         cum_h, cum_g, spare, temp = (buf[: d * (m - 1)].reshape(m - 1, d) for buf in self.scratch)
-        if rows_t is None:
+        at_root = rows is self.root_rows
+        if at_root:
+            rows_t = self.root_ids
+        else:
             rows_t = spare.view(np.intp)
             np.copyto(rows_t, rows[:, :-1].T)
         np.take(h, rows_t, out=cum_h, mode="clip")
@@ -379,7 +375,7 @@ class _ScanState:
         w = hi + 1 - lo
         gl, hl, temp = cum_g[lo : hi + 1], cum_h[lo : hi + 1], temp[:w]
         valid, test = (buf[: w * d].reshape(w, d) for buf in self.masks)
-        if rows is self.root_rows:
+        if at_root:
             np.copyto(valid, self.root_gaps[lo : hi + 1])
         else:
             # The row ids are gathered; their space holds the values now.
@@ -426,41 +422,9 @@ class _ScanState:
         """False only where `best_split` would find no split in the node of rows idx."""
         if not _heavy_enough(idx.size, h_total, config.min_child_weight):
             return False
-        pruned = bool(_cannot_gain(g[idx], h[idx], g_total, h_total, config))
+        pruned = _cannot_gain(g[idx], h[idx], g_total, h_total, config)
         self.pruned += pruned
         return not pruned
-
-    def roots(self, g, h, config: TrainConfig) -> list[tuple[float, float, tuple | None]]:
-        """The g sum, h sum and best split (None for a leaf) of K roots over
-        all rows, one per row of the contiguous (K, n) g and h.
-
-        The sums and `worth_scanning` verdicts come from one pass along
-        axis 1; a row sum of a contiguous array adds in the order of the
-        1-D sum, so each is what its own call gives. The roots are scanned
-        before any of their trees partitions a block, so the block buffer
-        is free to hold one position-major layout of the root's row ids
-        that every root scan of the pass reads.
-        """
-        g_total, h_total = g.sum(axis=1), h.sum(axis=1)
-        heavy = _heavy_enough(g.shape[1], h_total, config.min_child_weight)
-        pruned = heavy & _cannot_gain(g, h, g_total, h_total, config)
-        scan = heavy & ~pruned
-        n_scans = int(scan.sum())
-        self.pruned += int(pruned.sum())
-        self.scanned += n_scans
-        (d, n), ids = self.root_rows.shape, None
-        if n_scans > 1:
-            # A lone scan lays its ids out in scratch, as every node below
-            # the root does; the block buffer stays untouched in fits that
-            # never partition, such as two-class stumps.
-            ids = self.rows[: d * (n - 1)].reshape(n - 1, d)
-            np.copyto(ids, self.root_rows[:, :-1].T)
-        g_sums, h_sums, root = g_total.tolist(), h_total.tolist(), (self.root_rows, self.root_vals)
-        found = [
-            self.best_split(*root, g_c, h_c, g_s, h_s, config, ids) if s else None
-            for g_c, h_c, g_s, h_s, s in zip(g, h, g_sums, h_sums, scan.tolist())
-        ]
-        return list(zip(g_sums, h_sums, found))
 
     def partition(self, rows, vals, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
@@ -497,11 +461,9 @@ def _grow_tree(
     config: TrainConfig,
     nodes: list[list],
     scale: float,
-    root: tuple[float, float, tuple | None],
 ) -> np.ndarray:
     """Depth-first growth from an explicit stack, left child first.
 
-    The root's g sum, h sum and split come from `_ScanState.roots`.
     Appends the tree to `nodes` in pre-order, one [feature, threshold,
     value, right] row per node, with `right` counting from the start of
     `nodes` and leaf values multiplied by `scale`. Returns the leaf
@@ -517,19 +479,15 @@ def _grow_tree(
         scan = depth < config.max_depth and state.worth_scanning(idx, g, h, g_total, h_total, config)
         return idx, depth, parent, offset, g_total, h_total, scan
 
-    g_total, h_total, root_split = root
-    pending = [(np.arange(n), 0, -1, 0, g_total, h_total, root_split is not None)]
+    pending = [entry(np.arange(n), 0, -1, 0)]
     while pending:
         idx, depth, parent, offset, g_total, h_total, scan = pending.pop()
         if parent >= 0:
             nodes[parent][3] = len(nodes)
         if scan:
+            state.scanned += 1
             rows, vals = state.block(depth, offset, idx.shape[0])
-            if depth:
-                state.scanned += 1
-                found = state.best_split(rows, vals, g, h, g_total, h_total, config)
-            else:
-                found = root_split
+            found = state.best_split(rows, vals, g, h, g_total, h_total, config)
             if found is not None:
                 feature, threshold = found
                 go_left = state.features[idx, feature] < threshold
@@ -569,7 +527,7 @@ def build_tree(
         raise TrainingError(f"h must be >= 0, got {h[bad[0]]} in row {bad[0]}")
     nodes = []
     state = _ScanState(features, Presort.of(features))
-    _grow_tree(state, g, h, config, nodes, 1.0, state.roots(g[None], h[None], config)[0])
+    _grow_tree(state, g, h, config, nodes, 1.0)
     return Tree.from_rows(nodes)
 
 
@@ -636,12 +594,11 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
     nodes = []
     for rnd in range(config.n_rounds):
         grad, hess = softmax_grad_hess(logits, labels)
-        # (K, n): each class's g and h contiguous, and the K roots in one pass
+        # (K, n): each class's g and h contiguous for the scan's gathers
         g_rows, h_rows = (np.ascontiguousarray(a.T[first:]) for a in (grad, hess))
-        roots = state.roots(g_rows, h_rows, config)
-        for c, g_c, h_c, root in zip(range(first, k), g_rows, h_rows, roots):
+        for c, g_c, h_c in zip(range(first, k), g_rows, h_rows):
             start = len(nodes)
-            out = _grow_tree(state, g_c, h_c, config, nodes, config.learning_rate, root)
+            out = _grow_tree(state, g_c, h_c, config, nodes, config.learning_rate)
             if binary:
                 logits[:, 1] += out
                 logits[:, 0] -= out

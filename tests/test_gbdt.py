@@ -488,30 +488,24 @@ class TestTrain:
     def test_absent_class_root_is_pruned_beside_scanned_roots(self, caplog):
         # Class 3 has no rows: its gradients start uniform and its root is
         # pruned by the gain bound in every round, next to three scanned
-        # roots. One pass gives each root the sums, verdict and split of its
-        # own per-node calls on a fresh scan state, its tree is one leaf,
-        # and the fit's INFO line counts it as pruned.
+        # roots. Its tree is one leaf, and the fit's INFO line counts it as
+        # pruned.
         features, labels = blobs(39, n_per_class=8)
         config = TrainConfig(n_rounds=4, max_depth=3, n_classes=4)
-        verdicts, roots = [], gbdt._ScanState.roots
+        verdicts, worth_scanning = [], gbdt._ScanState.worth_scanning
 
-        def recording(state, g, h, config):
-            found = roots(state, g, h, config)
-            reference = gbdt._ScanState(features, gbdt.Presort.of(features))
-            verdicts.append([])
-            for g_c, h_c, (g_total, h_total, split) in zip(g, h, found):
-                assert (g_total, h_total) == (float(g_c.sum()), float(h_c.sum()))
-                args = (g_c, h_c, g_total, h_total, config)
-                verdicts[-1].append(reference.worth_scanning(np.arange(24), *args))
-                root = (reference.root_rows, reference.root_vals)
-                assert split == (reference.best_split(*root, *args) if verdicts[-1][-1] else None)
-            return found
+        def recording(state, idx, *args):
+            verdict = worth_scanning(state, idx, *args)
+            if idx.size == features.shape[0]:  # a root: every other node has fewer rows
+                verdicts.append(verdict)
+            return verdict
 
         caplog.set_level(logging.INFO, logger="rfsentry.gbdt")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gbdt._ScanState, "roots", recording)
+            patch.setattr(gbdt._ScanState, "worth_scanning", recording)
             model = train(features, labels, config)
-        assert verdicts == [[True, True, True, False]] * 4
+        rounds = [verdicts[i : i + 4] for i in range(0, len(verdicts), 4)]
+        assert rounds == [[True, True, True, False]] * 4
         assert [len(nodes) for _, c, nodes in model.trees if c == 3] == [1] * 4
         (fit,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit on")]
         assert int(fit.split()[-6]) >= 4
@@ -569,8 +563,9 @@ class TestTrain:
         config = stump_config(gamma=1e6)
         assert state.best_split(*root, g, np.ones(n), 0.0, float(n), config) is None
         np.testing.assert_array_equal(state.root_gaps, gaps)
-        state.partition(*root, np.arange(n), g < 0, 0)
+        state.partition(*root, np.arange(n), g > 0, 0)
         np.testing.assert_array_equal(presort.rows, rows)
+        np.testing.assert_array_equal(state.root_ids, rows[:, :-1].T)
 
     def test_non_finite_feature_names_row(self):
         features, labels = blobs(36)
