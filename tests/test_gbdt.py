@@ -551,7 +551,9 @@ class TestTrain:
         # the layout of the scan's mask buffers, so a view of those would
         # pass as them. A scan that writes its masks and finds no gain
         # must leave the flags as they were for the next root. Nor may a
-        # root scan or a root partition write the presort's row ids.
+        # root scan or a root partition write the presort's row ids or the
+        # root id layout that every root scan reads; for one feature that
+        # layout is a view of the presort's rows.
         n, d = shape
         x = np.arange(n * d, dtype=np.float64).reshape(d, n).T
         x[:, -1] = 1.0
