@@ -435,16 +435,49 @@ def reference_tree(x, g, h, config):
     return nodes
 
 
+def small_integers(n, d):
+    """(n, d) features from the integers 0-3."""
+    return st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d).map(
+        lambda v: np.array(v, dtype=float).reshape(n, d)
+    )
+
+
+ULP_BASES = (0.0, 5e-324, 2.0**-1022, 1.0, 2.0, 1e16, 1e308)
+
+
+def ulp_chains(bases):
+    """(n, d) features whose values lie one ulp apart: each column picks one
+    or two signed bases, and each entry is one of them moved by 0-3
+    np.nextafter steps up or down. The bases give signed zeros, subnormals,
+    binade edges, ulps above 1 and, from 1e308, neighbours whose sum overflows."""
+    signed = [s * b for b in bases for s in (1.0, -1.0)]
+
+    @st.composite
+    def draw_features(draw, n, d):
+        columns = []
+        for _ in range(d):
+            own = draw(st.lists(st.sampled_from(signed), min_size=1, max_size=2))
+            start = np.array(draw(st.lists(st.sampled_from(own), min_size=n, max_size=n)))
+            steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            for k in range(3):
+                start = np.where(steps > k, np.nextafter(start, np.inf), start)
+                start = np.where(steps < -k, np.nextafter(start, -np.inf), start)
+            columns.append(start)
+        return np.stack(columns, axis=1)
+
+    return draw_features
+
+
 @st.composite
-def split_problems(draw):
-    """Few distinct values so ties and repeats are common; g and h are
-    small multiples of 1/4, so every sum of them is exact. A constant
-    hessian makes splits of exactly half the mass common. Up to 32 rows,
-    so min_child_weight can rule out several sorted positions at each
-    end of a node."""
+def split_problems(draw, features=small_integers):
+    """By default few distinct values, so ties and repeats are common; g
+    and h are small multiples of 1/4, so every sum of them is exact. A
+    constant hessian makes splits of exactly half the mass common. Up to
+    32 rows, so min_child_weight can rule out several sorted positions at
+    each end of a node."""
     n = draw(st.integers(2, 32))
     d = draw(st.integers(1, 4))
-    x = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)), dtype=float)
+    x = draw(features(n, d))
     g = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
     h_units = st.lists(st.integers(0, 8), min_size=n, max_size=n)
     h = np.array(draw(h_units | st.integers(1, 8).map(lambda u: [u] * n))) / 4.0
@@ -458,17 +491,27 @@ def split_problems(draw):
         gamma=draw(st.sampled_from([0.0, 0.5])),
         min_child_weight=mcw,
     )
-    return x.reshape(n, d), g, h, config
+    return x, g, h, config
+
+
+def assert_tree_matches_reference(x, g, h, config):
+    expected = gbdt.Tree.from_rows(reference_tree(x, g, h, config))
+    tree = gbdt.build_tree(x, g, h, config)
+    for name in ("feature", "threshold", "value", "right"):
+        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 @BOUNDARY
 @given(problem=split_problems())
 def test_build_tree_matches_exact_greedy_reference(problem):
-    x, g, h, config = problem
-    expected = gbdt.Tree.from_rows(reference_tree(x, g, h, config))
-    tree = gbdt.build_tree(x, g, h, config)
-    for name in ("feature", "threshold", "value", "right"):
-        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert_tree_matches_reference(*problem)
+
+
+@BOUNDARY
+@given(problem=split_problems(ulp_chains(ULP_BASES[:-1])))
+def test_build_tree_matches_exact_greedy_reference_one_ulp_apart(problem):
+    # The reference forms 0.5 * (lo + hi), which overflows past 8.9e307.
+    assert_tree_matches_reference(*problem)
 
 
 @BOUNDARY
@@ -484,6 +527,25 @@ def test_presort_subset_equals_fresh_stable_sort(data):
     for got, want in ((subset.rows, order.T), (subset.vals, np.take_along_axis(x[mask], order, 0).T)):
         assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@BOUNDARY
+@given(data=st.data())
+def test_train_on_a_presort_subset_equals_a_fresh_fit(data):
+    # Values one ulp apart, where whether a gap holds a threshold depends on
+    # rounding, filtered by a random mask as cross-validation filters folds.
+    n, d = data.draw(st.integers(2, 32)), data.draw(st.integers(1, 3))
+    x = data.draw(ulp_chains(ULP_BASES)(n, d))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[data.draw(st.integers(0, n - 1))] = True
+    k = data.draw(st.integers(2, 3))
+    y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    config = gbdt.TrainConfig(n_rounds=3, max_depth=3, min_child_weight=0.0, n_classes=k)
+    got = gbdt.train(x[mask], y[mask], config, presort=gbdt.Presort.of(x).subset(mask))
+    want = gbdt.train(x[mask], y[mask], config)
+    for name in ("feature", "threshold", "value", "right"):
+        assert getattr(got.forest, name).tobytes() == getattr(want.forest, name).tobytes(), name
+    assert got.trees == want.trees
 
 
 @st.composite
