@@ -15,17 +15,17 @@ cost.
 
 The scan follows exact greedy search over presorted columns. Each value
 is computed once, at the level where it is fixed. Per cross-validation:
-every feature's sorted order (a `Presort`, filtered per fold). Per fit:
-one workspace of flat (d x n) buffers that every node of every tree
-reuses through out= arguments, which gaps of the root's sorted values
-can hold a threshold, and one position-major layout of the root's row
-ids. Every node, roots included, passes one gate and one scan call. A
-node keeps a (d, m) block of its rows in per-feature sorted order, one
-row per feature; when it splits, the block is stably partitioned in
-place into its children's blocks, so a node costs d x m rather than
-d x n. The scan reads the block position-major, as (m - 1, d) planes
-whose row p holds every feature's p-th sorted row, so each prefix-sum
-step adds d lanes in one call, through row views built once per fit.
+every feature's sorted order and cut ranks, which rise exactly at the
+gaps that can hold a threshold (a `Presort`, filtered per fold). Per
+fit: one workspace of flat (d x n) buffers that every node of every
+tree reuses through out= arguments, and one position-major layout of
+the root's rank rises and row ids. Every node, roots included, passes
+one gate and one scan call. A node keeps a (d, m) block of its row ids
+and ranks in per-feature sorted order, one row per feature; when it
+splits, the block is stably partitioned in place into its children's
+blocks, so a node costs d x m rather than d x n. The scan reads the
+block position-major, d lanes per prefix-sum step (`_ScanState`); it
+compares ranks, not values, and forms only the winning cut's midpoint.
 Because h >= 0, the sorted positions where some feature can leave
 min_child_weight on both sides form one range, the hessian window, and
 only it is scored. A node is not scanned when its hessian sum is below
@@ -198,26 +198,34 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
 
 @dataclass(frozen=True)
 class Presort:
-    """Each feature's stable row order and sorted values, (d, n): the scan's root block.
+    """Each feature's stable row order and cut ranks, (d, n): the scan's root block.
 
-    Cross-validation sorts its matrix once and gives each fold the subset
-    of its training rows, a stable filter that equals a fresh stable sort.
+    A row's cut rank counts the gaps before it in sorted order that can
+    hold a threshold, whose midpoint lies above the lower value: which cuts
+    are valid is decided here, once. Cross-validation gives each fold the
+    `subset` of its rows, whose row ids equal a fresh stable sort's and
+    whose ranks, though not dense, rise where fresh ones would: a midpoint
+    equals its lower value only for equal or one-ulp-apart values, and
+    round-half-even puts a threshold in one of two consecutive one-ulp gaps.
     """
 
     rows: np.ndarray
-    vals: np.ndarray
+    ranks: np.ndarray
 
     @classmethod
     def of(cls, features: np.ndarray) -> "Presort":
         columns = np.ascontiguousarray(features.T)  # a contiguous row per feature sorts faster
         order = np.argsort(columns, axis=1, kind="stable")
-        return cls(order, np.take_along_axis(columns, order, axis=1))
+        vals = np.take_along_axis(columns, order, axis=1)
+        cuts = np.zeros(order.shape, dtype=np.bool_)  # no gap precedes a feature's first row
+        cuts[:, 1:] = _midpoint(vals[:, :-1], vals[:, 1:]) > vals[:, :-1]
+        return cls(order, np.cumsum(cuts, axis=1, dtype=np.int32))
 
     def subset(self, mask: np.ndarray) -> "Presort":
         """The presort of the rows where the boolean mask holds, renumbered from 0."""
         keep, local = mask[self.rows], np.cumsum(mask, dtype=np.intp) - 1
         d = self.rows.shape[0]
-        return Presort(local[self.rows[keep]].reshape(d, -1), self.vals[keep].reshape(d, -1))
+        return Presort(local[self.rows[keep]].reshape(d, -1), self.ranks[keep].reshape(d, -1))
 
 
 def _midpoint(left, right):
@@ -273,13 +281,12 @@ class _ScanState:
     """Buffers of the exact split scan, built once per fit and reused by
     every node of every tree.
 
-    The root's rows never change: its stable per-feature order and sorted
-    values, shape (d, n), come from a `Presort` (in cross-validation, one
-    filtered per fold), and which gaps between consecutive sorted values
-    can hold a threshold is computed once, stored position-major as
-    (n - 1, d) for the scan, as are the root's row ids, in an array of
-    their own that no scan or partition writes. A node works on a (d, m)
-    block of row ids and sorted values, one row per feature. When it
+    The root's rows never change: its stable per-feature order and cut
+    ranks, shape (d, n), come from a `Presort` (in cross-validation, one
+    filtered per fold). Where its ranks rise, the gaps that can hold a
+    threshold, and its row ids are laid out position-major, (n - 1, d),
+    once per fit, in arrays that no scan or partition writes. A node works
+    on a (d, m) block of row ids and ranks, one row per feature. When it
     splits, the block is stably partitioned in place into [left | right]
     through a scratch buffer, so each child's block keeps its rows in
     sorted order and a node costs d x m, not d x n. Every node, roots
@@ -295,9 +302,9 @@ class _ScanState:
     first two as (m - 1, d) planes and adds their prefix sums through
     (row p - 1, row p) views built once, np.add(a, b, out=b): row p of a
     plane is the same d lanes for every m. Once the gathers are
-    done the third buffer holds the window's transposed values, then hr;
-    the fourth holds midpoints, then the score. Every temporary is
-    written with out=; a partition allocates only its two index arrays.
+    done the third buffer holds the window's transposed ranks, then hr;
+    the fourth holds the score. Every temporary is written with out=; a
+    partition allocates only its two index arrays.
     Row ids stay intp: np.take casts any other index dtype to a fresh
     intp array on each call. np.take runs with mode="clip" because with
     out= and the default mode="raise" it writes into a copy of out; the
@@ -308,16 +315,12 @@ class _ScanState:
         n, d = features.shape
         if presort.rows.shape != (d, n):
             raise ShapeError(f"presort has shape {presort.rows.shape}, features {(n, d)}")
-        self.root_rows, self.root_vals = presort.rows, presort.vals
-        left, right = self.root_vals[:, :-1], self.root_vals[:, 1:]
-        # Only values beyond half the float64 range (9e307) can overflow a midpoint's sum.
-        self.can_overflow = bool(np.abs(self.root_vals[:, [0, -1]]).max() > 8.9e307)
-        mid = _midpoint(left, right) if self.can_overflow else 0.5 * (left + right)
-        self.root_gaps = np.ascontiguousarray(((right > left) & (mid > left)).T)
+        self.root_rows, self.root_ranks = presort.rows, presort.ranks
+        self.root_gaps = np.ascontiguousarray((self.root_ranks[:, 1:] > self.root_ranks[:, :-1]).T)
         self.root_ids = np.ascontiguousarray(self.root_rows[:, :-1].T)
         self.features = features
         self.rows = np.empty(d * n, dtype=np.intp)
-        self.vals = np.empty(d * n, dtype=np.float64)
+        self.ranks = np.empty(d * n, dtype=np.int32)
         self.scratch = np.empty((4, d * n), dtype=np.float64)
         self.masks = np.empty((2, d * n), dtype=np.bool_)
         self.go_left = np.empty(n, dtype=np.bool_)
@@ -326,27 +329,28 @@ class _ScanState:
         self.scanned = self.pruned = 0
 
     def block(self, depth: int, offset: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row ids and sorted values, (d, m), of the node whose block starts at offset."""
+        """Row ids and cut ranks, (d, m), of the node whose block starts at offset."""
         if depth == 0:
-            return self.root_rows, self.root_vals
+            return self.root_rows, self.root_ranks
         d = self.features.shape[1]
         span = slice(offset, offset + d * m)
-        return self.rows[span].reshape(d, m), self.vals[span].reshape(d, m)
+        return self.rows[span].reshape(d, m), self.ranks[span].reshape(d, m)
 
     def best_split(
-        self, rows, vals, g, h, g_total: float, h_total: float, config: TrainConfig
+        self, rows, ranks, g, h, g_total: float, h_total: float, config: TrainConfig
     ) -> tuple[int, float] | None:
         """The split of highest gain among all features, or None if none gains.
 
         Candidates sit at midpoints between consecutive distinct values of
-        the node's rows. The scan runs position-major: row p of each
-        (m - 1, d) plane holds every feature's candidate after its p-th
-        sorted row, and prefix sums are added one row at a time, d lanes
-        per call, in the same order as a per-feature cumsum. Only the rows
-        of the hessian window are scored. On score ties the lowest feature
-        wins, then the lowest threshold. A node whose best score is not
-        finite (GL^2/(HL+lambda) can overflow for |g| near 1e150) gets no
-        split and stays a leaf.
+        the node's rows; one is valid where their cut ranks rise, and only
+        the winner's midpoint is formed. The scan runs position-major: row
+        p of each (m - 1, d) plane holds every feature's candidate after
+        its p-th sorted row, and prefix sums are added one row at a time,
+        d lanes per call, in the same order as a per-feature cumsum. Only
+        the rows of the hessian window are scored. On score ties the lowest
+        feature wins, then the lowest threshold. A node whose best score is
+        not finite (GL^2/(HL+lambda) can overflow for |g| near 1e150) gets
+        no split and stays a leaf.
         """
         lam, mcw = config.reg_lambda, config.min_child_weight
         d, m = rows.shape
@@ -378,16 +382,10 @@ class _ScanState:
         if at_root:
             np.copyto(valid, self.root_gaps[lo : hi + 1])
         else:
-            # The row ids are gathered; their space holds the values now.
-            vals_t = self.scratch[2, : (w + 1) * d].reshape(w + 1, d)
-            np.copyto(vals_t, vals[:, lo : hi + 2].T)
-            left_v, right_v = vals_t[:-1], vals_t[1:]
-            np.greater(right_v, left_v, out=valid)
-            if self.can_overflow:
-                mid = _midpoint(left_v, right_v)
-            else:
-                mid = np.multiply(np.add(left_v, right_v, out=temp), 0.5, out=temp)
-            valid &= np.greater(mid, left_v, out=test)
+            # The row ids are gathered; their space holds the ranks now.
+            ranks_t = self.scratch[2].view(np.int32)[: (w + 1) * d].reshape(w + 1, d)
+            np.copyto(ranks_t, ranks[:, lo : hi + 2].T)
+            np.greater(ranks_t[1:], ranks_t[:-1], out=valid)
         hr = spare[:w]
         valid &= np.greater_equal(hl, mcw, out=test)
         np.subtract(h_total, hl, out=hr)
@@ -415,8 +413,8 @@ class _ScanState:
         hits = np.flatnonzero(np.equal(score, best, out=valid))
         first = np.argmin(hits % d)
         pos, feature = divmod(int(hits[first]), d)
-        a, b = vals[feature, lo + pos], vals[feature, lo + pos + 1]
-        return feature, float(_midpoint(a, b) if self.can_overflow else 0.5 * (a + b))
+        a, b = self.features[rows[feature, lo + pos : lo + pos + 2], feature]
+        return feature, float(_midpoint(a, b))
 
     def worth_scanning(self, idx, g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
         """False only where `best_split` would find no split in the node of rows idx."""
@@ -426,7 +424,7 @@ class _ScanState:
         self.pruned += pruned
         return not pruned
 
-    def partition(self, rows, vals, idx, go_left, offset: int) -> None:
+    def partition(self, rows, ranks, idx, go_left, offset: int) -> None:
         """Stably split the node's block into [left | right] at offset.
 
         Each feature's rows keep their sorted order on both sides. The
@@ -438,20 +436,19 @@ class _ScanState:
         in_place = rows is not self.root_rows
         if in_place:
             out_rows = self.scratch[0].view(np.intp)[: d * m]
-            out_vals = self.scratch[1, : d * m]
+            out_ranks = self.scratch[1].view(np.int32)[: d * m]
         else:
             out_rows = self.rows[offset : offset + d * m]
-            out_vals = self.vals[offset : offset + d * m]
+            out_ranks = self.ranks[offset : offset + d * m]
         mask = self.masks[0, : d * m]
         np.take(self.go_left, rows, out=mask.reshape(d, m), mode="clip")
         left = np.flatnonzero(mask)
         right = np.flatnonzero(np.logical_not(mask, out=mask))
-        for src, dst in ((rows, out_rows), (vals, out_vals)):
+        for src, dst in ((rows, out_rows), (ranks, out_ranks)):
             np.take(src, left, out=dst[: left.shape[0]], mode="clip")
             np.take(src, right, out=dst[left.shape[0] :], mode="clip")
-        if in_place:
-            np.copyto(rows, out_rows.reshape(d, m))
-            np.copyto(vals, out_vals.reshape(d, m))
+            if in_place:
+                np.copyto(src, dst.reshape(d, m))
 
 
 def _grow_tree(
@@ -486,21 +483,20 @@ def _grow_tree(
             nodes[parent][3] = len(nodes)
         if scan:
             state.scanned += 1
-            rows, vals = state.block(depth, offset, idx.shape[0])
-            found = state.best_split(rows, vals, g, h, g_total, h_total, config)
+            rows, ranks = state.block(depth, offset, idx.shape[0])
+            found = state.best_split(rows, ranks, g, h, g_total, h_total, config)
             if found is not None:
+                # Both children get rows: the cut's two rows differ in rank, so a < midpoint <= b.
                 feature, threshold = found
                 go_left = state.features[idx, feature] < threshold
                 left_idx = idx[go_left]
-                right_idx = idx[~go_left]
-                if left_idx.size and right_idx.size:
-                    left = entry(left_idx, depth + 1, -1, offset)
-                    right = entry(right_idx, depth + 1, len(nodes), offset + d * left_idx.size)
-                    if left[-1] or right[-1]:  # only a scan reads a block
-                        state.partition(rows, vals, idx, go_left, offset)
-                    pending += (right, left)
-                    nodes.append([feature, threshold, 0.0, -1])
-                    continue
+                left = entry(left_idx, depth + 1, -1, offset)
+                right = entry(idx[~go_left], depth + 1, len(nodes), offset + d * left_idx.size)
+                if left[-1] or right[-1]:  # only a scan reads a block
+                    state.partition(rows, ranks, idx, go_left, offset)
+                pending += (right, left)
+                nodes.append([feature, threshold, 0.0, -1])
+                continue
         weight = leaf_weight(g_total, h_total, config.reg_lambda) * scale
         out[idx] = weight
         nodes.append([-1, 0.0, weight, -1])

@@ -383,7 +383,7 @@ class TestBuildTree:
         state = gbdt._ScanState(x, gbdt.Presort.of(x))
         g_total, h_total = float(g.sum()), float(h.sum())
         args = (g, h, g_total, h_total, config)
-        assert state.best_split(state.root_rows, state.root_vals, *args) is None
+        assert state.best_split(state.root_rows, state.root_ranks, *args) is None
         assert not state.worth_scanning(np.arange(6), *args)
         assert state.pruned == 1
         scans = []
@@ -551,22 +551,23 @@ class TestTrain:
         # the layout of the scan's mask buffers, so a view of those would
         # pass as them. A scan that writes its masks and finds no gain
         # must leave the flags as they were for the next root. Nor may a
-        # root scan or a root partition write the presort's row ids or the
-        # root id layout that every root scan reads; for one feature that
-        # layout is a view of the presort's rows.
+        # root scan or a root partition write the presort's row ids and
+        # ranks or the root id layout that every root scan reads; for one
+        # feature that layout is a view of the presort's rows.
         n, d = shape
         x = np.arange(n * d, dtype=np.float64).reshape(d, n).T
         x[:, -1] = 1.0
         presort = gbdt.Presort.of(x)
         state = gbdt._ScanState(x, presort)
-        gaps, rows = state.root_gaps.copy(), presort.rows.copy()
+        gaps, rows, ranks = state.root_gaps.copy(), presort.rows.copy(), presort.ranks.copy()
         g = np.where(np.arange(n) < n // 2, -1.0, 1.0)
-        root = (state.root_rows, state.root_vals)
+        root = (state.root_rows, state.root_ranks)
         config = stump_config(gamma=1e6)
         assert state.best_split(*root, g, np.ones(n), 0.0, float(n), config) is None
         np.testing.assert_array_equal(state.root_gaps, gaps)
         state.partition(*root, np.arange(n), g > 0, 0)
         np.testing.assert_array_equal(presort.rows, rows)
+        np.testing.assert_array_equal(presort.ranks, ranks)
         np.testing.assert_array_equal(state.root_ids, rows[:, :-1].T)
 
     def test_non_finite_feature_names_row(self):

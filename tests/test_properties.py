@@ -524,9 +524,28 @@ def test_presort_subset_equals_fresh_stable_sort(data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     subset = gbdt.Presort.of(x).subset(mask)
     order = np.argsort(x[mask], axis=0, kind="stable")
-    for got, want in ((subset.rows, order.T), (subset.vals, np.take_along_axis(x[mask], order, 0).T)):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+    got, want = subset.rows, order.T
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    # Filtered ranks are not dense, so only where they rise must match.
+    fresh = gbdt.Presort.of(x[mask]).ranks
+    assert subset.ranks.dtype == fresh.dtype and subset.ranks.flags.c_contiguous
+    np.testing.assert_array_equal(np.diff(subset.ranks, axis=1) > 0, np.diff(fresh, axis=1) > 0)
+
+
+@BOUNDARY
+@given(data=st.data())
+def test_cut_ranks_rise_exactly_where_a_threshold_fits(data):
+    # For consecutive sorted rows a <= b of any subset, the rank rises
+    # exactly when b > a and the midpoint lies above a, as a threshold must.
+    n, d = data.draw(st.integers(2, 32)), data.draw(st.integers(1, 3))
+    x = data.draw(ulp_chains(ULP_BASES)(n, d))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    subset = gbdt.Presort.of(x).subset(mask)
+    values = np.take_along_axis(x[mask], subset.rows.T, 0).T
+    a, b = values[:, :-1], values[:, 1:]
+    fits = (b > a) & (gbdt._midpoint(a, b) > a)
+    np.testing.assert_array_equal(subset.ranks[:, 1:] > subset.ranks[:, :-1], fits)
 
 
 @BOUNDARY
@@ -569,7 +588,7 @@ def scan_uniform_node(x, g, h, config):
     state = gbdt._ScanState(x, gbdt.Presort.of(x))
     g_total, h_total = float(g.sum()), float(h.sum())
     rule = state.worth_scanning(np.arange(x.shape[0]), g, h, g_total, h_total, config)
-    return rule, state.best_split(state.root_rows, state.root_vals, g, h, g_total, h_total, config)
+    return rule, state.best_split(state.root_rows, state.root_ranks, g, h, g_total, h_total, config)
 
 
 @BOUNDARY
@@ -642,7 +661,7 @@ def test_gain_bound_prunes_only_nodes_without_a_split(node, data):
     state = gbdt._ScanState(x.reshape(m, d), gbdt.Presort.of(x.reshape(m, d)))
     args = (g, h, float(g.sum()), float(h.sum()), config)
     pruned = gbdt._cannot_gain(*args)
-    found = state.best_split(state.root_rows, state.root_vals, *args)
+    found = state.best_split(state.root_rows, state.root_ranks, *args)
     event(f"bound {'prunes' if pruned else 'keeps'}, scan {'splits' if found else 'finds nothing'}")
     assert not (pruned and found is not None)
 
@@ -678,7 +697,7 @@ def test_gain_bound_peak_covers_every_cut(node, lam):
     config = gbdt.TrainConfig(reg_lambda=lam, gamma=max(best * (1 - 2.0**-20), 0.0), min_child_weight=0.0)
     state = gbdt._ScanState(x, gbdt.Presort.of(x))
     args = (g, h, g_total, h_total, config)
-    found = state.best_split(state.root_rows, state.root_vals, *args)
+    found = state.best_split(state.root_rows, state.root_ranks, *args)
     assert not (gbdt._cannot_gain(*args) and found is not None)
 
 
