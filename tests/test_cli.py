@@ -492,6 +492,28 @@ class TestTrainPredict:
         assert code == 0
         assert "row 0:" in capsys.readouterr().out
 
+    def test_pair_requests_match_the_batch_rows(self, corpus_dir, tmp_path):
+        # Each raw pair through parse, spectra and seam must give the
+        # probabilities the batch predict gives its cached row, bit for bit.
+        manifest_path = corpus_dir / "manifest.json"
+        cache, model = tmp_path / "both3.rfds", tmp_path / "both3.rfgb"
+        extraction = ["--frame-size", "1024"]
+        argv = ["features", "--manifest", str(manifest_path), "--band", "both", "--case", "3"]
+        assert main([*argv, *extraction, "--out", str(cache)]) == 0
+        assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(model)]) == 0
+        batch_out = tmp_path / "batch.json"
+        batch_argv = ["predict", "--model", str(model), "--features", str(cache)]
+        assert main([*batch_argv, "--out", str(batch_out)]) == 0
+        batch = json.loads(batch_out.read_text())["probabilities"]
+        manifest = load_manifest(manifest_path)
+        assert len(batch) == len(manifest.entries) == 40
+        request_out = tmp_path / "request.json"
+        for entry, row in zip(manifest.entries, batch):
+            lb_path, ub_path = manifest.resolve(entry)
+            pair = ["--lb", str(lb_path), "--ub", str(ub_path), "--band", "both", *extraction]
+            assert main(["predict", "--model", str(model), *pair, "--out", str(request_out)]) == 0
+            assert json.loads(request_out.read_text())["probabilities"] == [row], entry.segment_id
+
     def test_predict_missing_lower_band_file_is_data_error(self, lower_cache, corpus_dir, tmp_path):
         model_path = tmp_path / "model.rfgb"
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0

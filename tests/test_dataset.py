@@ -119,6 +119,23 @@ class TestLoadSegment:
         with pytest.raises(ParseError, match="'2.0e' at offset 4 \\(line 4\\)"):
             load_segment(path)
 
+    # The shortest tokens set apart from the digits-and-dot parse, and a long one.
+    SET_APART = ("+1", "1e5", "1.2345678901234567e-05")
+
+    @pytest.mark.parametrize("chunk_bytes", [6, 9, 14, 23, 40])
+    def test_chunks_that_start_and_end_with_set_apart_tokens(self, tmp_path, monkeypatch, chunk_bytes):
+        tokens = [t for odd in self.SET_APART for t in (odd, "0.25", "-7.5", odd, odd, "3.0")]
+        path = tmp_path / "seg.csv"
+        path.write_text(",".join(tokens) + "\n")
+        monkeypatch.setattr(dataset_mod, "_CHUNK_BYTES", chunk_bytes)
+        assert load_segment(path).tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        for odd in self.SET_APART:
+            # One chunk: set apart at both ends and twice in a row inside.
+            block = f"{odd} 0.5 {odd} {odd} -2.25 {odd} ".encode()
+            parse = dataset_mod._parse_fast if dataset_mod._FAST_PARSE else dataset_mod._parse_piece
+            values = parse(block)
+            assert values.tobytes() == np.array([float(t) for t in block.split()]).tobytes()
+
     def test_numpy_1_unparseable_token_warning(self, tmp_path, monkeypatch):
         # numpy < 2 warns and returns the samples before the bad token.
         def fromstring_numpy_1(text, sep):

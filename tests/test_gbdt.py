@@ -807,6 +807,18 @@ class TestModelIO:
         assert restored.trees == []
         assert restored.feature_dim == 7
 
+    @pytest.mark.parametrize("n_classes", [2, 10])
+    def test_tree_table_round_trips_as_python_ints(self, tmp_path, n_classes):
+        features, labels = blobs(52, n_per_class=8, n_classes=n_classes)
+        model = train(features, labels, TrainConfig(n_rounds=3, max_depth=3, n_classes=n_classes))
+        path = tmp_path / "model.rfgb"
+        save_model(model, path)
+        restored = load_model(path)
+        assert restored.trees == model.trees
+        assert len(restored.trees) == 3 * (1 if n_classes == 2 else n_classes)
+        for rnd, class_id, nodes in restored.trees:
+            assert (type(rnd), type(class_id), type(nodes)) == (int, int, range)
+
     def test_corrupted_magic(self, tmp_path):
         features, labels = blobs(52)
         model = train(features, labels, TrainConfig(n_rounds=1, n_classes=3))

@@ -213,6 +213,42 @@ class TestFrameSegment:
         with pytest.raises(ConfigurationError):
             segment_spectrum(np.zeros(256), Band.LOWER, 128, 0)
 
+    # Strided and reversed views of 1200 samples (600, 400 and 1200 long);
+    # 64-sample frames at hop 32 overlap, at 64 abut and at 100 leave gaps,
+    # at least four frames each.
+    VIEWS = {
+        "every-2nd": slice(None, None, 2),
+        "every-3rd-from-1": slice(1, None, 3),
+        "reversed": slice(None, None, -1),
+    }
+
+    @pytest.mark.parametrize("hop", [32, 64, 100])
+    @pytest.mark.parametrize("view", VIEWS.values(), ids=list(VIEWS))
+    def test_non_contiguous_view_matches_its_contiguous_copy(self, view, hop):
+        samples = np.random.default_rng(hop).normal(size=1200)[view]
+        frames = spectrum_mod._frame_matrix(samples, 64, hop)
+        assert not frames.flags.writeable
+        count = (samples.size - 64) // hop + 1
+        assert count >= 4
+        expected = np.array([samples[i * hop : i * hop + 64] for i in range(count)])
+        assert frames.shape == (count, 64)
+        assert frames.tobytes() == expected.tobytes()
+        got = segment_spectrum(samples, Band.LOWER, 64, hop).bins
+        want = segment_spectrum(np.ascontiguousarray(samples), Band.LOWER, 64, hop).bins
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("view", VIEWS.values(), ids=list(VIEWS))
+    def test_non_contiguous_view_checks_the_covered_samples(self, view):
+        # At hop 100 a view sample at 70 lies in the gap after frame 0, one at 110 in frame 1.
+        x = np.zeros(1200)
+        samples = x[view]
+        samples_index = np.arange(1200)[view]
+        x[samples_index[70]] = np.nan
+        assert segment_spectrum(samples, Band.LOWER, 64, 100).bins.tobytes() == bytes(8 * 32)
+        x[samples_index[110]] = np.inf
+        with pytest.raises(InvalidFrameError):
+            segment_spectrum(samples, Band.LOWER, 64, 100)
+
 
 class TestAverageSpectrum:
     """The segment spectrum is the element-wise mean of the frames' spectra."""
