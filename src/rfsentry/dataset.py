@@ -171,7 +171,7 @@ def load_segment(path) -> np.ndarray:
 
 
 def _parse_chunks(path: Path) -> np.ndarray | None:
-    """All samples of a well-formed band file, or None at the first bad token."""
+    """All samples of a well-formed band file (one chunk's uncopied), or None at a bad token."""
     pieces, tail, more = [], b"", True
     with open(path, "rb") as fh:
         while more:
@@ -184,8 +184,9 @@ def _parse_chunks(path: Path) -> np.ndarray | None:
             del block  # at most two chunks are alive while the next one is read
             if piece is None:
                 return None
-            pieces.append(piece)
-    return np.concatenate(pieces)
+            if piece.size:
+                pieces.append(piece)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [np.empty(0)])
 
 
 def _parse_piece(text: bytes) -> np.ndarray | None:
@@ -207,10 +208,10 @@ def _parse_piece(text: bytes) -> np.ndarray | None:
 def _parse_fast(block: bytes) -> np.ndarray | None:
     """``_parse_piece(block)``, reading ``[-]digits.digits`` tokens as m / 10**f.
 
-    Tokens holding a letter or '+' (exponents, inf, nan), of 20 or more
-    digits or with a midpoint quotient go to _parse_piece; so does the
-    chunk whole if more than _MAX_ODD_BYTES of its bytes are letters or
-    '+', or if its other tokens are not all of that shape.
+    Tokens holding a letter or '+' (exponents, inf, nan) are set apart for
+    _parse_piece and keep their places as '0.' placeholders; tokens of 20 or
+    more digits or with a midpoint quotient are re-parsed there. A chunk with over
+    _MAX_ODD_BYTES letters and '+', or other tokens of another shape, goes whole.
     """
     # Exponent form or integers; the two byte searches are cheaper than any numpy pass.
     if block.count(b"e", 0, _E_PREFIX_BYTES) > _MAX_ODD_BYTES or b"." not in block:
@@ -220,8 +221,8 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     if np.count_nonzero(odd) > _MAX_ODD_BYTES:
         return _parse_piece(block)
     odd = np.flatnonzero(odd)
-    # Tokens holding those bytes are parsed apart and blanked out of the text
-    # (find gives -1 for a last token that ends the block: % maps it there).
+    # Tokens holding those bytes are parsed apart; their placeholders keep every token's
+    # index (find gives -1 for a last token that ends the block: % maps it there).
     spans = {(block.rfind(b" ", 0, i) + 1, block.find(b" ", i) % (b.size + 1)) for i in odd.tolist()}
     spans = sorted(spans)
     odd_values = _parse_piece(b" ".join(block[i:j] for i, j in spans))
@@ -229,12 +230,12 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
         return _parse_piece(block)
     text = bytearray(block) if spans else block
     for i, j in spans:
-        text[i:j] = b" " * (j - i)
-    text = bytes(text)  # the same object if nothing was blanked
+        text[i:j] = b"0.".ljust(j - i)  # a one-byte odd token has failed _parse_piece
+    text = bytes(text)  # the same object if nothing was set apart
     b = np.frombuffer(text, np.uint8)
     marks = np.flatnonzero(b < 48)  # ' ', '-', '.' and bytes no float literal holds
     kinds = b[marks]
-    bounds = np.r_[-1, marks.compress(kinds == 32), b.size]  # compress beats a boolean index
+    bounds = np.concatenate(([-1], marks.compress(kinds == 32), [b.size]))  # compress beats a mask
     gap = np.flatnonzero(np.diff(bounds) > 1)
     starts, ends = bounds[gap] + 1, bounds[gap + 1]
     dots, neg, minus = marks.compress(kinds == 46), b[starts] == 45, np.count_nonzero(kinds == 45)
@@ -257,8 +258,9 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     if redone is None:  # a long token beyond the float64 range
         return None
     values[redo] = redone
-    # searchsorted counts the other tokens before each odd one.
-    return np.insert(values, np.searchsorted(starts, [i for i, _ in spans]), odd_values)
+    if spans:  # each placeholder is the token that starts where its odd one did
+        values[np.searchsorted(starts, [i for i, _ in spans])] = odd_values
+    return values
 
 
 def _raise_token_error(path: Path) -> None:

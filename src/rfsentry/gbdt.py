@@ -135,9 +135,9 @@ class Tree:
         feature = np.maximum(self.feature, 0)
         threshold = np.where(split, self.threshold, -np.inf)
         right = np.where(split, self.right, np.arange(len(self)))
-        cells, row_start = features.ravel(), np.arange(n)[:, None] * d
+        cells, row_start = features.ravel(), np.arange(0, n * d, d)[:, None]
         node = np.tile(np.asarray(roots, dtype=np.intp), (n, 1))
-        while split[node].any():
+        while np.count_nonzero(split[node]):  # cheaper than .any() on a few hundred nodes
             go_left = cells[row_start + feature[node]] < threshold[node]
             node = np.where(go_left, node + 1, right[node])
         return self.value[node]
@@ -230,6 +230,9 @@ class Presort:
 
 def _midpoint(left, right):
     """0.5 * (left + right), or 0.5 * left + 0.5 * right where that sum overflows."""
+    if isinstance(left, float):  # one cut: Python floats overflow to inf without a warning
+        mid = 0.5 * (left + right)
+        return 0.5 * left + 0.5 * right if math.isinf(mid) else mid
     with np.errstate(over="ignore"):
         mid = 0.5 * (left + right)
     return np.where(np.isinf(mid), 0.5 * left + 0.5 * right, mid)
@@ -413,8 +416,8 @@ class _ScanState:
         hits = np.flatnonzero(np.equal(score, best, out=valid))
         first = np.argmin(hits % d)
         pos, feature = divmod(int(hits[first]), d)
-        a, b = self.features[rows[feature, lo + pos : lo + pos + 2], feature]
-        return feature, float(_midpoint(a, b))
+        a, b = self.features[rows[feature, lo + pos : lo + pos + 2], feature].tolist()
+        return feature, _midpoint(a, b)
 
     def worth_scanning(self, idx, g, h, g_total: float, h_total: float, config: TrainConfig) -> bool:
         """False only where `best_split` would find no split in the node of rows idx."""
@@ -622,15 +625,15 @@ def _accumulate_logits(model: GbdtModel, features: np.ndarray) -> np.ndarray:
     bit-identical to adding one tree at a time.
     """
     n, k = features.shape[0], model.config.n_classes
-    leaf = model.forest.apply(features, [nodes.start for _, _, nodes in model.trees])
+    _, class_ids, nodes = tuple(zip(*model.trees)) or ((), (), ())
+    leaf = model.forest.apply(features, [r.start for r in nodes])
     logits = np.zeros((n, k))
-    rows = np.broadcast_to(np.arange(n)[:, None], leaf.shape)
+    rows = np.arange(n)[:, None]  # broadcast against each tree's column
+    # Two classes: every tree adds to class 1 and its mirror subtracts from class 0.
+    cols = np.ones(len(nodes), dtype=np.intp) if k == 2 else np.array(class_ids, dtype=np.intp)
+    np.add.at(logits, (rows, cols), leaf)
     if k == 2:
-        np.add.at(logits, (rows, 1), leaf)
-        np.subtract.at(logits, (rows, 0), leaf)
-    else:
-        class_ids = np.array([c for _, c, _ in model.trees], dtype=np.intp)
-        np.add.at(logits, (rows, class_ids), leaf)
+        np.subtract.at(logits, (rows, cols - 1), leaf)
     return logits
 
 
@@ -767,8 +770,6 @@ def load_model(path) -> GbdtModel:
     for name, values in (("threshold", forest.threshold), ("leaf value", forest.value)):
         if not np.isfinite(values).all():
             raise FormatError(f"model file holds a non-finite {name}")
-    trees = [
-        (int(rnd), int(c), range(int(a), int(b)))
-        for rnd, c, a, b in zip(table["round"], table["class_id"], starts, stops)
-    ]
+    columns = (table["round"], table["class_id"], starts, stops)  # as Python ints, column by column
+    trees = [(rnd, c, range(a, b)) for rnd, c, a, b in zip(*(col.tolist() for col in columns))]
     return GbdtModel(config, int(feature_dim), forest, trees)

@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigurationError,
@@ -138,12 +139,12 @@ def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray
 
 
 def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
-    """Read-only (count, frame_size) strided view; frame i starts at i * hop.
+    """Read-only (count, frame_size) view built directly on the samples' stride.
 
-    A trailing remainder shorter than a frame is discarded. Each sample a
-    frame covers is checked for finiteness once, in one bool per sample:
-    overlapping frames are checked through the samples they span, not the
-    view, which would take frame_size / hop bools per sample.
+    Frame i starts at i * hop; a trailing remainder shorter than a frame is
+    discarded. Each sample a frame covers is checked for finiteness once, in
+    one bool per sample: overlapping frames are checked through the samples
+    they span, not the view, which would take frame_size / hop bools per sample.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -153,8 +154,9 @@ def _frame_matrix(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
         raise InsufficientDataError(
             f"segment has {samples.shape[0]} samples, need at least {frame_size}"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
-    covered = frames if hop >= frame_size else samples[: (len(frames) - 1) * hop + frame_size]
+    count, step = (samples.shape[0] - frame_size) // hop + 1, samples.strides[0]
+    frames = as_strided(samples, (count, frame_size), (hop * step, step), writeable=False)
+    covered = frames if hop >= frame_size else samples[: (count - 1) * hop + frame_size]
     if not np.isfinite(covered).all():
         raise InvalidFrameError("frame contains non-finite samples")
     return frames
