@@ -171,7 +171,7 @@ def load_segment(path) -> np.ndarray:
 
 
 def _parse_chunks(path: Path) -> np.ndarray | None:
-    """All samples of a well-formed band file (one chunk's uncopied), or None at a bad token."""
+    """All samples of a well-formed band file, uncopied from one chunk, or None at the first bad token."""
     pieces, tail, more = [], b"", True
     with open(path, "rb") as fh:
         while more:
@@ -230,7 +230,7 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
         return _parse_piece(block)
     text = bytearray(block) if spans else block
     for i, j in spans:
-        text[i:j] = b"0.".ljust(j - i)  # a one-byte odd token has failed _parse_piece
+        text[i:j] = b"0.".ljust(j - i)  # never longer: one-byte odd tokens have failed above
     text = bytes(text)  # the same object if nothing was set apart
     b = np.frombuffer(text, np.uint8)
     marks = np.flatnonzero(b < 48)  # ' ', '-', '.' and bytes no float literal holds
