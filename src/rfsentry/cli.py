@@ -105,7 +105,10 @@ def _write_report(path, payload: dict, extraction: Extraction, reports: dict) ->
     with open(Path(path).with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "band_mode", "fold", "metric", "value"])
-        writer.writerows(evaluation.metric_csv_rows(reports, payload["case"]))
+        for band_mode, report in reports.items():
+            for fold, metric_set in enumerate(report["per_fold"]):
+                for name in evaluation.METRIC_NAMES:
+                    writer.writerow((payload["case"], band_mode, fold, name, metric_set[name]))
 
 
 def cmd_synth(args) -> int:
@@ -208,8 +211,7 @@ def cmd_train(args) -> int:
         f"trained {len(model.trees)} trees ({config.n_rounds} rounds, "
         f"{ds.case.n_classes} classes) on {ds.n_rows} rows -> {args.out}"
     )
-    if model.objective_history:
-        print(f"final training objective: {model.objective_history[-1]:.6f}")
+    print(f"final training objective: {model.objective_history[-1]:.6f}")
     return EXIT_OK
 
 

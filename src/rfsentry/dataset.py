@@ -797,28 +797,28 @@ def extract_pair(
     """One feature row per band mode for one (lower, upper) band-file pair.
 
     Each band file a mode needs is parsed once, the lower band first;
-    its samples are released before the upper band is read. A degenerate
-    upper band joins at scale 1. Failures surface as DataError naming
-    ``name``.
+    its samples are released before the upper band is read. A band whose
+    boundary mean at the seam is degenerate joins at scale 1, with a
+    warning naming the band. Failures surface as DataError naming ``name``.
     """
     framing = (extraction.frame_size, extraction.hop, extraction.window)
     try:
         lb = ub = None
         if any(Band.LOWER in mode.bands for mode in modes):
-            lb = segment_spectrum(load_segment(lb_path), Band.LOWER, *framing)
+            lb = segment_spectrum(load_segment(lb_path), Band.LOWER, *framing).bins
         if any(Band.UPPER in mode.bands for mode in modes):
-            ub = segment_spectrum(load_segment(ub_path), Band.UPPER, *framing)
+            ub = segment_spectrum(load_segment(ub_path), Band.UPPER, *framing).bins
         rows = {}
         for mode in modes:
             if mode is BandMode.CONCATENATED:
                 try:
                     scale = compute_scaling_factor(lb, ub, extraction.q)
-                except DegenerateSpectrumError:
-                    log.warning("%s: degenerate upper band, falling back to scale 1", name)
+                except DegenerateSpectrumError as exc:
+                    log.warning("%s: %s; falling back to scale 1", name, exc)
                     scale = 1.0
                 rows[mode] = concatenate_bands(lb, ub, scale)
             else:
-                rows[mode] = (lb if mode is BandMode.LOWER_ONLY else ub).bins
+                rows[mode] = lb if mode is BandMode.LOWER_ONLY else ub
         return rows
     except (RfSentryError, OSError) as exc:
         raise DataError(f"feature extraction failed for {name}: {exc}") from exc

@@ -37,9 +37,6 @@ class FoldAssignment:
     k: int
     seed: int
 
-    def test_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
     @property
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -348,14 +345,3 @@ def compare_bands(
         "config_fingerprint": bands["lower"]["config_fingerprint"],
         "fold_fingerprint": bands["lower"]["fold_fingerprint"],
     }
-
-
-def metric_csv_rows(reports: dict[str, dict], case_value: int) -> list[tuple]:
-    """Plot-ready rows: one per fold x band-mode x metric, from reports keyed
-    by band-mode value."""
-    rows = []
-    for band_label, report in reports.items():
-        for fold, metric_set in enumerate(report["per_fold"]):
-            for name in METRIC_NAMES:
-                rows.append((case_value, band_label, fold, name, metric_set[name]))
-    return rows

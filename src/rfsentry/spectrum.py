@@ -3,14 +3,13 @@
 There is one path from samples to features. ``segment_spectrum`` cuts a
 segment into power-of-two frames through one strided view, transforms
 the frame matrix row-wise with ``np.fft`` and averages the one-sided
-magnitudes into a ``MagnitudeSpectrum`` per band. A single-band feature
-row is that spectrum's ``bins``; ``compute_scaling_factor`` and
-``concatenate_bands`` join the two bands into one row with no seam step.
-``dft`` is the plain transform of one frame.
+magnitudes into a ``MagnitudeSpectrum`` per band, the record that carries
+its ``bins``. A single-band feature row is those bins; ``compute_scaling_factor``
+and ``concatenate_bands`` take the two bands' bins arrays and join them into
+one row with no seam step. ``dft`` is the plain transform of one frame.
 
 ``segment_spectrum`` checks the samples its frames cover and the bins it
-makes, and ``concatenate_bands`` the row it joins; ``MagnitudeSpectrum``
-only carries bins.
+makes, and ``concatenate_bands`` the row it joins.
 
 What a feature row means depends on four settings: frame size, hop,
 seam bins q and window. ``Extraction`` carries them as one validated
@@ -113,9 +112,6 @@ class MagnitudeSpectrum:
     bins: np.ndarray
     band: Band
 
-    def __len__(self) -> int:
-        return self.bins.shape[0]
-
 
 def _mean_magnitude(frames: np.ndarray, window: np.ndarray | None) -> np.ndarray:
     """Mean over the rows of a (count, N) frame matrix of |X[k]|, k < N/2.
@@ -202,40 +198,38 @@ def segment_spectrum(
     return MagnitudeSpectrum(bins, band=band)
 
 
-def compute_scaling_factor(
-    lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, q: int = DEFAULT_SEAM_BINS
-) -> float:
-    """Ratio of the LB tail mean to the UB head mean over q boundary bins.
+def compute_scaling_factor(lb: np.ndarray, ub: np.ndarray, q: int = DEFAULT_SEAM_BINS) -> float:
+    """Ratio of the lower band's tail mean to the upper band's head mean over
+    q boundary bins of two equal-length bins arrays.
 
     Scaling the upper band by this factor makes the joined spectrum
-    continuous at the seam in the q-bin-average sense.
+    continuous at the seam in the q-bin-average sense. A boundary mean at
+    or below machine epsilon on either side gives no usable ratio: that is
+    a DegenerateSpectrumError naming the band.
     """
-    _check_band_pair(lb, ub)
+    if len(lb) != len(ub):
+        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")
     if not (1 <= q <= len(lb)):
         raise ConfigurationError(f"q must be in [1, {len(lb)}], got {q}")
-    tail = float(lb.bins[-q:].mean())
-    head = float(ub.bins[:q].mean())
-    if head <= np.finfo(np.float64).eps:
-        raise DegenerateSpectrumError(
-            f"upper-band head mean {head!r} is too small to derive a scale factor"
-        )
+    tail = float(lb[-q:].mean())
+    head = float(ub[:q].mean())
+    for side, mean in (("lower", tail), ("upper", head)):
+        if mean <= np.finfo(np.float64).eps:
+            raise DegenerateSpectrumError(
+                f"degenerate {side} band: boundary mean {mean!r} over {q} bins "
+                "is too small to derive a scale factor"
+            )
     return tail / head
 
 
-def concatenate_bands(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum, s: float) -> np.ndarray:
-    """Join the two bands into one row [LB bins, s * UB bins]; ShapeError if it overflows."""
-    _check_band_pair(lb, ub)
+def concatenate_bands(lb: np.ndarray, ub: np.ndarray, s: float) -> np.ndarray:
+    """Join two bins arrays into one row [lb, s * ub]; ShapeError if it overflows."""
+    if len(lb) != len(ub):
+        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")
     if not np.isfinite(s) or s <= 0:
         raise ConfigurationError(f"scaling factor must be finite and positive, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        row = np.concatenate((lb.bins, s * ub.bins))
+        row = np.concatenate((lb, s * ub))
     if not np.isfinite(row).all():
         raise ShapeError(f"joined feature row is not finite at scaling factor {s!r}")
     return row
-
-
-def _check_band_pair(lb: MagnitudeSpectrum, ub: MagnitudeSpectrum) -> None:
-    if lb.band is not Band.LOWER or ub.band is not Band.UPPER:
-        raise ShapeError("expected a (lower, upper) spectrum pair")
-    if len(lb) != len(ub):
-        raise ShapeError(f"band lengths differ: {len(lb)} vs {len(ub)}")

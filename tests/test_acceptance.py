@@ -68,8 +68,8 @@ def test_criterion_2_feature_dimensions_and_seam_continuity():
     assert len(lb.bins) == 1024
     assert len(ub.bins) == 1024
     for q in (4, 8, 16):
-        scale = compute_scaling_factor(lb, ub, q=q)
-        row = concatenate_bands(lb, ub, scale)
+        scale = compute_scaling_factor(lb.bins, ub.bins, q=q)
+        row = concatenate_bands(lb.bins, ub.bins, scale)
         assert len(row) == 2048
         lb_tail = row[1024 - q : 1024].mean()
         ub_head = row[1024 : 1024 + q].mean()
@@ -201,11 +201,12 @@ def test_criterion_4_training_objective_monotone():
 def test_criterion_5_stratification():
     def check(labels, k, seed):
         assignment = stratified_kfold(labels, k, seed)
-        covered = np.concatenate([assignment.test_rows(f) for f in range(k)])
+        covered = np.concatenate([np.flatnonzero(assignment.fold_of == f) for f in range(k)])
         assert sorted(covered.tolist()) == list(range(len(labels)))
         for cls in np.unique(labels):
             counts = [
-                int((labels[assignment.test_rows(f)] == cls).sum()) for f in range(k)
+                int((labels[np.flatnonzero(assignment.fold_of == f)] == cls).sum())
+                for f in range(k)
             ]
             assert max(counts) - min(counts) <= 1
 

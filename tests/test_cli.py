@@ -423,6 +423,32 @@ class TestReportsAreLibraryResults:
         )
         assert returned == written
 
+    @pytest.mark.parametrize("command", ["cv", "compare"])
+    def test_csv_rows_are_the_json_per_fold_metrics(self, command, corpus_dir, lower_cache, tmp_path):
+        out = tmp_path / f"{command}.json"
+        manifest = str(corpus_dir / "manifest.json")
+        argv = {
+            "cv": ["cv", "--features", str(lower_cache)],
+            "compare": ["compare", "--manifest", manifest, "--case", "3", "--frame-size", "1024"],
+        }[command]
+        assert main([*argv, *FAST_TRAIN, "--k-folds", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        layouts = {report["band_mode"]: report} if command == "cv" else report["bands"]
+        rows = out.with_suffix(".csv").read_text().splitlines()
+        assert rows[0] == "case,band_mode,fold,metric,value"
+        assert len(rows) == 1 + len(layouts) * 5 * 4
+        for row in rows[1:]:
+            case, band_mode, fold, metric, value = row.split(",")
+            assert int(case) == report["case"]
+            assert float(value) == layouts[band_mode]["per_fold"][int(fold)][metric]
+        keys = {tuple(row.split(",")[1:4]) for row in rows[1:]}
+        assert keys == {
+            (band_mode, str(fold), metric)
+            for band_mode in layouts
+            for fold in range(5)
+            for metric in evaluation.METRIC_NAMES
+        }
+
 
 class TestTrainPredict:
     def test_train_then_predict_matches_in_process(self, lower_cache, tmp_path, capsys):

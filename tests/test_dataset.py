@@ -690,6 +690,23 @@ class TestBuildDataset:
         np.testing.assert_array_equal(ds.features[0, 256:], np.zeros(256))
         assert ds.features[0, :256].any()
 
+    def test_degenerate_lower_band_falls_back_to_unit_scale(self, tmp_path, caplog):
+        # A zero lower tail would give scale 0; the pair joins at scale 1 instead.
+        (tmp_path / "seg_lb.csv").write_text(",".join(["0.0"] * 1024))
+        ub_samples = np.random.default_rng(31).normal(size=1024)
+        (tmp_path / "seg_ub.csv").write_text(",".join(map(repr, ub_samples.tolist())))
+        manifest = Manifest(
+            entries=(ManifestEntry("seg_lb.csv", "seg_ub.csv", 0),),
+            source="Synthetic",
+            root=tmp_path,
+        )
+        with caplog.at_level("WARNING", logger="rfsentry.dataset"):
+            ds = build_dataset(manifest, BandMode.CONCATENATED, Case.I, Extraction(frame_size=512))
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 1 and "degenerate lower band" in warned[0], warned
+        ub = segment_spectrum(ub_samples, Band.UPPER, 512)
+        assert ds.features[0].tobytes() == np.concatenate((np.zeros(256), ub.bins)).tobytes()
+
 
 class TestMultiModeExtraction:
     def test_modes_match_single_mode_builds(self, small_corpus):

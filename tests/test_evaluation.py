@@ -14,7 +14,6 @@ from rfsentry.evaluation import (
     compare_bands,
     confusion_matrix,
     cross_validate,
-    metric_csv_rows,
     metrics,
     paired_ttest,
     stratified_kfold,
@@ -77,7 +76,7 @@ class TestStratifiedKfold:
             assert assignment.fold_of.shape == (n,)
             assert set(np.unique(assignment.fold_of)) <= set(range(k))
             np.testing.assert_array_equal(assignment.fold_of, round_robin_folds(labels, k, trial))
-            all_rows = np.concatenate([assignment.test_rows(f) for f in range(k)])
+            all_rows = np.concatenate([np.flatnonzero(assignment.fold_of == f) for f in range(k)])
             assert sorted(all_rows.tolist()) == list(range(n))
             sizes = np.bincount(assignment.fold_of, minlength=k)
             assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
@@ -458,16 +457,6 @@ class TestCompareBands:
             small_corpus, Case.I, config, k=5, seed=4, extraction=FRAMES_1024, jobs=2
         )
         assert json.dumps(parallel, sort_keys=True) == json.dumps(comparison, sort_keys=True)
-
-    def test_csv_rows_cover_folds_and_metrics(self, comparison):
-        rows = metric_csv_rows(comparison["bands"], 1)
-        assert len(rows) == 3 * 5 * 4
-        assert {row[3] for row in rows} == {
-            "accuracy",
-            "macro_precision",
-            "macro_recall",
-            "macro_f1",
-        }
 
 
 class TestSyntheticEndToEnd:
