@@ -24,7 +24,7 @@ from . import __version__
 from . import dataset as dataset_mod
 from . import evaluation, gbdt
 from .dataset import Case
-from .errors import ConfigurationError, RfSentryError
+from .errors import ConfigurationError, DataError, RfSentryError
 from .spectrum import WINDOWS, Band, BandMode, Extraction
 
 log = logging.getLogger(__name__)
@@ -35,8 +35,6 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 _BAND_CHOICES = tuple(mode.value for mode in BandMode)
-# The extraction flags' destinations; a flag left unset takes Extraction's default.
-_EXTRACTION_OPTIONS = ("frame_size", "hop", "q", "window")
 # Each training flag, its metavar, the TrainConfig field it sets (whose default
 # and type it takes) and its help.
 _TRAIN_OPTIONS = (
@@ -90,7 +88,8 @@ def _train_config(args, n_classes: int) -> gbdt.TrainConfig:
 
 
 def _extraction(args) -> Extraction:
-    given = {name: getattr(args, name) for name in _EXTRACTION_OPTIONS}
+    """The record of the extraction flags; one left unset takes Extraction's default."""
+    given = {name: getattr(args, name) for name in ("frame_size", "hop", "q", "window")}
     return Extraction(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -205,7 +204,9 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     ds = _load_features_for_case(args.features, args.case)
     config = _train_config(args, ds.case.n_classes)
-    model = gbdt.train(ds.features, ds.labels, config)
+    model = dataclasses.replace(
+        gbdt.train(ds.features, ds.labels, config), band_mode=ds.band_mode, extraction=ds.extraction
+    )
     gbdt.save_model(model, args.out)
     print(
         f"trained {len(model.trees)} trees ({config.n_rounds} rounds, "
@@ -215,26 +216,36 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _rows_text(band_mode: BandMode, e: Extraction) -> str:
+    return (
+        f"{band_mode.value}-band rows at frame size {e.frame_size}, hop {e.hop}, q {e.q}, {e.window} window"
+    )
+
+
 def cmd_predict(args) -> int:
-    if args.features is not None:
-        fixed = [n for n in ("lb", "ub", "band", *_EXTRACTION_OPTIONS) if getattr(args, n) is not None]
-        if fixed:
-            flags = ", ".join("--" + name.replace("_", "-") for name in fixed)
-            raise ConfigurationError(f"--features gives the rows, band and extraction; drop {flags}")
-    extraction = _extraction(args)
+    """Classify with the band layout and extraction the model was trained on."""
+    if args.features is not None and (args.lb is not None or args.ub is not None):
+        raise ConfigurationError("--features and --lb/--ub are two inputs; give one")
     model = gbdt.load_model(args.model)
+    band_mode, extraction = model.band_mode, model.extraction
+    if args.band is not None and args.band != band_mode.value:
+        raise ConfigurationError(f"--band {args.band}, but the model takes {band_mode.value}-band rows")
     case = Case.for_n_classes(model.config.n_classes)
     if args.features is not None:
         ds = dataset_mod.load_features(args.features)
+        if (ds.band_mode, ds.extraction) != (band_mode, extraction):
+            raise DataError(
+                f"feature cache {args.features} holds {_rows_text(ds.band_mode, ds.extraction)}, "
+                f"but the model takes {_rows_text(band_mode, extraction)}"
+            )
         features = ds.features
         source = str(args.features)
     else:
         if args.lb is None and args.ub is None:
             raise ConfigurationError("predict needs --features, or --lb/--ub segment files")
-        band_mode = BandMode(args.band or "lower")
         for band, path, flag in ((Band.LOWER, args.lb, "--lb"), (Band.UPPER, args.ub, "--ub")):
             if band in band_mode.bands and path is None:
-                raise ConfigurationError(f"--band {band_mode.value} requires {flag}")
+                raise ConfigurationError(f"--band {band_mode.value} requires {flag} (the model's layout)")
         rows = dataset_mod.extract_pair(args.lb, args.ub, (band_mode,), extraction, "cli-input")
         features = rows[band_mode][None, :]
         source = str(args.lb or args.ub)
@@ -313,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="feature cache to classify")
     p.add_argument("--lb", default=None, help="lower-band segment file")
     p.add_argument("--ub", default=None, help="upper-band segment file")
-    p.add_argument("--band", choices=_BAND_CHOICES)
-    _extraction_args(p)
+    p.add_argument("--band", choices=_BAND_CHOICES, help="expected band layout (validated)")
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_predict)
     return parser

@@ -42,12 +42,13 @@ from .errors import (
 )
 from .spectrum import (
     DEFAULT_FRAME_SIZE,
-    WINDOWS,
     Band,
     BandMode,
     Extraction,
     compute_scaling_factor,
     concatenate_bands,
+    decode_layout,
+    layout_codes,
     segment_spectrum,
 )
 
@@ -879,26 +880,20 @@ def build_dataset(
 _FEATURES_MAGIC = b"RFDS"
 _FEATURES_VERSION = 2
 _FEATURES_HEADER = struct.Struct("<4sHBBBIIIII")
-_BAND_MODE_CODES = {BandMode.LOWER_ONLY: 0, BandMode.UPPER_ONLY: 1, BandMode.CONCATENATED: 2}
-_BAND_MODE_FROM_CODE = {v: k for k, v in _BAND_MODE_CODES.items()}
-_WINDOW_CODES = {name: code for code, name in enumerate(WINDOWS)}
-_WINDOW_FROM_CODE = {v: k for k, v in _WINDOW_CODES.items()}
 
 
 def save_features(dataset: LabeledDataset, path) -> None:
     """Write the dataset to the binary feature container (little-endian)."""
-    extraction = dataset.extraction
+    band_code, window_code, *settings = layout_codes(dataset.band_mode, dataset.extraction)
     header = _FEATURES_HEADER.pack(
         _FEATURES_MAGIC,
         _FEATURES_VERSION,
         dataset.case.value,
-        _BAND_MODE_CODES[dataset.band_mode],
-        _WINDOW_CODES[extraction.window],
+        band_code,
+        window_code,
         dataset.n_rows,
         dataset.n_features,
-        extraction.frame_size,
-        extraction.hop,
-        extraction.q,
+        *settings,
     )
     labels = np.ascontiguousarray(dataset.labels, dtype="<u2").tobytes()
     payload = np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
@@ -925,14 +920,9 @@ def load_features(path) -> LabeledDataset:
         raise FormatError(f"{path}: unsupported feature container version {version}")
     try:
         case = Case(case_value)
-        band_mode = _BAND_MODE_FROM_CODE[band_code]
-        window = _WINDOW_FROM_CODE[window_code]
-    except (ValueError, KeyError):
-        raise FormatError(f"{path}: bad case, band or window code in header") from None
-    try:
-        extraction = Extraction(frame_size, hop, q, window)
-    except ConfigurationError as exc:
-        raise FormatError(f"{path}: bad extraction settings in header: {exc}") from None
+    except ValueError:
+        raise FormatError(f"{path}: bad case code {case_value} in header") from None
+    band_mode, extraction = decode_layout(path, band_code, window_code, frame_size, hop, q)
     width = band_mode.feature_length(extraction)
     if n_cols != width:
         raise FormatError(

@@ -40,7 +40,8 @@ so the trees are bit-identical to one.
 A forest is one set of flat node arrays (:class:`Tree`), each tree's
 nodes in pre-order so a split's left child directly follows it.
 Prediction walks all rows through all trees together, one level per
-step, and the model container stores the arrays as they are.
+step, and the model container stores the arrays as they are, after the
+band layout and extraction of the rows the model was fitted to.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+from .spectrum import BandMode, Extraction, decode_layout, layout_codes
 
 log = logging.getLogger(__name__)
 
@@ -77,14 +79,15 @@ class TrainConfig:
     n_classes: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_rounds < 0:
-            raise ConfigurationError(f"n_rounds must be >= 0, got {self.n_rounds}")
+        # The ranges the model container stores: round ids as u16, max_depth as i32.
+        if not 0 <= self.n_rounds < 2**16:
+            raise ConfigurationError(f"n_rounds must be >= 0 and < 2**16, got {self.n_rounds}")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigurationError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.max_depth < 1:
-            raise ConfigurationError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not 1 <= self.max_depth < 2**31:
+            raise ConfigurationError(f"max_depth must be >= 1 and < 2**31, got {self.max_depth}")
         for name in ("reg_lambda", "gamma", "min_child_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -147,14 +150,19 @@ class Tree:
 class GbdtModel:
     """Trained forest: one `Tree` of node arrays plus configuration.
 
-    trees lists (round, class_id, nodes) per tree, where nodes is the
-    range of the tree's entries in the forest arrays. objective_history
-    holds the regularized training objective before any round and after
-    each round; it is diagnostic only and is not serialized.
+    band_mode and extraction are the layout of the rows the model was
+    fitted to; `train` leaves the defaults, the lower band at the default
+    extraction, and the CLI sets the feature cache's. trees lists (round,
+    class_id, nodes) per tree, where nodes is the range of the tree's
+    entries in the forest arrays. objective_history holds the regularized
+    training objective before any round and after each round; it is
+    diagnostic only and is not serialized.
     """
 
     config: TrainConfig
     feature_dim: int
+    band_mode: BandMode = BandMode.LOWER_ONLY
+    extraction: Extraction = Extraction()
     forest: Tree = field(default_factory=lambda: Tree([], [], [], []))
     trees: list[tuple[int, int, range]] = field(default_factory=list)
     objective_history: list[float] = field(default_factory=list)
@@ -660,10 +668,10 @@ def predict(model: GbdtModel, features: np.ndarray) -> int | np.ndarray:
 
 
 _MAGIC = b"RFGB"
-_VERSION = 2
-# magic, version, the TrainConfig fields in order, a reserved slot (0.0: under softmax a
-# base score shared by every class cancels), feature dim, tree count
-_PREFIX = struct.Struct("<4sH ididddi dII")
+_VERSION = 3
+# magic, version, the TrainConfig fields in order, the band layout and extraction as
+# `layout_codes` gives them, feature dim, tree count
+_PREFIX = struct.Struct("<4sH ididddi BBIII II")
 _TABLE = np.dtype([("round", "<u2"), ("class_id", "<u2"), ("nodes", "<u4")])
 _NODE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8"), ("right", "<i4"))
 _NODE_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _NODE_ARRAYS)
@@ -676,9 +684,8 @@ def save_model(model: GbdtModel, path) -> None:
     arrays follow whole, so the trees must tile the forest in order.
     """
     table = np.array([(rnd, c, len(nodes)) for rnd, c, nodes in model.trees], dtype=_TABLE)
-    head = _PREFIX.pack(
-        _MAGIC, _VERSION, *astuple(model.config), 0.0, model.feature_dim, len(table)
-    )
+    layout = layout_codes(model.band_mode, model.extraction)
+    head = _PREFIX.pack(_MAGIC, _VERSION, *astuple(model.config), *layout, model.feature_dim, len(table))
     parts = [head, table.tobytes()]
     parts += [getattr(model.forest, name).astype(dtype).tobytes() for name, dtype in _NODE_ARRAYS]
     with open(path, "wb") as fh:
@@ -727,25 +734,28 @@ def load_model(path) -> GbdtModel:
     """Read a model container; predictions round-trip bit-exactly.
 
     Sizes are checked against the file length before any array is read,
-    and the arrays are checked before the model is returned; any
-    violation, or a reserved slot other than 0.0, is a FormatError.
+    and the arrays are checked before the model is returned. Any
+    violation, and a training configuration, band layout or extraction
+    that the records refuse, is a FormatError.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
+    version = int.from_bytes(buf[4:6], "little")
+    if len(buf) >= 6 and version != _VERSION:
+        raise FormatError(f"unsupported model container version {version}; retrain the model")
     try:
-        _, version, *fields, reserved, feature_dim, n_trees = _PREFIX.unpack_from(buf)
+        _, _, *fields, band_code, window_code, frame_size, hop, q, feature_dim, n_trees = (
+            _PREFIX.unpack_from(buf)
+        )
     except struct.error as exc:
         raise FormatError(f"model file is truncated: {exc}") from None
-    if version != _VERSION:
-        raise FormatError(f"unsupported model container version {version}; retrain the model")
-    if reserved != 0.0:
-        raise FormatError(f"model file holds base score {reserved}; the reserved slot must be 0.0")
     try:
         config = TrainConfig(*fields)
     except ConfigurationError as exc:
         raise FormatError(f"model file holds an invalid training configuration: {exc}") from None
+    band_mode, extraction = decode_layout(path, band_code, window_code, frame_size, hop, q)
     offset = _PREFIX.size
     if len(buf) < offset + n_trees * _TABLE.itemsize:
         raise FormatError(f"model file is truncated: no room for a table of {n_trees} trees")
@@ -772,4 +782,4 @@ def load_model(path) -> GbdtModel:
             raise FormatError(f"model file holds a non-finite {name}")
     columns = (table["round"], table["class_id"], starts, stops)  # as Python ints, column by column
     trees = [(rnd, c, range(a, b)) for rnd, c, a, b in zip(*(col.tolist() for col in columns))]
-    return GbdtModel(config, int(feature_dim), forest, trees)
+    return GbdtModel(config, int(feature_dim), band_mode, extraction, forest, trees)

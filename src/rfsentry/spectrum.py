@@ -13,8 +13,9 @@ makes, and ``concatenate_bands`` the row it joins.
 
 What a feature row means depends on four settings: frame size, hop,
 seam bins q and window. ``Extraction`` carries them as one validated
-record, which is what the dataset builders, the feature cache and the
-reports take and record.
+record, which is what the dataset builders, the feature cache, the
+model and the reports take and record; both binary containers store it
+with a band layout through ``layout_codes`` and ``decode_layout``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import (
     ConfigurationError,
     DegenerateSpectrumError,
+    FormatError,
     InsufficientDataError,
     InvalidFrameError,
     ShapeError,
@@ -39,7 +41,7 @@ DEFAULT_FRAME_SIZE = 2048
 DEFAULT_SEAM_BINS = 8
 _FFT_BLOCK_SAMPLES = 1 << 17  # frame samples transformed at a time: 64 default frames
 
-# A window's index here is its code in the feature cache: append, never reorder.
+# A window's index here is its code in the binary containers: append, never reorder.
 WINDOWS = ("rectangular", "hann")
 
 
@@ -51,7 +53,10 @@ class Band(enum.Enum):
 
 
 class BandMode(enum.Enum):
-    """Feature layout: a single band's spectrum, or both bands joined."""
+    """Feature layout: a single band's spectrum, or both bands joined.
+
+    A member's index is its code in the binary containers: append, never reorder.
+    """
 
     LOWER_ONLY = "lower"
     UPPER_ONLY = "upper"
@@ -103,6 +108,25 @@ class Extraction:
             raise ConfigurationError(f"q must be in [1, {self.frame_size // 2}], got {self.q}")
         if not (isinstance(self.window, str) and self.window in WINDOWS):
             raise ConfigurationError(f"unknown window {self.window!r} (expected one of {WINDOWS})")
+
+
+def layout_codes(band_mode: BandMode, extraction: Extraction) -> tuple[int, ...]:
+    """The band code, window code, frame size, hop and q a container header stores."""
+    band_code, window_code = list(BandMode).index(band_mode), WINDOWS.index(extraction.window)
+    return band_code, window_code, extraction.frame_size, extraction.hop, extraction.q
+
+
+def decode_layout(source, band_code, window_code, frame_size, hop, q) -> tuple[BandMode, Extraction]:
+    """The inverse of ``layout_codes``: a code outside ``BandMode`` or ``WINDOWS``,
+    or settings ``Extraction`` refuses, is a FormatError naming ``source``."""
+    modes = list(BandMode)
+    if band_code not in range(len(modes)) or window_code not in range(len(WINDOWS)):
+        raise FormatError(f"{source}: bad band code {band_code} or window code {window_code} in header")
+    try:
+        extraction = Extraction(frame_size, hop, q, WINDOWS[window_code])
+    except ConfigurationError as exc:
+        raise FormatError(f"{source}: bad extraction settings in header: {exc}") from None
+    return modes[band_code], extraction
 
 
 @dataclass(frozen=True)

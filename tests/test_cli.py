@@ -57,6 +57,18 @@ def lower_model(lower_cache, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def band_models(corpus_dir, lower_model, tmp_path_factory):
+    """A case-3 model per band layout at frame size 1024, by layout name."""
+    models, root = {"lower": lower_model}, tmp_path_factory.mktemp("band-models")
+    for band in ("upper", "both"):
+        cache, models[band] = root / f"{band}.rfds", root / f"{band}.rfgb"
+        argv = ["features", "--manifest", str(corpus_dir / "manifest.json"), "--band", band, "--case", "3"]
+        assert main([*argv, "--frame-size", "1024", "--out", str(cache)]) == 0
+        assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(models[band])]) == 0
+    return models
+
+
 class TestSynth:
     def test_counts(self, corpus_dir):
         files = list(corpus_dir.glob("*.csv"))
@@ -268,26 +280,22 @@ class TestWindowProvenance:
 
 class TestExtractionSettings:
     """Bad extraction settings are a configuration error (exit 2), caught
-    before any band file is read."""
+    before any band file is read. predict takes its settings from the model."""
 
     BAD_SETTINGS = [["--q", "0"], ["--hop=0"], ["--frame-size", "2097152"]]
 
-    def argv(self, command, corpus_dir, model, out):
+    def argv(self, command, corpus_dir, out):
         manifest = str(corpus_dir / "manifest.json")
-        lb, ub = (str(corpus_dir / f"03_000_{band}.csv") for band in ("lb", "ub"))
         return {
             "features": ["features", "--manifest", manifest, "--band", "both", "--case", "3"],
             "compare": ["compare", "--manifest", manifest, "--case", "1", *FAST_TRAIN],
-            "predict": ["predict", "--model", str(model), "--lb", lb, "--ub", ub, "--band", "both"],
         }[command] + ["--frame-size", "1024", "--out", str(out)]
 
     @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=["q-0", "hop-0", "frame-size-2^21"])
-    @pytest.mark.parametrize("command", ["features", "compare", "predict"])
-    def test_bad_setting_is_config_error(
-        self, command, bad, corpus_dir, lower_model, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("command", ["features", "compare"])
+    def test_bad_setting_is_config_error(self, command, bad, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main([*self.argv(command, corpus_dir, lower_model, out), *bad]) == 2
+        assert main([*self.argv(command, corpus_dir, out), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -493,7 +501,9 @@ class TestTrainPredict:
         )
         code = main(["predict", "--model", str(model_path), "--features", str(both_cache)])
         assert code == 3
-        assert "expected feature dimension 512" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{both_cache} holds both-band rows at frame size 1024" in err
+        assert "but the model takes lower-band rows at frame size 1024" in err
 
     def test_predict_raw_segment_pair(self, lower_cache, corpus_dir, tmp_path, capsys):
         model_path = tmp_path / "model.rfgb"
@@ -511,8 +521,6 @@ class TestTrainPredict:
                 str(ub_path),
                 "--band",
                 "lower",
-                "--frame-size",
-                "1024",
             ]
         )
         assert code == 0
@@ -521,9 +529,11 @@ class TestTrainPredict:
     def test_pair_requests_match_the_batch_rows(self, corpus_dir, tmp_path):
         # Each raw pair through parse, spectra and seam must give the
         # probabilities the batch predict gives its cached row, bit for bit.
+        # The request names no extraction setting: all four come from the
+        # model, and every other request names no band either.
         manifest_path = corpus_dir / "manifest.json"
         cache, model = tmp_path / "both3.rfds", tmp_path / "both3.rfgb"
-        extraction = ["--frame-size", "1024"]
+        extraction = ["--frame-size", "1024", "--hop", "512", "--q", "4", "--window", "hann"]
         argv = ["features", "--manifest", str(manifest_path), "--band", "both", "--case", "3"]
         assert main([*argv, *extraction, "--out", str(cache)]) == 0
         assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(model)]) == 0
@@ -534,9 +544,9 @@ class TestTrainPredict:
         manifest = load_manifest(manifest_path)
         assert len(batch) == len(manifest.entries) == 40
         request_out = tmp_path / "request.json"
-        for entry, row in zip(manifest.entries, batch):
+        for i, (entry, row) in enumerate(zip(manifest.entries, batch)):
             lb_path, ub_path = manifest.resolve(entry)
-            pair = ["--lb", str(lb_path), "--ub", str(ub_path), "--band", "both", *extraction]
+            pair = ["--lb", str(lb_path), "--ub", str(ub_path), *(["--band", "both"] if i % 2 else [])]
             assert main(["predict", "--model", str(model), *pair, "--out", str(request_out)]) == 0
             assert json.loads(request_out.read_text())["probabilities"] == [row], entry.segment_id
 
@@ -546,18 +556,13 @@ class TestTrainPredict:
         manifest = load_manifest(corpus_dir / "manifest.json")
         _, ub_path = manifest.resolve(manifest.entries[0])
         argv = ["predict", "--model", str(model_path), "--lb", str(tmp_path / "absent.csv")]
-        assert main([*argv, "--ub", str(ub_path), "--band", "lower", "--frame-size", "1024"]) == 3
+        assert main([*argv, "--ub", str(ub_path), "--band", "lower"]) == 3
 
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--band", "lower"],
             ["--band", "both"],
-            ["--frame-size", "1024"],
-            ["--hop", "512"],
-            ["--q", "4"],
-            ["--window", "rectangular"],
-            ["--band", "upper", "--frame-size", "1024", "--window", "hann"],
+            ["--band", "upper"],
             ["--lb", "00_000_lb.csv"],
             ["--ub", "00_000_ub.csv"],
             ["--lb", "00_000_lb.csv", "--ub", "00_000_ub.csv", "--band", "both"],
@@ -567,7 +572,9 @@ class TestTrainPredict:
     def test_predict_features_rejects_band_and_extraction_flags(
         self, flags, lower_cache, lower_model, tmp_path, capsys
     ):
-        # The cache already fixes the rows, the band and the extraction settings.
+        # The cache gives the rows, so no band file goes with it, and a --band
+        # other than the lower-band model's is refused. predict has no
+        # extraction flag: the model gives the settings.
         out = tmp_path / "out.json"
         argv = ["predict", "--model", str(lower_model), "--features", str(lower_cache)]
         assert main([*argv, *flags, "--out", str(out)]) == 2
@@ -577,9 +584,60 @@ class TestTrainPredict:
 
     def test_predict_features_flag_rule_reads_no_file(self, tmp_path, capsys):
         absent = [str(tmp_path / name) for name in ("absent.rfgb", "absent.rfds")]
-        argv = ["predict", "--model", absent[0], "--features", absent[1], "--q", "8"]
+        argv = ["predict", "--model", absent[0], "--features", absent[1], "--lb", "absent.csv"]
         assert main(argv) == 2
-        assert "--q" in capsys.readouterr().err
+        assert "--lb" in capsys.readouterr().err
+
+    def test_predict_band_matching_the_model_is_accepted(self, lower_cache, lower_model, capsys):
+        argv = ["predict", "--model", str(lower_model), "--features", str(lower_cache)]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        assert main([*argv, "--band", "lower"]) == 0
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize(
+        "band, extraction, differs",
+        [
+            ("upper", [], "upper-band rows at frame size 1024, hop 1024, q 8"),
+            ("both", ["--frame-size", "512"], "both-band rows at frame size 512, hop 512, q 8"),
+            ("lower", ["--hop", "512"], "lower-band rows at frame size 1024, hop 512, q 8"),
+            ("lower", ["--q", "4"], "lower-band rows at frame size 1024, hop 1024, q 4"),
+            ("lower", ["--window", "hann"], "lower-band rows at frame size 1024, hop 1024, q 8, hann window"),
+        ],
+        ids=["upper", "both-frame-size-512", "hop-512", "q-4", "hann"],
+    )
+    def test_predict_refuses_a_cache_of_other_rows(
+        self, band, extraction, differs, corpus_dir, lower_model, tmp_path, capsys
+    ):
+        # The model takes lower-band rows at frame size 1024 and the default
+        # hop, q and window; a cache that differs in any of them is exit 3.
+        cache = tmp_path / "other.rfds"
+        argv = ["features", "--manifest", str(corpus_dir / "manifest.json"), "--case", "3"]
+        assert main([*argv, "--band", band, "--frame-size", "1024", *extraction, "--out", str(cache)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["predict", "--model", str(lower_model), "--features", str(cache), "--out", str(out)]) == 3
+        err = assert_one_error_line(capsys.readouterr().err)
+        assert f"feature cache {cache} holds {differs}" in err
+        assert "but the model takes lower-band rows at frame size 1024, hop 1024, q 8, rectangular window" in err
+        assert not out.exists()
+
+    def test_predict_pair_band_other_than_the_model_is_config_error(self, corpus_dir, lower_model, capsys):
+        pair = ["--lb", str(corpus_dir / "03_001_lb.csv"), "--ub", str(corpus_dir / "03_001_ub.csv")]
+        assert main(["predict", "--model", str(lower_model), *pair, "--band", "upper"]) == 2
+        err = assert_one_error_line(capsys.readouterr().err)
+        assert "--band upper, but the model takes lower-band rows" in err
+
+    @pytest.mark.parametrize("flags", [["--max-depth", "3000000000"], ["--rounds", "70000"]])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_training_flags_beyond_the_model_container_are_config_errors(
+        self, command, flags, lower_cache, tmp_path, capsys
+    ):
+        # The container stores round ids as u16 and max_depth as i32: refused before training.
+        out = tmp_path / "out"
+        assert main([command, "--features", str(lower_cache), *flags, "--out", str(out)]) == 2
+        assert "must be >= " in assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
     def test_predict_without_input_is_config_error(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"
@@ -595,10 +653,13 @@ class TestTrainPredict:
             (["--lb", "lb.csv", "--band", "both"], "--band both requires --ub"),
         ],
     )
-    def test_predict_band_needs_its_files(self, flags, missing, lower_model, capsys):
+    def test_predict_band_needs_its_files(self, flags, missing, band_models, capsys):
+        # The model's layout names the band files, with or without --band.
         # Checked before any band file is read: the named files do not exist.
-        assert main(["predict", "--model", str(lower_model), *flags]) == 2
-        assert f"error: {missing}" in capsys.readouterr().err
+        model = band_models[missing.split()[1]]
+        for given in (flags, [flag for flag in flags if flag not in ("--band", "upper", "both")]):
+            assert main(["predict", "--model", str(model), *given]) == 2
+            assert f"error: {missing} (the model's layout)" in capsys.readouterr().err
 
     def test_model_round_trip_via_cli(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"
@@ -622,7 +683,7 @@ class TestRepeatedCalls:
         assert main([*extract, "--case", "3", "--frame-size", "1024", "--out", str(cache)]) == 0
         assert main(["train", "--features", str(cache), *FAST_TRAIN, "--out", str(model)]) == 0
         pair = ["--lb", str(corpus_dir / "03_001_lb.csv"), "--ub", str(corpus_dir / "03_001_ub.csv")]
-        a = ["predict", "--model", str(model), *pair, "--band", "both", "--frame-size", "1024", "--hop", "1024"]
+        a = ["predict", "--model", str(model), *pair, "--band", "both"]
         b = ["predict", "--model", str(model), "--features", str(cache)]
 
         def run(argv, out):
@@ -635,7 +696,7 @@ class TestRepeatedCalls:
         alone = run(b, tmp_path / "alone.json")
         assert alone[0] == 0 and alone[2] == ""
         assert run(a, tmp_path / "a.json")[0] == 0
-        # A leaked --band, --frame-size or --hop would fail B with "drop --...".
+        # A leaked --lb or --ub would fail B with "two inputs; give one".
         assert run(b, tmp_path / "after.json") == alone
 
     def test_usage_error_then_version_and_help(self, capsys):
@@ -693,7 +754,6 @@ OPTIONS = {
         ("--lb", None),
         ("--ub", None),
         ("--band", None),
-        *EXTRACTION,
         ("--out", None),
     ],
 }
@@ -802,10 +862,10 @@ class TestMalformedInputs:
                 "source": "Synthetic",
                 "entries": [{"lb_path": str(lb_path), "ub_path": str(ub_path), "label": 0}],
             }))
-            argv = ["features", "--manifest", str(manifest), "--case", "1"]
+            argv = ["features", "--manifest", str(manifest), "--case", "1", "--frame-size", "1024"]
         else:
             argv = ["predict", "--model", str(lower_model), "--lb", str(lb_path)]
-        assert main([*argv, "--frame-size", "1024", "--out", str(out)]) == 3
+        assert main([*argv, "--out", str(out)]) == 3
         err = assert_one_error_line(capsys.readouterr().err)
         assert message in err
         if "offset" in message:
@@ -849,7 +909,7 @@ class TestMalformedInputs:
         lb_path = tmp_path / "lb.csv"
         lb_path.write_bytes(b"\xff\xfe1,2,3\n")
         capsys.readouterr()
-        argv = ["predict", "--model", str(model_path), "--lb", str(lb_path), "--frame-size", "1024"]
+        argv = ["predict", "--model", str(model_path), "--lb", str(lb_path)]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -957,7 +1017,7 @@ class TestMalformedInputs:
             (tmp_path / f"{name}.csv").write_text(",".join(map(repr, samples.tolist())) + "\n")
         out = tmp_path / "predict.json"
         argv = ["predict", "--model", str(model), "--lb", str(tmp_path / "lb.csv")]
-        argv += ["--ub", str(tmp_path / "ub.csv"), "--band", "both", "--frame-size", "1024"]
+        argv += ["--ub", str(tmp_path / "ub.csv"), "--band", "both"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*argv, "--out", str(out)])

@@ -12,6 +12,7 @@ import pytest
 import rfsentry.gbdt as gbdt
 from rfsentry.cli import main
 from rfsentry.dataset import BandMode, Case, build_dataset
+from rfsentry.spectrum import Extraction
 from rfsentry.errors import (
     ConfigurationError,
     FormatError,
@@ -609,6 +610,17 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             TrainConfig(reg_lambda=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value", [("n_rounds", 2**16), ("max_depth", 2**31)], ids=["rounds-2^16", "depth-2^31"]
+    )
+    def test_config_beyond_the_model_container_rejected(self, name, value, tmp_path):
+        # The container stores round ids as u16 and max_depth as i32; one less saves and loads.
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= [01] and < 2\\*\\*"):
+            TrainConfig(**{name: value})
+        model = GbdtModel(config=TrainConfig(**{name: value - 1}), feature_dim=1)
+        save_model(model, tmp_path / "edge.rfgb")
+        assert load_model(tmp_path / "edge.rfgb").config == model.config
+
     @pytest.mark.parametrize("name", ["reg_lambda", "gamma", "min_child_weight"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_penalty_rejected(self, name, value):
@@ -791,6 +803,8 @@ class TestModelIO:
     def test_round_trip_predictions_bit_identical(self, tmp_path):
         features, labels = blobs(50)
         model = train(features, labels, TrainConfig(n_rounds=6, max_depth=4, n_classes=3))
+        model.band_mode = BandMode.CONCATENATED
+        model.extraction = Extraction(frame_size=512, hop=128, q=3, window="hann")
         path = tmp_path / "model.rfgb"
         save_model(model, path)
         restored = load_model(path)
@@ -798,6 +812,7 @@ class TestModelIO:
         probe = rng.normal(size=(100, features.shape[1]))
         np.testing.assert_array_equal(predict_proba(model, probe), predict_proba(restored, probe))
         assert restored.config == model.config
+        assert (restored.band_mode, restored.extraction) == (model.band_mode, model.extraction)
 
     def test_empty_forest_round_trips(self, tmp_path):
         model = GbdtModel(config=TrainConfig(n_rounds=0, n_classes=2), feature_dim=7)
@@ -895,18 +910,19 @@ class TestModelIO:
         depth,
         max_depth,
         feature_dim=3,
-        version=2,
+        version=3,
         nodes=None,
         right=None,
         threshold=None,
         value=None,
-        base_score=0.0,
+        layout=(0, 0, 2048, 2048, 8),
     ):
         """A one-tree model whose splits all go left, packed by hand.
 
         nodes overrides the node count in the tree table, and right,
         threshold and value the node arrays; all default to the true
-        chain's.
+        chain's. layout is the header's band code, window code, frame
+        size, hop and q; bytes stand in for all five.
         """
         config = struct.pack("<ididddi", 1, 0.3, max_depth, 1.0, 0.0, 1.0, 2)
         n = 2 * depth + 1
@@ -917,10 +933,13 @@ class TestModelIO:
             value = [0.0] * depth + [-1.0] + [1.0] * depth
         if right is None:
             right = [2 * depth - i for i in range(depth)] + [-1] * (depth + 1)
+        if not isinstance(layout, bytes):
+            layout = struct.pack("<BBIII", *layout)
         return (
             struct.pack("<4sH", b"RFGB", version)
             + config
-            + struct.pack("<dII", base_score, feature_dim, 1)
+            + layout
+            + struct.pack("<II", feature_dim, 1)
             + struct.pack("<HHI", 0, 1, n if nodes is None else nodes)
             + struct.pack(f"<{n}i", *feature)
             + struct.pack(f"<{n}d", *threshold)
@@ -987,10 +1006,8 @@ class TestModelIO:
         [
             ({"value": [0.0, -1.0, math.nan]}, "non-finite leaf value"),
             ({"threshold": [math.inf, 0.0, 0.0]}, "non-finite threshold"),
-            ({"base_score": -math.inf}, "base score -inf; the reserved slot must be 0.0"),
-            ({"base_score": 0.5}, "base score 0.5; the reserved slot must be 0.0"),
         ],
-        ids=["nan-leaf", "inf-threshold", "inf-base-score", "nonzero-base-score"],
+        ids=["nan-leaf", "inf-threshold"],
     )
     def test_non_finite_node_or_base_score_is_format_error(self, tmp_path, override, message):
         path = tmp_path / "model.rfgb"
@@ -1001,6 +1018,29 @@ class TestModelIO:
             load_model(path)
         argv = ["predict", "--model", str(path), "--features", str(tmp_path / "absent.rfds")]
         assert main(argv) == 3
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ((3, 0, 2048, 2048, 8), "bad band code 3 or window code 0"),
+            ((0, 2, 2048, 2048, 8), "bad band code 0 or window code 2"),
+            ((0, 0, 3, 3, 1), "frame size must be a power of two"),
+            ((2, 1, 2048, 0, 8), "hop must be >= 1, got 0"),
+            ((1, 0, 2048, 2048, 0), "q must be in \\[1, 1024\\], got 0"),
+        ],
+        ids=["band-code-3", "window-code-2", "frame-size-3", "hop-0", "q-0"],
+    )
+    def test_bad_stored_layout_is_format_error(self, tmp_path, layout, message, capsys):
+        path = tmp_path / "layout.rfgb"
+        path.write_bytes(self.chain_model_bytes(depth=1, max_depth=1, layout=layout))
+        with pytest.raises(FormatError, match=message) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        # predict reads the model first: exit 3 with one error line, no traceback.
+        argv = ["predict", "--model", str(path), "--lb", str(tmp_path / "absent.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {exc.value}") and err.count("\n") == 1
 
     def test_class_outside_model_rejected(self, tmp_path):
         data = bytearray(self.chain_model_bytes(depth=1, max_depth=1))
@@ -1019,7 +1059,7 @@ class TestModelIO:
 
     def test_huge_node_count_rejected_without_allocating(self, tmp_path):
         data = self.chain_model_bytes(depth=1, max_depth=1, nodes=2**32 - 1)
-        assert len(data) < 150
+        assert len(data) < 160
         path = tmp_path / "huge.rfgb"
         path.write_bytes(data)
         tracemalloc.start()
@@ -1039,6 +1079,21 @@ class TestModelIO:
         # The model is read before the (absent) feature cache, so exit 3.
         argv = ["predict", "--model", str(path), "--features", str(tmp_path / "absent.rfds")]
         assert main(argv) == 3
+
+    def test_version_2_rejected(self, tmp_path, capsys):
+        # Version 2 held a reserved f64 where version 3 holds the band layout and extraction.
+        path = tmp_path / "v2.rfgb"
+        v2 = self.chain_model_bytes(depth=2, max_depth=2, version=2, layout=struct.pack("<d", 0.0))
+        path.write_bytes(v2)
+        with pytest.raises(FormatError, match="unsupported model container version 2; retrain the model"):
+            load_model(path)
+        # A v2 prefix alone is shorter than a v3 one: still the version error, not truncation.
+        path.write_bytes(v2[: struct.calcsize("<4sHididddidII")])
+        with pytest.raises(FormatError, match="version 2"):
+            load_model(path)
+        argv = ["predict", "--model", str(path), "--lb", str(tmp_path / "absent.csv")]
+        assert main(argv) == 3
+        assert "version 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "right, message",

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -244,7 +245,9 @@ def valid_containers(scratch):
     dataset.save_features(ds, scratch / "valid.rfds")
     config = gbdt.TrainConfig(n_rounds=2, max_depth=2, min_child_weight=0.0, n_classes=3)
     x = np.arange(24.0).reshape(8, 3)
-    gbdt.save_model(gbdt.train(x, np.arange(8) % 3, config), scratch / "valid.rfgb")
+    model = gbdt.train(x, np.arange(8) % 3, config)
+    model.band_mode, model.extraction = dataset.BandMode.CONCATENATED, Extraction(frame_size=4, q=2)
+    gbdt.save_model(model, scratch / "valid.rfgb")
     return {kind: (scratch / f"valid.{kind}").read_bytes() for kind in LOADERS}
 
 
@@ -267,9 +270,17 @@ mutations = {
 }
 
 
+# Where the model header's band code, window code, frame size, hop and q start.
+LAYOUT_AT = struct.calcsize("<4sHididddi")
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @BOUNDARY
 @given(**mutations)
+@example(tail=None, edits=[(LAYOUT_AT, 3)], cut=0)  # band code 3
+@example(tail=None, edits=[(LAYOUT_AT + 1, 2)], cut=0)  # window code 2
+@example(tail=None, edits=[(LAYOUT_AT + 2, 3)], cut=0)  # frame size 3, from 4
+@example(tail=None, edits=[(LAYOUT_AT + 6, 0)], cut=0)  # hop 0, from 4
 def test_container_bytes(scratch, valid_containers, kind, tail, edits, cut):
     path = scratch / f"container.{kind}"
     path.write_bytes(mutated(valid_containers[kind], tail, edits, cut))
@@ -289,7 +300,9 @@ def cli_containers(scratch):
     )
     dataset.save_features(ds, scratch / "cli.rfds")
     config = gbdt.TrainConfig(n_rounds=2, max_depth=2, min_child_weight=0.0, n_classes=2)
-    gbdt.save_model(gbdt.train(ds.features, ds.labels, config), scratch / "cli.rfgb")
+    model = gbdt.train(ds.features, ds.labels, config)
+    model.band_mode, model.extraction = ds.band_mode, ds.extraction
+    gbdt.save_model(model, scratch / "cli.rfgb")
     return {kind: scratch / f"cli.{kind}" for kind in LOADERS}
 
 
@@ -765,7 +778,7 @@ COMMAND_FLAGS = {
         "--k-folds", "--alpha", "--seed-data", "--jobs", "--out",
     ],
     "train": ["--features", "--case", *TRAINING_FLAGS, "--out"],
-    "predict": ["--model", "--features", "--lb", "--ub", "--band", *EXTRACTION_FLAGS, "--out"],
+    "predict": ["--model", "--features", "--lb", "--ub", "--band", "--out"],
 }
 REQUIRED_FLAGS = ("--out-dir", "--manifest", "--case", "--out", "--model")
 # Weighted coin flips: True in 3 of 4 and in 9 of 10 entries.

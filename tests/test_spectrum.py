@@ -20,7 +20,9 @@ from rfsentry.spectrum import (
     Extraction,
     compute_scaling_factor,
     concatenate_bands,
+    decode_layout,
     dft,
+    layout_codes,
     segment_spectrum,
 )
 
@@ -479,6 +481,15 @@ class TestExtraction:
     def test_wrong_types_rejected(self, settings):
         with pytest.raises(ConfigurationError, match="must be an int|unknown window"):
             Extraction(**settings)
+
+    @pytest.mark.parametrize("band_mode", list(BandMode))
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_layout_codes_round_trip(self, band_mode, window):
+        # A code is the member's index: the feature cache's codes since its version 2.
+        extraction = Extraction(frame_size=512, hop=128, q=3, window=window)
+        codes = layout_codes(band_mode, extraction)
+        assert codes == (list(BandMode).index(band_mode), WINDOWS.index(window), 512, 128, 3)
+        assert decode_layout("x", *codes) == (band_mode, extraction)
 
     def test_segment_spectrum_applies_the_same_frame_rule(self):
         with pytest.raises(ConfigurationError, match="power of two"):
