@@ -228,6 +228,12 @@ def cmd_predict(args) -> int:
         raise ConfigurationError("--features and --lb/--ub are two inputs; give one")
     model = gbdt.load_model(args.model)
     band_mode, extraction = model.band_mode, model.extraction
+    width = band_mode.feature_length(extraction)
+    if model.feature_dim != width:
+        raise DataError(
+            f"model {args.model} takes {model.feature_dim} features, but "
+            f"{_rows_text(band_mode, extraction)} have {width}"
+        )
     if args.band is not None and args.band != band_mode.value:
         raise ConfigurationError(f"--band {args.band}, but the model takes {band_mode.value}-band rows")
     case = Case.for_n_classes(model.config.n_classes)

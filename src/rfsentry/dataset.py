@@ -593,15 +593,15 @@ def write_synthetic_corpus(
 
 
 # ---------------------------------------------------------------------------
-# Band-file writing: each sample as Python's shortest round-trip ``repr``.
+# Band-file writing: each sample as its nearest 17-significant-digit decimal.
 #
-# A sample with 1e-4 <= |x| < 1e16 is written in fixed notation without
-# Python objects: |x| * 10**k splits exactly (Dekker's product) into a
-# 17-digit integer m and a remainder r, and digits are dropped while the
-# nearest shorter decimal stays within half an ulp of x, which is repr's
-# rule. ``repr`` writes the rest one value at a time: exponent form, zeros,
-# powers of two (whose lower neighbour is nearer), non-finite values and
-# any decision within _BOUNDARY_MARGIN of its boundary.
+# A sample x with 1e-4 <= |x| < 1e16, in [10**e, 10**(e + 1)), is written in
+# fixed notation without Python objects: |x| * 10**(16 - e) splits exactly
+# (Dekker's product) into a 17-digit integer m and a remainder r, and m
+# rounds up where r >= 0.5. The decimal is within 0.5 * 10**(e - 16) of x,
+# below 2**-54 * 10**e, half the gap below any double in that decade, so a
+# correctly rounded parse reads x back. ``repr`` writes the rest one value
+# at a time: exponent form, zeros, subnormals and non-finite values.
 # ---------------------------------------------------------------------------
 
 _WRITE_VALUES = 1 << 12  # samples formatted at a time, under 1 MB of temporaries
@@ -611,8 +611,6 @@ _INT_POW10 = np.array([10**i for i in range(18)], dtype=np.int64)
 _VELTKAMP = float(2**27 + 1)  # splits a double into two halves of 26 bits
 _DOUBLE_POW10_HIGH = np.array([_VELTKAMP * p - (_VELTKAMP * p - p) for p in _DOUBLE_POW10.tolist()])
 _DOUBLE_POW10_LOW = np.array([p - h for p, h in zip(_DOUBLE_POW10.tolist(), _DOUBLE_POW10_HIGH.tolist())])
-# In units of m's last digit; the arithmetic errs by less than 1e-14 there.
-_BOUNDARY_MARGIN = 1e-9
 _SIGN4 = np.frombuffer(b"\0\0\0" b"0" b"\0-\0" b"0", dtype=np.uint32)  # by x < 0
 _ROW = 28  # bytes per value: seven groups of four
 
@@ -620,30 +618,30 @@ _ROW = 28  # bytes per value: seven groups of four
 @functools.cache
 def _row_tables() -> tuple[np.ndarray, ...]:
     """The four ASCII digits of 0..9999 as one group each, and three output-row
-    masks by (decimal exponent e in -4..15, significant digits n); built on
-    the first write, so a process that only reads band files never holds them.
+    masks by decimal exponent e in -4..15; built on the first write, so a
+    process that only reads band files never holds them.
 
     A source row holds the sign at byte 1, '0000' at bytes 3-6 and digit i
     of m at byte 7 + i. Output byte c takes source byte c + 1 for the integer
     part (c <= 6 + e; for e < 0 the single '0' at 6 + e), is '.' at 7 + e,
-    takes source byte c for the fraction, at least one digit, up to the last
-    significant one, and ends the row with ','. Zero bytes are deleted.
+    takes source byte c for the fraction up to m's last digit, and ends the
+    row with ','. Zero bytes are deleted.
     """
     digits4 = bytes(itertools.chain.from_iterable(itertools.product(b"0123456789", repeat=4)))
-    keys = [(e, n) for e in range(-4, 16) for n in range(18)]
     layouts = (
-        lambda e, n: b"\xff" + bytes(5 + min(e, 0)) + b"\xff" * (1 + max(e, 0)) + bytes(_ROW - 7 - e),
-        lambda e, n: bytes(8 + e) + b"\xff" * max(n - 1 - e, 1) + bytes(_ROW - max(7 + n, 9 + e)),
-        lambda e, n: bytes(7 + e) + b"." + bytes(_ROW - 9 - e) + b",",
+        lambda e: b"\xff" + bytes(5 + min(e, 0)) + b"\xff" * (1 + max(e, 0)) + bytes(_ROW - 7 - e),
+        lambda e: bytes(8 + e) + b"\xff" * (16 - e) + bytes(_ROW - 24),
+        lambda e: bytes(7 + e) + b"." + bytes(_ROW - 9 - e) + b",",
     )
     return (np.frombuffer(digits4, np.uint32),) + tuple(
-        np.frombuffer(b"".join(row(e, n) for e, n in keys), np.uint8).reshape(-1, _ROW) for row in layouts
+        np.frombuffer(b"".join(map(row, range(-4, 16))), np.uint8).reshape(-1, _ROW) for row in layouts
     )
 
 
 def _write_segment_file(path: Path, samples: np.ndarray) -> None:
-    """Write ``",".join(map(repr, samples.tolist())) + "\\n"``, the same bytes on
-    every platform, ``_WRITE_VALUES`` samples at a time."""
+    """Write the samples as comma-separated decimals and a newline, each of
+    which reads back as its sample, the same bytes on every platform,
+    ``_WRITE_VALUES`` samples at a time."""
     samples = np.asarray(samples, dtype=np.float64)
     with open(path, "wb") as fh:
         for start in range(0, samples.size, _WRITE_VALUES):
@@ -653,9 +651,9 @@ def _write_segment_file(path: Path, samples: np.ndarray) -> None:
 
 
 def _format_values(x: np.ndarray) -> bytes:
-    """The repr of each value, each followed by a comma."""
+    """The decimal of each value, each followed by a comma."""
     digits4, keep_left, keep_right, punct = _row_tables()
-    m, n, e, unsure = _shortest_digits(np.abs(x))
+    m, e, fixed = _seventeen_digits(np.abs(x))
     groups = np.zeros(x.size * 7 + 1, np.uint32)  # the spare group ends the shifted view
     rows = groups[:-1].reshape(-1, 7)
     rows[:, 0] = _SIGN4[(x < 0).view(np.uint8)]
@@ -666,7 +664,7 @@ def _format_values(x: np.ndarray) -> bytes:
         rows[:, col] = digits4[quad]
         rows[:, col + 1] = digits4[part - quad * 10000]
     source, size = groups.view(np.uint8), x.size * _ROW
-    key = (e + 4) * 18 + n
+    key = e + 4
     text = np.take(keep_left, key, axis=0)
     flat = text.reshape(-1)
     flat &= source[1 : size + 1]
@@ -674,21 +672,19 @@ def _format_values(x: np.ndarray) -> bytes:
     part &= source[:size]
     flat |= part
     flat |= np.take(punct, key, axis=0).reshape(-1)
-    for i in np.flatnonzero(unsure).tolist():
+    for i in np.flatnonzero(~fixed).tolist():
         text[i] = np.frombuffer(f"{float(x[i])!r},".encode().ljust(_ROW, b"\0"), np.uint8)
     return text.tobytes().translate(None, b"\0")
 
 
-def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """repr's digits of each |x| = a in fixed notation, as (m, n, e, unsure).
+def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nearest 17-significant-digit decimal to each |x| = a, as (m, e, fixed).
 
-    The decimal a reads back from is m * 10**(e - 16): m has 17 digits, of
-    which the first n are significant. Where ``unsure`` holds, repr must
-    write the value instead.
+    The decimal is m * 10**(e - 16), with 10**16 <= m < 10**17. Where
+    ``fixed`` is false, repr must write the value instead.
     """
     fixed = (a >= 1e-4) & (a < 1e16)
     v = np.where(fixed, a, 1.5)  # a stand-in keeps the arithmetic finite
-    fraction, exponent = np.frexp(v)
     e = np.floor(np.log10(v)).astype(np.int64)
     m, r = _scaled_by_pow10(v, 16 - e)
     # log10 may round across a power of ten: bring m into [10**16, 10**17).
@@ -697,36 +693,10 @@ def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, ...]:
     if redo.size:
         e[redo] += off[redo]
         m[redo], r[redo] = _scaled_by_pow10(v[redo], 16 - e[redo])
-    # Half an ulp of v in units of m's last digit. At a power of two
-    # (fraction 0.5) the lower neighbour is nearer: repr writes those.
-    half_ulp = np.ldexp(_DOUBLE_POW10[16 - e], exponent - 54)
-    unsure = ~fixed | (fraction == 0.5)
-    # Drop j digits while the nearest multiple of 10**j reads back as v.
-    dropped = np.zeros(a.size, np.int64)
-    live = np.arange(a.size)
-    lm, lr, lh = m, r, half_ulp
-    for j in range(1, 17):
-        step = _INT_POW10[j]
-        below = lm - lm // step * step
-        miss = np.minimum(below + lr, (step - below) - lr) - lh
-        unsure[live[np.abs(miss) < _BOUNDARY_MARGIN]] = True
-        keep = np.flatnonzero(miss < -_BOUNDARY_MARGIN)
-        live = live[keep]
-        if not live.size:
-            break
-        dropped[live] = j
-        lm, lr, lh = lm[keep], lr[keep], lh[keep]
-    step = _INT_POW10[dropped]
-    quotient = m // step
-    twice_excess = (2 * (m - quotient * step) - step) + 2 * r  # 2 (m + r) mod step, less step
-    unsure |= np.abs(twice_excess) < 2 * _BOUNDARY_MARGIN
-    m = (quotient + (twice_excess > 0)) * step
-    n = 17 - dropped
-    # Rounding up to 10**17 (0.000999...9 to 0.001) is one digit at the next power.
-    carry = m == _INT_POW10[17]
-    m[carry], n[carry] = _INT_POW10[16], 1
-    e += carry
-    return m, n, e, unsure
+    # No double below 10**(e + 1) lies within 8 last-digit units of it, so
+    # rounding up never reaches 10**17.
+    m += r >= 0.5
+    return m, e, fixed
 
 
 def _scaled_by_pow10(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,7 @@ class TrainConfig:
     n_classes: int = 2
 
     def __post_init__(self) -> None:
-        # The ranges the model container stores: round ids as u16, max_depth as i32.
+        # The ranges the model container stores: round and class ids as u16, max_depth as i32.
         if not 0 <= self.n_rounds < 2**16:
             raise ConfigurationError(f"n_rounds must be >= 0 and < 2**16, got {self.n_rounds}")
         if not (0.0 < self.learning_rate <= 1.0):
@@ -92,8 +92,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-        if self.n_classes < 2:
-            raise ConfigurationError(f"n_classes must be >= 2, got {self.n_classes}")
+        if not 2 <= self.n_classes <= 2**16:
+            raise ConfigurationError(f"n_classes must be >= 2 and <= 2**16, got {self.n_classes}")
 
 
 @dataclass

@@ -661,6 +661,18 @@ class TestTrainPredict:
             assert main(["predict", "--model", str(model), *given]) == 2
             assert f"error: {missing} (the model's layout)" in capsys.readouterr().err
 
+    def test_predict_model_of_other_width_reads_no_band_file(self, tmp_path, capsys):
+        # A model fitted in-process on 3 features cannot take lower-band rows at
+        # the default extraction: exit 3 before the named files are opened.
+        features = np.random.default_rng(4).normal(size=(20, 3))
+        model = gbdt.train(features, np.arange(20) % 2, gbdt.TrainConfig(n_rounds=1, n_classes=2))
+        gbdt.save_model(model, tmp_path / "narrow.rfgb")
+        missing = ["--lb", str(tmp_path / "lb.csv"), "--ub", str(tmp_path / "ub.csv")]
+        assert main(["predict", "--model", str(tmp_path / "narrow.rfgb"), *missing]) == 3
+        err = capsys.readouterr().err
+        assert "takes 3 features, but lower-band rows at frame size 2048" in err
+        assert "have 1024" in err
+
     def test_model_round_trip_via_cli(self, lower_cache, tmp_path):
         model_path = tmp_path / "model.rfgb"
         assert main(["train", "--features", str(lower_cache), *FAST_TRAIN, "--out", str(model_path)]) == 0

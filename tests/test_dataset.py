@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -578,37 +579,52 @@ class TestSyntheticCorpus:
         np.testing.assert_array_equal(reloaded, direct.samples)
 
 
-def repr_text(samples: np.ndarray) -> bytes:
-    return (",".join(map(repr, samples.tolist())) + "\n").encode()
-
-
 class TestSegmentWriter:
-    """``_write_segment_file`` writes exactly ``repr``'s bytes, in bounded memory."""
+    """``_write_segment_file`` writes each sample as its nearest 17-significant-digit
+    decimal, or as repr outside [1e-4, 1e16), in bounded memory."""
+
+    # sha256 of the lower band of synth_segment(0, 1, length=2048) as written.
+    # Class 0 is noise alone, the same sample bits on every platform, so the
+    # written bytes are the same everywhere too.
+    PINNED_BAND = "b9a8aed67a6b28010f206f2618e38b54e42c9c8f268e8b6a565878550e8ed20c"
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_every_synthetic_class(self, seed, tmp_path):
+    def test_every_synthetic_class(self, seed, tmp_path, check_band_text):
         path = tmp_path / "band.csv"
         for class_id in range(len(DRONERF_CLASSES)):
             for record in synth_segment(class_id, seed, length=8192, index=1):
                 dataset_mod._write_segment_file(path, record.samples)
-                assert path.read_bytes() == repr_text(record.samples), record.segment_id
+                check_band_text(record.samples.tolist(), path.read_bytes())
 
-    def test_random_bit_patterns(self, tmp_path):
+    def test_random_bit_patterns(self, tmp_path, check_band_text):
         # Every exponent, both signs, subnormals, inf and nan; several chunks.
         samples = np.random.default_rng(8).integers(0, 1 << 64, 1 << 15, dtype=np.uint64)
         samples = samples.view(np.float64)
         path = tmp_path / "band.csv"
         dataset_mod._write_segment_file(path, samples)
-        assert path.read_bytes() == repr_text(samples)
+        check_band_text(samples.tolist(), path.read_bytes())
 
-    def test_every_value_through_repr(self, tmp_path, monkeypatch):
-        # With an infinite margin every decision is near its boundary.
-        monkeypatch.setattr(dataset_mod, "_BOUNDARY_MARGIN", math.inf)
-        samples = np.random.default_rng(9).normal(size=10_000)
-        assert dataset_mod._shortest_digits(np.abs(samples))[3].all()
+    def test_every_fixed_exponent(self, tmp_path, check_band_text):
+        # Values across each decade of [1e-4, 1e16), and the neighbours of its
+        # powers of ten and two: the largest double below 10**(e + 1) is
+        # still written at exponent e.
+        rng = np.random.default_rng(9)
+        edges = [10.0**p for p in range(-4, 17)] + [2.0**p for p in range(-14, 54)]
+        edges += [math.nextafter(v, d) for v in edges for d in (0.0, math.inf)]
+        samples = np.concatenate(
+            [rng.uniform(10.0**e, 10.0**(e + 1), 500) for e in range(-4, 16)] + [np.array(edges)]
+        )
+        samples *= rng.choice([-1.0, 1.0], samples.size)
         path = tmp_path / "band.csv"
         dataset_mod._write_segment_file(path, samples)
-        assert path.read_bytes() == repr_text(samples)
+        check_band_text(samples.tolist(), path.read_bytes())
+        assert load_segment(path).tobytes() == samples.tobytes()
+
+    def test_bytes_are_pinned(self, tmp_path):
+        lb, _ = synth_segment(0, 1, length=2048)
+        path = tmp_path / "band.csv"
+        dataset_mod._write_segment_file(path, lb.samples)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_BAND
 
     def test_memory_is_bounded(self, tmp_path):
         # One 2^20-sample band file: ''.join over repr strings peaks near 110 MB.

@@ -621,6 +621,18 @@ class TestTrain:
         save_model(model, tmp_path / "edge.rfgb")
         assert load_model(tmp_path / "edge.rfgb").config == model.config
 
+    def test_classes_beyond_the_model_container_rejected(self, tmp_path):
+        # Class ids are stored as u16: at 2**16 classes a tree of the last class saves and loads.
+        with pytest.raises(ConfigurationError, match=r"n_classes must be >= 2 and <= 2\*\*16"):
+            TrainConfig(n_classes=2**16 + 1)
+        last = 2**16 - 1
+        forest = Tree.from_rows([[-1, 0.0, 0.5, -1]])
+        model = GbdtModel(TrainConfig(n_classes=2**16), feature_dim=1, forest=forest, trees=[(0, last, range(1))])
+        save_model(model, tmp_path / "classes.rfgb")
+        loaded = load_model(tmp_path / "classes.rfgb")
+        assert loaded.config == model.config
+        assert loaded.trees == model.trees
+
     @pytest.mark.parametrize("name", ["reg_lambda", "gamma", "min_child_weight"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_penalty_rejected(self, name, value):

@@ -221,12 +221,12 @@ written_values = st.builds(
 
 @BOUNDARY
 @given(values=st.lists(written_values, max_size=40), chunk=st.integers(1, 8))
-def test_segment_writer_writes_repr(scratch, values, chunk):
+def test_segment_writer_tokens(scratch, check_band_text, values, chunk):
     samples = np.array(values, dtype=np.float64)
     path = scratch / "written.csv"
     with mock.patch.object(dataset, "_WRITE_VALUES", chunk):
         dataset._write_segment_file(path, samples)
-    assert path.read_bytes() == (",".join(map(repr, values)) + "\n").encode()
+    check_band_text(values, path.read_bytes())
 
 
 LOADERS = {"rfds": load_features, "rfgb": gbdt.load_model}
