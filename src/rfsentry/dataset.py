@@ -127,21 +127,26 @@ class Case(enum.Enum):
 # which are then rejected as non-finite).
 _SEPARATORS = b", \t\n\r\x0b\x0c"
 _SEPARATORS_TO_SPACE = bytes.maketrans(_SEPARATORS, b" " * len(_SEPARATORS))
+_TOKEN_BYTES = bytes(c for c in range(256) if c not in _SEPARATORS)
+# Every separator is below '-' (45): by byte value, whether one is a separator.
+_IS_SEPARATOR = np.array([c in _SEPARATORS for c in range(45)])
 _TOKEN_RE = re.compile(r"[^,\s]+", re.ASCII)
 _NUMBER_RE = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
 )
 # Bytes of band-file text read and parsed at a time.
 _CHUNK_BYTES = 1 << 18
-# The fast path divides a mantissa of at most 19 digits by 10**f, f <= 19,
-# in x87 long double, whose 64-bit significand holds both exactly: the
-# quotient is correctly rounded, and so is its cast to float64 unless it
-# is a midpoint between two doubles. Elsewhere only _parse_piece runs.
+# The fast path divides a mantissa of at most 19 significant digits
+# (10**19 < 2**64) by 10**f, f <= 27 (5**27 < 2**64), in x87 long double,
+# whose 64-bit significand holds both exactly: the quotient is correctly
+# rounded, and so is its cast to float64 unless it is a midpoint between
+# two doubles. Elsewhere only _parse_piece runs.
 _FAST_PARSE = bool(
     np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
     and np.little_endian and np.longdouble(1) + np.longdouble(2) ** -63 != 1
 )
-_POW10 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.longdouble))
+_MAX_DIGITS = 19  # significant digits of a mantissa read as uint64
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 _MAX_ODD_BYTES = 256  # a chunk with more letters and '+' is parsed whole
 _E_PREFIX_BYTES = 1 << 13  # so is one with more 'e's in its first 8 KiB (~315 `%.18e` tokens)
 
@@ -158,9 +163,9 @@ def load_segment(path) -> np.ndarray:
     Memory is bounded: the file is read ``_CHUNK_BYTES`` at a time and
     each chunk is parsed in C; only the few tokens ``_parse_fast`` sets
     apart become Python objects. Parsing holds two chunks of text (plus
-    the longest token) and about 6 bytes of temporaries per chunk byte
-    besides the parsed values, which are joined once at the end: about
-    16 bytes per sample plus eight chunks.
+    the longest token) and, for `repr` or `synth` text, about 4 bytes of
+    temporaries per chunk byte besides the parsed values, which are
+    joined once at the end: about 16 bytes per sample plus six chunks.
     """
     path = Path(path)
     samples = _parse_chunks(path)
@@ -176,13 +181,14 @@ def _parse_chunks(path: Path) -> np.ndarray | None:
     pieces, tail, more = [], b"", True
     with open(path, "rb") as fh:
         while more:
-            block = tail + fh.read(_CHUNK_BYTES).translate(_SEPARATORS_TO_SPACE)
+            block = tail + fh.read(_CHUNK_BYTES)
             more = len(block) > len(tail)
             # Cut after the last separator; a token split by the chunk end carries over.
-            cut = block.rfind(b" ") + 1 if more else len(block)
-            tail, block = block[cut:], block[:cut]
-            piece = (_parse_fast if _FAST_PARSE else _parse_piece)(block)
-            del block  # at most two chunks are alive while the next one is read
+            text = block.rstrip(_TOKEN_BYTES) if more else block
+            tail = block[len(text) :]
+            del block
+            piece = (_parse_fast if _FAST_PARSE else _parse_piece)(text)
+            del text  # at most two chunks are alive while the next one is read
             if piece is None:
                 return None
             if piece.size:
@@ -191,7 +197,8 @@ def _parse_chunks(path: Path) -> np.ndarray | None:
 
 
 def _parse_piece(text: bytes) -> np.ndarray | None:
-    """Parse space-separated float literals; None if one is bad or non-finite."""
+    """Parse separated float literals; None if one is bad or non-finite."""
+    text = text.translate(_SEPARATORS_TO_SPACE)
     if not text or text.isspace():
         # np.fromstring reads a lone run of whitespace as one bogus value.
         return np.empty(0)
@@ -211,57 +218,120 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
 
     Tokens holding a letter or '+' (exponents, inf, nan) are set apart for
     _parse_piece and keep their places as '0.' placeholders; tokens of 20 or
-    more digits or with a midpoint quotient are re-parsed there. A chunk with over
-    _MAX_ODD_BYTES letters and '+', or other tokens of another shape, goes whole.
+    more significant digits, more than 27 fraction digits or with a midpoint
+    quotient are re-parsed there. A chunk with over _MAX_ODD_BYTES letters
+    and '+', or other tokens of another shape, goes whole.
     """
     # Exponent form or integers; the two byte searches are cheaper than any numpy pass.
     if block.count(b"e", 0, _E_PREFIX_BYTES) > _MAX_ODD_BYTES or b"." not in block:
         return _parse_piece(block)
     b = np.frombuffer(block, np.uint8)
-    odd = (b > 57) | (b == 43)  # a letter or '+'
-    if np.count_nonzero(odd) > _MAX_ODD_BYTES:
+    odd = np.flatnonzero(b > 57)  # letters
+    seps = np.flatnonzero(b < 45)  # separators, '+' and bytes no float literal holds
+    is_sep = _IS_SEPARATOR[b[seps]]
+    if not is_sep.all():
+        plus = seps[~is_sep]
+        if (b[plus] != 43).any():
+            return _parse_piece(block)
+        seps, odd = seps[is_sep], np.union1d(odd, plus)
+    if odd.size > _MAX_ODD_BYTES:
         return _parse_piece(block)
-    odd = np.flatnonzero(odd)
-    # Tokens holding those bytes are parsed apart; their placeholders keep every token's
-    # index (find gives -1 for a last token that ends the block: % maps it there).
-    spans = {(block.rfind(b" ", 0, i) + 1, block.find(b" ", i) % (b.size + 1)) for i in odd.tolist()}
-    spans = sorted(spans)
-    odd_values = _parse_piece(b" ".join(block[i:j] for i, j in spans))
-    if odd_values is None or odd_values.size != len(spans):
+    edges = np.concatenate(([-1], seps, [b.size]))
+    text = block
+    if odd.size:
+        # Tokens holding those bytes are parsed apart; their placeholders, digits
+        # and a dot of the same length, keep every token's bounds and index.
+        at = np.searchsorted(seps, odd)
+        spans = sorted(set(zip((edges[at] + 1).tolist(), edges[at + 1].tolist())))
+        odd_values = _parse_piece(b" ".join(block[i:j] for i, j in spans))
+        if odd_values is None or odd_values.size != len(spans):
+            return _parse_piece(block)
+        text = bytearray(block)
+        for i, j in spans:
+            text[i:j] = b"0.".ljust(j - i, b"0")  # never longer: one-byte odd tokens have failed above
+        text = bytes(text)
+        b = np.frombuffer(text, np.uint8)
+    gap = np.flatnonzero(np.diff(edges) > 1)
+    starts, ends = edges[gap] + 1, edges[gap + 1]
+    del edges, gap
+    neg = b[starts] == 45
+    first = starts + neg
+    digits = ends - first - 1
+    # Each token needs a digit and, once a dot is found in each, no byte below
+    # '0' may be anything but a separator, that dot or a leading minus.
+    if not (
+        starts.size
+        and (digits >= 1).all()
+        and np.count_nonzero(b < 48) == seps.size + starts.size + np.count_nonzero(neg)
+    ):
         return _parse_piece(block)
-    text = bytearray(block) if spans else block
-    for i, j in spans:
-        text[i:j] = b"0.".ljust(j - i)  # never longer: one-byte odd tokens have failed above
-    text = bytes(text)  # the same object if nothing was set apart
-    b = np.frombuffer(text, np.uint8)
-    marks = np.flatnonzero(b < 48)  # ' ', '-', '.' and bytes no float literal holds
-    kinds = b[marks]
-    bounds = np.concatenate(([-1], marks.compress(kinds == 32), [b.size]))  # compress beats a mask
-    gap = np.flatnonzero(np.diff(bounds) > 1)
-    starts, ends = bounds[gap] + 1, bounds[gap + 1]
-    dots, neg, minus = marks.compress(kinds == 46), b[starts] == 45, np.count_nonzero(kinds == 45)
-    # Each token needs one dot, '-' only as its first byte and a digit;
-    # no byte below '0' is anything but a space, a dot or a minus.
-    one_dot = dots.size == starts.size and ((starts <= dots) & (dots < ends)).all()
-    shaped = np.count_nonzero(neg) == minus and marks.size == bounds.size - 2 + dots.size + minus
-    digits = ends - starts - 1 - neg
-    del marks, kinds, bounds, gap  # the peak below is then a few bytes per chunk byte
-    if not (starts.size and one_dot and shaped and (digits >= 1).all()):
+    del seps
+    # A first token whose dot is further in than two digits: likely the rest too.
+    dots = _token_dots(b, first, ends, wide=text.find(b".", first[0]) > first[0] + 2)
+    if dots is None:
         return _parse_piece(block)
-    mantissa = np.fromstring(text.translate(None, b".-"), dtype=np.uint64, sep=" ")
-    long = digits >= 20
-    quotient = _POW10[np.where(long, 0, ends - dots - 1)]
+    fraction = ends - dots - 1
+    slow = digits > _MAX_DIGITS
+    long = np.flatnonzero(slow)
+    if long.size:
+        slow[long[_few_significant_digits(b, first[long], dots[long], digits[long], fraction[long])]] = False
+        fraction[slow] = 0
+    del first, digits, dots  # the peak below is then a few bytes per chunk byte
+    quotient = _POW10[fraction]
+    del fraction
+    mantissa = np.fromstring(text.translate(_SEPARATORS_TO_SPACE, b".-"), dtype=np.uint64, sep=" ")
     np.divide(mantissa, quotient, out=quotient)
+    del mantissa
     midpoint = (quotient.view(np.uint64)[::2] & 0x7FF) == 0x400  # low significand bits
     values = quotient.astype(np.float64) * np.where(neg, -1.0, 1.0)
-    redo = np.flatnonzero(long | midpoint)
-    redone = _parse_piece(b" ".join(text[i:j] for i, j in zip(starts[redo], ends[redo])))
+    redo = np.flatnonzero(slow | midpoint)
+    redone = _parse_piece(b" ".join(text[i:j] for i, j in zip(starts[redo].tolist(), ends[redo].tolist())))
     if redone is None:  # a long token beyond the float64 range
         return None
     values[redo] = redone
-    if spans:  # each placeholder is the token that starts where its odd one did
+    if odd.size:  # each placeholder is the token that starts where its odd one did
         values[np.searchsorted(starts, [i for i, _ in spans])] = odd_values
     return values
+
+
+def _token_dots(b: np.ndarray, first: np.ndarray, ends: np.ndarray, wide: bool) -> np.ndarray | None:
+    """Each token's '.', or None unless each token holds one.
+
+    Most tokens have it one or two digits in, so one gather over all tokens
+    looks there, and the rest step through the other offsets as one subset.
+    A ``wide`` chunk, or a token whose dot is over _MAX_DIGITS digits in,
+    takes one search for every dot instead.
+    """
+    if not wide:
+        last = ends - 1
+        dots = np.minimum(first + 1, last)  # inside the token, so a '.' there is its own
+        rest = np.flatnonzero(b[dots] != 46)
+        for k in itertools.chain((2, 0), range(3, _MAX_DIGITS + 1)):
+            if not rest.size:
+                return dots
+            at = np.minimum(first[rest] + k, last[rest])
+            dots[rest] = at
+            rest = rest[b[at] != 46]
+    dots = np.flatnonzero(b == 46)
+    if dots.size == first.size and ((first <= dots) & (dots < ends)).all():
+        return dots
+    return None
+
+
+def _few_significant_digits(b, first, dots, digits, fraction) -> np.ndarray:
+    """Which of these tokens of over _MAX_DIGITS digits have at most that many
+    significant digits and at most 27 fraction digits: those whose first
+    digits - _MAX_DIGITS digits are zeros. Only tokens of at most 28 digits
+    are looked at, which covers every such token whose integer part is
+    not zero-padded; the others are re-parsed."""
+    look = np.flatnonzero((digits <= _POW10.size) & (fraction < _POW10.size))
+    if not look.size:
+        return look
+    n = digits[look] - _MAX_DIGITS
+    offsets = np.cumsum(n) - n
+    at = np.arange(n.sum()) + np.repeat(first[look] - offsets, n)
+    at += at >= np.repeat(dots[look], n)  # skip the dot
+    return look[np.add.reduceat(b[at] != 48, offsets) == 0]
 
 
 def _raise_token_error(path: Path) -> None:

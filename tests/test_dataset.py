@@ -185,12 +185,19 @@ def round_to_bits(x: Fraction, bits: int) -> Fraction:
     return round(x / unit) * unit
 
 
-def assert_fast_parse_exact(tokens):
+def assert_fast_parse_exact(tokens, sep=" "):
     """The fast path gives _parse_piece's bits, and those of float() per token."""
-    block = " ".join(tokens).encode() + b" "
+    block = (sep.join(tokens) + sep).encode()
     fast = dataset_mod._parse_fast(block)
     assert fast.tobytes() == dataset_mod._parse_piece(block).tobytes()
     assert fast.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+def parse_fast_spied(monkeypatch, block):
+    """``_parse_fast(block)``, and the texts it handed to _parse_piece."""
+    seen, parse_piece = [], dataset_mod._parse_piece
+    monkeypatch.setattr(dataset_mod, "_parse_piece", lambda text: seen.append(text) or parse_piece(text))
+    return dataset_mod._parse_fast(block), seen
 
 
 @needs_fast_parse
@@ -231,6 +238,97 @@ class TestFastParse:
         assert_fast_parse_exact(["-0.0", "0.0", ".5", "5.", "-.5", "-5.", "00.000", "-007.250"])
         block = b"-0.0 0.0 "
         assert np.signbit(dataset_mod._parse_fast(block)).tolist() == [True, False]
+
+    # The dot at each offset after the sign; each chunk goes through the
+    # fast path (no whole-chunk parse) in raw text with separator runs.
+    DOT_OFFSETS = {
+        "offset-0": [".5", "-.5", ".25", "-.125", ".0"],
+        "offset-1": ["0.5", "-1.25", "7.", "-3.", "9.999"],
+        "offset-2": ["12.5", "-47.25", "10.", "-99.0", "00.5"],
+        "offset-3-and-more": ["123.5", "-4567.25", "100000.0", "-98765.4321", "1234567890123456789.5"],
+        "mixed": [".5", "0.5", "-12.5", "123.5", "-4567.25", "-.75", "1" + "0" * 25 + ".5", "3.0"],
+    }
+
+    @pytest.mark.parametrize("sep", [" ", ",", ",\r\n", ", \t", "\x0b\x0c,"])
+    @pytest.mark.parametrize("name", sorted(DOT_OFFSETS))
+    def test_dot_offsets(self, monkeypatch, name, sep):
+        tokens = self.DOT_OFFSETS[name]
+        block = (sep.join(tokens) + sep).encode()
+        values, seen = parse_fast_spied(monkeypatch, block)
+        assert block not in seen
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        assert_fast_parse_exact(tokens[::-1], sep)
+
+    @pytest.mark.parametrize("lead", ["", "1.5,"], ids=["wide-first-token", "narrow-first-token"])
+    def test_four_digit_integer_parts(self, monkeypatch, lead):
+        # %.6f text of values in [1000, 10000): every dot is four digits in. A
+        # wide first token sends the chunk to the all-dots search; after a narrow
+        # one, the other tokens step through the offsets to theirs.
+        values = np.random.default_rng(14).uniform(1000, 10000, size=3000) * np.where(
+            np.arange(3000) % 3, 1, -1
+        )
+        tokens = [lead.rstrip(",")] * bool(lead) + ["%.6f" % v for v in values]
+        block = ("\n".join(tokens) + "\n").encode()
+        wide_calls, token_dots = [], dataset_mod._token_dots
+        monkeypatch.setattr(
+            dataset_mod, "_token_dots", lambda *a, wide: wide_calls.append(wide) or token_dots(*a, wide=wide)
+        )
+        parsed, seen = parse_fast_spied(monkeypatch, block)
+        assert len(seen) == 1 and len(seen[0]) < 100  # the midpoint re-parse, not the chunk
+        assert wide_calls == [not lead]
+        assert parsed.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1.2.5", "invalid numeric token '1.2.5' at offset 2 (line 1)"),
+            ("1-2.5", "invalid numeric token '1-2.5' at offset 2 (line 1)"),
+            ("12.5-", "invalid numeric token '12.5-' at offset 2 (line 1)"),
+            ("--2.5", "invalid numeric token '--2.5' at offset 2 (line 1)"),
+            ("1/2.5", "invalid numeric token '1/2.5' at offset 2 (line 1)"),
+            (".", "invalid numeric token '.' at offset 2 (line 1)"),
+            ("1..5,\n25", "invalid numeric token '1..5' at offset 2 (line 1)"),
+            ("2.5,\n1234..5", "invalid numeric token '1234..5' at offset 3 (line 2)"),
+            ("1!5.0", "invalid numeric token '1!5.0' at offset 2 (line 1)"),
+        ],
+        ids=["second-dot", "inner-minus", "trailing-minus", "two-minus", "slash", "lone-dot",
+             "second-dot-and-dotless", "second-dot-wide", "bang"],
+    )
+    def test_stray_bytes_below_zero(self, tmp_path, bad, message):
+        # Each is caught by the one count of bytes below '0', or by a token
+        # without its dot; the chunk is parsed whole and the file names the token.
+        text = f"0.5,{bad},-7.25\n"
+        assert dataset_mod._parse_fast(text.encode()) is None
+        assert dataset_mod._parse_piece(text.encode()) is None
+        path = tmp_path / "seg.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_segment(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_leading_zeros_are_not_significant(self, monkeypatch):
+        # Up to 19 significant digits and 27 fraction digits go through the
+        # integer mantissa however many zeros lead them, as synth writes
+        # 1e-4 <= |x| < 1e-2; 20 significant digits or 28 fraction digits do not.
+        fast = [
+            "0.0012345678901234567",
+            "-0.00098765432109876543",
+            "0.000000001234567890123456789",
+            "-0.000000000000000000000000001",
+            "00000000000000000001.5",
+        ]
+        slow = [
+            "0.12345678901234567890",
+            "-0.0012345678901234567891",
+            "0.0000000000000000000000000001",
+            "1844674407370955162.1",  # 2**64 + 5 as a mantissa
+            "0" * 29 + ".5",
+        ]
+        block = (",".join(fast + slow) + ",").encode()
+        values, seen = parse_fast_spied(monkeypatch, block)
+        assert seen == [" ".join(slow).encode()]
+        assert values.tobytes() == np.array([float(t) for t in fast + slow]).tobytes()
+        assert_fast_parse_exact(fast + slow, ",")
 
     @pytest.mark.parametrize("odd", ["1e-05", "+2.5"])
     def test_too_many_odd_tokens_parse_the_chunk_whole(self, monkeypatch, odd):

@@ -189,6 +189,31 @@ def test_fast_parse_matches_piece_on_mixed_tokens(tokens, tail):
     assert_fast_parse_matches((" ".join(tokens) + tail).encode())
 
 
+# Decimals whose dot sits at any offset (three in four tokens), in text whose
+# separators are runs of every separator byte: the fast path reads the raw
+# chunk as it is.
+decimal_tokens = st.builds(
+    lambda sign, whole, frac: f"{sign}{whole}.{frac}",
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", max_size=6),
+    st.text("0123456789", max_size=24),
+)
+separator_runs = st.text(", \t\n\r\x0b\x0c", min_size=1, max_size=4)
+
+
+@needs_fast_parse
+@BOUNDARY
+@given(
+    tokens=st.lists(st.one_of(decimal_tokens, decimal_tokens, decimal_tokens, mixed_tokens), max_size=40),
+    data=st.data(),
+)
+def test_fast_parse_matches_piece_on_separator_runs(tokens, data):
+    seps = data.draw(st.lists(separator_runs, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    seps[0] = data.draw(st.sampled_from(["", seps[0]]))
+    seps[-1] = data.draw(st.sampled_from(["", seps[-1]]))
+    assert_fast_parse_matches((seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))).encode())
+
+
 @st.composite
 def seventeen_digit_ties(draw):
     """A double halfway between two 17-digit decimals, or one ulp from it.
