@@ -341,6 +341,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:  # features, cv and compare: before any file is read
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

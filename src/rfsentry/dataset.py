@@ -820,7 +820,10 @@ def pool_workers(jobs: int, tasks: int) -> int:
 
 def pool_map(fn, jobs: int, tasks: int, *iterables) -> Iterable:
     """``map(fn, *iterables)`` over ``tasks`` calls, in order: lazily in this
-    process if ``pool_workers(jobs, tasks)`` is 1, else in that many workers."""
+    process if ``pool_workers(jobs, tasks)`` is 1, else in that many workers.
+    A jobs below 1 is a ConfigurationError."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     workers = pool_workers(jobs, tasks)
     if workers == 1:
         return map(fn, *iterables)

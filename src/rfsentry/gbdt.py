@@ -16,10 +16,12 @@ cost.
 The scan follows exact greedy search over presorted columns. Each value
 is computed once, at the level where it is fixed. Per cross-validation:
 every feature's sorted order and cut ranks, which rise exactly at the
-gaps that can hold a threshold (a `Presort`, filtered per fold). Per
-fit: one workspace of flat (d x n) buffers that every node of every
-tree reuses through out= arguments, and one position-major layout of
-the root's rank rises and row ids. Every node, roots included, passes
+gaps that can hold a threshold (a `Presort`, sorted unstably, its tied
+features re-sorted stably, and filtered per fold), and one workspace
+that every fold fitted in the process lays its flat (d x n) buffers out
+in, which every node of every tree reuses through out= arguments; a lone
+fit makes its own. Per fit: one position-major layout of the root's rank
+rises and row ids, in that workspace. Every node, roots included, passes
 one gate and one scan call. A node keeps a (d, m) block of its row ids
 and ranks in per-feature sorted order, one row per feature; when it
 splits, the block is stably partitioned in place into its children's
@@ -46,6 +48,7 @@ band layout and extraction of the rows the model was fitted to.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import resource
@@ -215,6 +218,10 @@ class Presort:
     whose ranks, though not dense, rise where fresh ones would: a midpoint
     equals its lower value only for equal or one-ulp-apart values, and
     round-half-even puts a threshold in one of two consecutive one-ulp gaps.
+    The columns are sorted unstably, and again stably only where two sorted
+    neighbours compare equal (-0.0 == 0.0 too), so the rows equal a stable
+    sort's. A presort lends its `workspace` to the presorts its `subset`
+    returns, so the fits of one cross-validation scan in one set of buffers.
     """
 
     rows: np.ndarray
@@ -223,17 +230,57 @@ class Presort:
     @classmethod
     def of(cls, features: np.ndarray) -> "Presort":
         columns = np.ascontiguousarray(features.T)  # a contiguous row per feature sorts faster
-        order = np.argsort(columns, axis=1, kind="stable")
+        order = np.argsort(columns, axis=1)
         vals = np.take_along_axis(columns, order, axis=1)
+        lo, hi = vals[:, :-1], vals[:, 1:]
+        tied = np.flatnonzero(~(hi > lo).all(axis=1))  # only equal neighbours can be out of row order
+        if tied.size:
+            order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
+            vals[tied] = np.take_along_axis(columns[tied], order[tied], axis=1)
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        over = np.isinf(mid)
+        if over.any():
+            mid[over] = _midpoint(lo[over], hi[over])
         cuts = np.zeros(order.shape, dtype=np.bool_)  # no gap precedes a feature's first row
-        cuts[:, 1:] = _midpoint(vals[:, :-1], vals[:, 1:]) > vals[:, :-1]
+        np.greater(mid, lo, out=cuts[:, 1:])
         return cls(order, np.cumsum(cuts, axis=1, dtype=np.int32))
 
     def subset(self, mask: np.ndarray) -> "Presort":
-        """The presort of the rows where the boolean mask holds, renumbered from 0."""
-        keep, local = mask[self.rows], np.cumsum(mask, dtype=np.intp) - 1
+        """The presort of the rows where the boolean mask holds, renumbered from 0.
+
+        It borrows this presort's `workspace`."""
+        rows = self.rows.ravel()
+        keep = np.flatnonzero(mask.take(rows))
+        local = np.cumsum(mask, dtype=np.intp) - 1
         d = self.rows.shape[0]
-        return Presort(local[self.rows[keep]].reshape(d, -1), self.ranks[keep].reshape(d, -1))
+        part = Presort(local.take(rows.take(keep)).reshape(d, -1), self.ranks.take(keep).reshape(d, -1))
+        part.__dict__["workspace"] = self.workspace  # as cached_property stores it
+        return part
+
+    @functools.cached_property
+    def workspace(self) -> np.ndarray:
+        """Bytes for the split scan's buffers of a fit of up to this presort's (d, n).
+
+        Made on first use in a process and lent to every fit on this
+        presort or on a presort its `subset` returns, one fit at a time;
+        never pickled. One allocation, root layout included: as five
+        arrays, the first fit of each desk `cv` command's cross-validation
+        faulted about 650 pages in again (about 620 in some processes
+        without the root layout).
+        """
+        d, n = self.rows.shape
+        return np.empty(d * n * _SCAN_CELL_BYTES + n, dtype=np.uint8)
+
+    def __reduce__(self):
+        return Presort, (self.rows, self.ranks)
+
+
+# The split scan's buffers of d x n cells, widest first so that each view of a
+# workspace is aligned: four of scratch, block and root row ids, block ranks, two
+# masks and the root gap flags. A bool per row follows.
+_SCAN_BUFFERS = ((4, np.float64), (2, np.intp), (1, np.int32), (3, np.bool_))
+_SCAN_CELL_BYTES = sum(k * np.dtype(dtype).itemsize for k, dtype in _SCAN_BUFFERS)
 
 
 def _midpoint(left, right):
@@ -289,8 +336,9 @@ def _cannot_gain(g, h, g_total: float, h_total: float, config: TrainConfig) -> b
 
 
 class _ScanState:
-    """Buffers of the exact split scan, built once per fit and reused by
-    every node of every tree.
+    """The exact split scan of one fit, in buffers that every node of every
+    tree reuses: the `Presort.workspace` of its presort, which in
+    cross-validation every fold's fit borrows in turn.
 
     The root's rows never change: its stable per-feature order and cut
     ranks, shape (d, n), come from a `Presort` (in cross-validation, one
@@ -327,14 +375,19 @@ class _ScanState:
         if presort.rows.shape != (d, n):
             raise ShapeError(f"presort has shape {presort.rows.shape}, features {(n, d)}")
         self.root_rows, self.root_ranks = presort.rows, presort.ranks
-        self.root_gaps = np.ascontiguousarray((self.root_ranks[:, 1:] > self.root_ranks[:, :-1]).T)
-        self.root_ids = np.ascontiguousarray(self.root_rows[:, :-1].T)
         self.features = features
-        self.rows = np.empty(d * n, dtype=np.intp)
-        self.ranks = np.empty(d * n, dtype=np.int32)
-        self.scratch = np.empty((4, d * n), dtype=np.float64)
-        self.masks = np.empty((2, d * n), dtype=np.bool_)
-        self.go_left = np.empty(n, dtype=np.bool_)
+        buffers, start = [], 0
+        for k, dtype in _SCAN_BUFFERS:
+            size = k * d * n * np.dtype(dtype).itemsize
+            buffers.append(presort.workspace[start : start + size].view(dtype).reshape(k, d * n))
+            start += size
+        self.scratch, (self.rows, ids), (self.ranks,), flags = buffers
+        self.masks = flags[:2]
+        self.go_left = presort.workspace[start : start + n].view(np.bool_)
+        self.root_gaps = flags[2, : (n - 1) * d].reshape(n - 1, d)
+        np.greater(self.root_ranks[:, 1:].T, self.root_ranks[:, :-1].T, out=self.root_gaps)
+        self.root_ids = ids[: (n - 1) * d].reshape(n - 1, d)
+        np.copyto(self.root_ids, self.root_rows[:, :-1].T)
         lanes = (list(buf[: d * (n - 1)].reshape(n - 1, d)) for buf in self.scratch[:2])
         self.h_steps, self.g_steps = (list(zip(rows[:-1], rows[1:])) for rows in lanes)
         self.scanned = self.pruned = 0

@@ -307,6 +307,25 @@ class TestExtractionSettings:
         assert not out.exists()
 
 
+class TestJobs:
+    """A --jobs below 1 is a configuration error (exit 2) naming --jobs,
+    caught before any file is read."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["features", "cv", "compare"])
+    def test_jobs_below_one_is_config_error(self, command, jobs, tmp_path, capsys):
+        missing = str(tmp_path / "missing")  # reading it would be exit 4
+        argv = {
+            "features": ["features", "--manifest", missing, "--case", "3"],
+            "cv": ["cv", "--features", missing],
+            "compare": ["compare", "--manifest", missing, "--case", "1", *FAST_TRAIN],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+
 class TestCompare:
     def test_structure(self, corpus_dir, tmp_path):
         out = tmp_path / "compare.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -389,10 +390,80 @@ class TestCrossValidate:
                 assert getattr(model.forest, name).tobytes() == getattr(plain.forest, name).tobytes()
             assert model.trees == plain.trees
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        config = TrainConfig(n_rounds=1, max_depth=1, n_classes=2)
+        with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
+            cross_validate(blob_dataset(25), config, k=3, seed=0, jobs=jobs)
+
     def test_schema_mismatch(self):
         ds = blob_dataset(24)
         with pytest.raises(ConfigurationError):
             cross_validate(ds, TrainConfig(n_classes=4), k=3, seed=0)
+
+
+SCAN_BUFFERS = ("rows", "ranks", "scratch", "masks", "go_left", "root_ids", "root_gaps")
+
+
+def recorded_scans(monkeypatch) -> list:
+    """(split-scan state, the workspace it borrowed) of every fit from now
+    on, kept alive, so that their buffers are too."""
+    scans, init = [], gbdt._ScanState.__init__
+
+    def recording(self, features, presort):
+        init(self, features, presort)
+        scans.append((self, presort.workspace))
+
+    monkeypatch.setattr(gbdt._ScanState, "__init__", recording)
+    return scans
+
+
+class TestScanWorkspace:
+    def test_the_fits_of_one_cross_validation_scan_in_one_workspace(self, monkeypatch):
+        # Fold sizes differ (61 rows in 4 folds), so fits of 45 and 46 rows share it.
+        ds = blob_dataset(26, n_per_class=31, spread=1.5)
+        ds = LabeledDataset(ds.features[:61], ds.labels[:61], ds.case, ds.band_mode)
+        scans = recorded_scans(monkeypatch)
+        cross_validate(ds, TrainConfig(n_rounds=2, max_depth=3, n_classes=2), k=4, seed=1)
+        assert len(scans) == 4
+        assert len({state.features.shape[0] for state, _ in scans}) == 2
+        workspace = scans[0][1]
+        for state, lent in scans:
+            assert lent is workspace
+            for name in SCAN_BUFFERS:
+                assert np.shares_memory(getattr(state, name), workspace), name
+
+    def test_consecutive_fits_do_not_share_a_workspace(self, monkeypatch):
+        ds = blob_dataset(27)
+        config = TrainConfig(n_rounds=2, max_depth=3, n_classes=2)
+        scans = recorded_scans(monkeypatch)
+        gbdt.train(ds.features, ds.labels, config)
+        gbdt.train(ds.features, ds.labels, config)
+        (first, _), (second, workspace) = scans
+        for name in SCAN_BUFFERS:
+            assert np.shares_memory(getattr(second, name), workspace), name
+            assert not np.shares_memory(getattr(first, name), workspace), name
+
+    def test_pooled_fold_task_carries_no_workspace(self, monkeypatch):
+        # The fits run here first, so the task's presort holds a workspace
+        # when the task is pickled, as a --jobs 2 pool pickles it.
+        ds = blob_dataset(28, n_per_class=40, dim=64)
+        tasks, real = [], dataset_mod.pool_map
+
+        def fit_here_then_pickle(fn, jobs, n_tasks, *iterables):
+            results = list(real(fn, 1, n_tasks, *iterables))
+            assert "workspace" in vars(fn.args[-1])
+            tasks.append(pickle.dumps(fn))
+            return results
+
+        monkeypatch.setattr(dataset_mod, "pool_map", fit_here_then_pickle)
+        cross_validate(ds, TrainConfig(n_rounds=1, max_depth=2, n_classes=2), k=4, seed=1, jobs=2)
+        (task,) = tasks
+        # Features (8 bytes a cell), labels and fold ids (8 bytes a row each),
+        # row ids and ranks (12 bytes a cell); the workspace alone is 55 a cell.
+        n, d = ds.features.shape
+        assert len(task) < 8 * n * d + 16 * n + 12 * n * d + 4096
+        assert "workspace" not in vars(pickle.loads(task).args[-1])
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +509,17 @@ class TestCompareBands:
         n = len(small_corpus.entries)
         assert len(seen) == len(set(seen)) == 2 * n
         assert seen[:2] == [str(path) for path in small_corpus.resolve(small_corpus.entries[0])]
+
+    def test_jobs_below_one_rejected_before_band_files_are_read(self, tmp_path, monkeypatch):
+        entries = tuple(
+            dataset_mod.ManifestEntry(f"{i}_lb.csv", f"{i}_ub.csv", i) for i in range(10)
+        )
+        manifest = dataset_mod.Manifest(entries=entries, source="Synthetic", root=tmp_path)
+        seen = []
+        monkeypatch.setattr(dataset_mod, "load_segment", seen.append)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1, got 0"):
+            compare_bands(manifest, Case.III, TrainConfig(n_rounds=1, n_classes=10), k=2, jobs=0)
+        assert seen == []
 
     def test_class_count_mismatch_rejected_before_band_files_are_read(self, tmp_path, monkeypatch):
         # Ten entries whose band files do not exist: only the config can fail first.

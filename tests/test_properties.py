@@ -571,6 +571,46 @@ def test_presort_subset_equals_fresh_stable_sort(data):
     np.testing.assert_array_equal(np.diff(subset.ranks, axis=1) > 0, np.diff(fresh, axis=1) > 0)
 
 
+@st.composite
+def presort_inputs(draw):
+    """(n, d) features for the presort's unstable sort and its repairs: wide
+    (d >= 64, n up to 300, a mix of tie-heavy and all-distinct columns),
+    tie-heavy with signed zeros, one-ulp chains, and values near 1e308 in
+    ties and one-ulp steps, whose neighbour sums overflow."""
+    kind = draw(st.sampled_from(["wide", "ties", "ulps", "huge"]))
+    event(kind)
+    if kind == "ulps":
+        return draw(ulp_chains(ULP_BASES)(draw(st.integers(2, 64)), draw(st.integers(1, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":
+        n, d = draw(st.integers(2, 300)), draw(st.integers(64, 80))
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], size=(n, d))
+        distinct = rng.random(d) < 0.5
+        x[:, distinct] = rng.normal(size=(n, int(distinct.sum())))
+        return x
+    n, d = draw(st.integers(2, 64)), draw(st.integers(1, 8))
+    if kind == "ties":
+        return rng.choice([-2.0, -0.0, 0.0, 0.5, 2.0], size=(n, d))
+    x = rng.choice([1e308, 1.5e308, np.finfo(float).max], size=(n, d)) * rng.choice([-1.0, 1.0], size=d)
+    for _ in range(2):
+        x = np.where(rng.random((n, d)) < 0.3, np.nextafter(x, 0.0), x)
+    return x
+
+
+@BOUNDARY
+@given(x=presort_inputs())
+def test_presort_equals_a_stable_sort_and_its_cut_rule(x):
+    presort = gbdt.Presort.of(x)
+    want = np.argsort(x, axis=0, kind="stable").T
+    got = presort.rows
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    values = np.take_along_axis(x, want.T, 0).T
+    a, b = values[:, :-1], values[:, 1:]
+    assert (presort.ranks[:, 0] == 0).all()
+    np.testing.assert_array_equal(presort.ranks[:, 1:] > presort.ranks[:, :-1], gbdt._midpoint(a, b) > a)
+
+
 @BOUNDARY
 @given(data=st.data())
 def test_cut_ranks_rise_exactly_where_a_threshold_fits(data):
