@@ -164,11 +164,12 @@ def cross_validate(
 
     Returns the report `rfsentry cv` writes, less its case, band_mode and
     extraction keys. The features are sorted once, and each fold's fit
-    filters that presort.
+    filters that presort. The fits in this process scan in one workspace,
+    one after another; a pool's workers each make their own per fit.
     """
     _check_n_classes(train_config, dataset.case)
     folds = stratified_kfold(dataset.labels, k, seed)
-    presort = gbdt.Presort.of(dataset.features)
+    presort = gbdt.Presort.of(dataset.features).with_workspace()
     fit = functools.partial(
         _fold_confusion, dataset.features, dataset.labels, folds.fold_of, train_config, presort
     )

@@ -18,10 +18,11 @@ is computed once, at the level where it is fixed. Per cross-validation:
 every feature's sorted order and cut ranks, which rise exactly at the
 gaps that can hold a threshold (a `Presort`, sorted unstably, its tied
 features re-sorted stably, and filtered per fold), and one workspace
-that every fold fitted in the process lays its flat (d x n) buffers out
-in, which every node of every tree reuses through out= arguments; a lone
-fit makes its own. Per fit: one position-major layout of the root's rank
-rises and row ids, in that workspace. Every node, roots included, passes
+in which every fold fitted in the process lays out its flat (d x n)
+buffers, which every node of every tree reuses through out= arguments; a
+lone fit allocates them as arrays of its own. Per fit: one
+position-major layout of the root's rank rises and row ids, in those
+buffers. Every node, roots included, passes
 one gate and one scan call. A node keeps a (d, m) block of its row ids
 and ranks in per-feature sorted order, one row per feature; when it
 splits, the block is stably partitioned in place into its children's
@@ -48,7 +49,6 @@ band layout and extraction of the rows the model was fitted to.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import resource
@@ -218,61 +218,46 @@ class Presort:
     whose ranks, though not dense, rise where fresh ones would: a midpoint
     equals its lower value only for equal or one-ulp-apart values, and
     round-half-even puts a threshold in one of two consecutive one-ulp gaps.
-    The columns are sorted unstably, and again stably only where two sorted
-    neighbours compare equal (-0.0 == 0.0 too), so the rows equal a stable
-    sort's. A presort lends its `workspace` to the presorts its `subset`
-    returns, so the fits of one cross-validation scan in one set of buffers.
+    The columns are sorted by numpy's default sort, and again stably only
+    where two sorted neighbours compare equal, so the rows are a stable
+    sort's.
+
+    A presort may carry a `workspace` (see `with_workspace`), which its
+    `subset`s carry on: every fit on any of them lays its scan buffers out
+    in that one allocation, so such fits must run one at a time. A pickled
+    presort leaves it behind; a fit on a presort without one makes its own.
     """
 
     rows: np.ndarray
     ranks: np.ndarray
+    workspace: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, features: np.ndarray) -> "Presort":
         columns = np.ascontiguousarray(features.T)  # a contiguous row per feature sorts faster
-        order = np.argsort(columns, axis=1)
+        order = np.argsort(columns, axis=1)  # numpy's default sort, several times a stable one's speed
         vals = np.take_along_axis(columns, order, axis=1)
-        lo, hi = vals[:, :-1], vals[:, 1:]
-        tied = np.flatnonzero(~(hi > lo).all(axis=1))  # only equal neighbours can be out of row order
-        if tied.size:
+        tied = np.flatnonzero(~(vals[:, 1:] > vals[:, :-1]).all(axis=1))
+        if tied.size:  # only equal values (-0.0 == 0.0 too) can be out of row order
             order[tied] = np.argsort(columns[tied], axis=1, kind="stable")
-            vals[tied] = np.take_along_axis(columns[tied], order[tied], axis=1)
-        with np.errstate(over="ignore"):
-            mid = 0.5 * (lo + hi)
-        over = np.isinf(mid)
-        if over.any():
-            mid[over] = _midpoint(lo[over], hi[over])
         cuts = np.zeros(order.shape, dtype=np.bool_)  # no gap precedes a feature's first row
-        np.greater(mid, lo, out=cuts[:, 1:])
+        cuts[:, 1:] = _midpoint(vals[:, :-1], vals[:, 1:]) > vals[:, :-1]
         return cls(order, np.cumsum(cuts, axis=1, dtype=np.int32))
 
     def subset(self, mask: np.ndarray) -> "Presort":
-        """The presort of the rows where the boolean mask holds, renumbered from 0.
-
-        It borrows this presort's `workspace`."""
-        rows = self.rows.ravel()
-        keep = np.flatnonzero(mask.take(rows))
-        local = np.cumsum(mask, dtype=np.intp) - 1
+        """The presort of the rows where the boolean mask holds, renumbered
+        from 0. It carries this presort's `workspace` on."""
+        keep, local = mask[self.rows], np.cumsum(mask, dtype=np.intp) - 1
         d = self.rows.shape[0]
-        part = Presort(local.take(rows.take(keep)).reshape(d, -1), self.ranks.take(keep).reshape(d, -1))
-        part.__dict__["workspace"] = self.workspace  # as cached_property stores it
-        return part
+        rows, ranks = local[self.rows[keep]].reshape(d, -1), self.ranks[keep].reshape(d, -1)
+        return Presort(rows, ranks, self.workspace)
 
-    @functools.cached_property
-    def workspace(self) -> np.ndarray:
-        """Bytes for the split scan's buffers of a fit of up to this presort's (d, n).
-
-        Made on first use in a process and lent to every fit on this
-        presort or on a presort its `subset` returns, one fit at a time;
-        never pickled. One allocation, root layout included: as five
-        arrays, the first fit of each desk `cv` command's cross-validation
-        faulted about 650 pages in again (about 620 in some processes
-        without the root layout).
-        """
+    def with_workspace(self) -> "Presort":
+        """This presort with a workspace for the scans of fits of up to its (d, n)."""
         d, n = self.rows.shape
-        return np.empty(d * n * _SCAN_CELL_BYTES + n, dtype=np.uint8)
+        return Presort(self.rows, self.ranks, np.empty(d * n * _SCAN_CELL_BYTES + n, dtype=np.uint8))
 
-    def __reduce__(self):
+    def __reduce__(self):  # a pickled presort leaves its workspace behind
         return Presort, (self.rows, self.ranks)
 
 
@@ -283,6 +268,24 @@ _SCAN_BUFFERS = ((4, np.float64), (2, np.intp), (1, np.int32), (3, np.bool_))
 _SCAN_CELL_BYTES = sum(k * np.dtype(dtype).itemsize for k, dtype in _SCAN_BUFFERS)
 
 
+def _scan_buffers(d: int, n: int, workspace: np.ndarray | None) -> list[np.ndarray]:
+    """The split scan's buffers for a fit of n rows of d features: (k, d x n)
+    of each kind in _SCAN_BUFFERS, then a bool per row. They are laid out
+    from the start of a workspace made for fits of n or more rows, or else
+    allocated apart, which lets the heap fit them into gaps that other
+    arrays left.
+    """
+    shapes = [((k, d * n), dtype) for k, dtype in _SCAN_BUFFERS] + [((n,), np.bool_)]
+    if workspace is None:
+        return [np.empty(shape, dtype) for shape, dtype in shapes]
+    buffers, start = [], 0
+    for shape, dtype in shapes:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buffers.append(workspace[start : start + size].view(dtype).reshape(shape))
+        start += size
+    return buffers
+
+
 def _midpoint(left, right):
     """0.5 * (left + right), or 0.5 * left + 0.5 * right where that sum overflows."""
     if isinstance(left, float):  # one cut: Python floats overflow to inf without a warning
@@ -290,7 +293,10 @@ def _midpoint(left, right):
         return 0.5 * left + 0.5 * right if math.isinf(mid) else mid
     with np.errstate(over="ignore"):
         mid = 0.5 * (left + right)
-    return np.where(np.isinf(mid), 0.5 * left + 0.5 * right, mid)
+    over = np.isinf(mid)
+    if over.any():
+        mid[over] = 0.5 * left[over] + 0.5 * right[over]
+    return mid
 
 
 def _heavy_enough(m: int, h_total: float, mcw: float) -> bool:
@@ -337,8 +343,8 @@ def _cannot_gain(g, h, g_total: float, h_total: float, config: TrainConfig) -> b
 
 class _ScanState:
     """The exact split scan of one fit, in buffers that every node of every
-    tree reuses: the `Presort.workspace` of its presort, which in
-    cross-validation every fold's fit borrows in turn.
+    tree reuses, laid out in its presort's `workspace` (in cross-validation,
+    one that every fold's fit borrows in turn) or allocated for it alone.
 
     The root's rows never change: its stable per-feature order and cut
     ranks, shape (d, n), come from a `Presort` (in cross-validation, one
@@ -376,14 +382,10 @@ class _ScanState:
             raise ShapeError(f"presort has shape {presort.rows.shape}, features {(n, d)}")
         self.root_rows, self.root_ranks = presort.rows, presort.ranks
         self.features = features
-        buffers, start = [], 0
-        for k, dtype in _SCAN_BUFFERS:
-            size = k * d * n * np.dtype(dtype).itemsize
-            buffers.append(presort.workspace[start : start + size].view(dtype).reshape(k, d * n))
-            start += size
-        self.scratch, (self.rows, ids), (self.ranks,), flags = buffers
+        self.scratch, (self.rows, ids), (self.ranks,), flags, self.go_left = _scan_buffers(
+            d, n, presort.workspace
+        )
         self.masks = flags[:2]
-        self.go_left = presort.workspace[start : start + n].view(np.bool_)
         self.root_gaps = flags[2, : (n - 1) * d].reshape(n - 1, d)
         np.greater(self.root_ranks[:, 1:].T, self.root_ranks[:, :-1].T, out=self.root_gaps)
         self.root_ids = ids[: (n - 1) * d].reshape(n - 1, d)
@@ -629,6 +631,8 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig, presort
     """Boost n_rounds rounds of per-class trees; deterministic given inputs.
 
     A given presort must be the `Presort` of features; it saves the sort.
+    If it carries a workspace, no other fit may use that workspace until
+    this one returns.
     """
     features = _check_training_arrays(features, labels=labels)
     labels = np.asarray(labels)

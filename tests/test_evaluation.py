@@ -406,7 +406,7 @@ SCAN_BUFFERS = ("rows", "ranks", "scratch", "masks", "go_left", "root_ids", "roo
 
 
 def recorded_scans(monkeypatch) -> list:
-    """(split-scan state, the workspace it borrowed) of every fit from now
+    """(split-scan state, its presort's workspace) of every fit from now
     on, kept alive, so that their buffers are too."""
     scans, init = [], gbdt._ScanState.__init__
 
@@ -433,26 +433,27 @@ class TestScanWorkspace:
             for name in SCAN_BUFFERS:
                 assert np.shares_memory(getattr(state, name), workspace), name
 
-    def test_consecutive_fits_do_not_share_a_workspace(self, monkeypatch):
+    def test_consecutive_fits_do_not_share_a_buffer(self, monkeypatch):
         ds = blob_dataset(27)
         config = TrainConfig(n_rounds=2, max_depth=3, n_classes=2)
         scans = recorded_scans(monkeypatch)
         gbdt.train(ds.features, ds.labels, config)
         gbdt.train(ds.features, ds.labels, config)
-        (first, _), (second, workspace) = scans
-        for name in SCAN_BUFFERS:
-            assert np.shares_memory(getattr(second, name), workspace), name
-            assert not np.shares_memory(getattr(first, name), workspace), name
+        (first, none), (second, _) = scans
+        assert none is None
+        for a in SCAN_BUFFERS:
+            for b in SCAN_BUFFERS:
+                assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
 
     def test_pooled_fold_task_carries_no_workspace(self, monkeypatch):
-        # The fits run here first, so the task's presort holds a workspace
-        # when the task is pickled, as a --jobs 2 pool pickles it.
+        # The task's presort carries the cross-validation's workspace; the
+        # fits run here, and the task is pickled as a --jobs 2 pool pickles it.
         ds = blob_dataset(28, n_per_class=40, dim=64)
         tasks, real = [], dataset_mod.pool_map
 
         def fit_here_then_pickle(fn, jobs, n_tasks, *iterables):
             results = list(real(fn, 1, n_tasks, *iterables))
-            assert "workspace" in vars(fn.args[-1])
+            assert fn.args[-1].workspace is not None
             tasks.append(pickle.dumps(fn))
             return results
 
@@ -463,7 +464,7 @@ class TestScanWorkspace:
         # row ids and ranks (12 bytes a cell); the workspace alone is 55 a cell.
         n, d = ds.features.shape
         assert len(task) < 8 * n * d + 16 * n + 12 * n * d + 4096
-        assert "workspace" not in vars(pickle.loads(task).args[-1])
+        assert pickle.loads(task).args[-1].workspace is None
 
 
 @pytest.fixture(scope="module")
