@@ -136,18 +136,18 @@ _NUMBER_RE = re.compile(
 )
 # Bytes of band-file text read and parsed at a time.
 _CHUNK_BYTES = 1 << 18
-# The fast path divides a mantissa of at most 19 significant digits
-# (10**19 < 2**64) by 10**f, f <= 27 (5**27 < 2**64), in x87 long double,
-# whose 64-bit significand holds both exactly: the quotient is correctly
-# rounded, and so is its cast to float64 unless it is a midpoint between
-# two doubles. Elsewhere only _parse_piece runs.
+# The fast path divides a mantissa of at most 19 digits, leading zeros
+# counted (10**19 < 2**64), by 10**f, f <= 19 (10**f = 2**f * 5**f and
+# 5**19 < 2**64), in x87 long double, whose 64-bit significand holds both
+# exactly: the quotient is correctly rounded, and so is its cast to float64
+# unless it is a midpoint between two doubles. Elsewhere only _parse_piece runs.
 _FAST_PARSE = bool(
     np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
     and np.little_endian and np.longdouble(1) + np.longdouble(2) ** -63 != 1
 )
-_MAX_DIGITS = 19  # significant digits of a mantissa read as uint64
-_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-_MAX_ODD_BYTES = 256  # a chunk with more letters and '+' is parsed whole
+_MAX_DIGITS = 19  # digits of a mantissa read as uint64, leading zeros counted
+_POW10 = np.cumprod(np.r_[1, np.full(_MAX_DIGITS, 10)].astype(np.longdouble))
+_MAX_ODD_BYTES = 256  # a chunk with more letters is parsed whole
 _E_PREFIX_BYTES = 1 << 13  # so is one with more 'e's in its first 8 KiB (~315 `%.18e` tokens)
 
 
@@ -216,11 +216,11 @@ def _parse_piece(text: bytes) -> np.ndarray | None:
 def _parse_fast(block: bytes) -> np.ndarray | None:
     """``_parse_piece(block)``, reading ``[-]digits.digits`` tokens as m / 10**f.
 
-    Tokens holding a letter or '+' (exponents, inf, nan) are set apart for
+    Tokens holding a letter (exponents, inf, nan) are set apart for
     _parse_piece and keep their places as '0.' placeholders; tokens of 20 or
-    more significant digits, more than 27 fraction digits or with a midpoint
-    quotient are re-parsed there. A chunk with over _MAX_ODD_BYTES letters
-    and '+', or other tokens of another shape, goes whole.
+    more digits, leading zeros counted, or with a midpoint quotient are
+    re-parsed there. A chunk with over _MAX_ODD_BYTES letters, or any
+    token of another shape ('+' included), goes whole.
     """
     # Exponent form or integers; the two byte searches are cheaper than any numpy pass.
     if block.count(b"e", 0, _E_PREFIX_BYTES) > _MAX_ODD_BYTES or b"." not in block:
@@ -228,13 +228,7 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     b = np.frombuffer(block, np.uint8)
     odd = np.flatnonzero(b > 57)  # letters
     seps = np.flatnonzero(b < 45)  # separators, '+' and bytes no float literal holds
-    is_sep = _IS_SEPARATOR[b[seps]]
-    if not is_sep.all():
-        plus = seps[~is_sep]
-        if (b[plus] != 43).any():
-            return _parse_piece(block)
-        seps, odd = seps[is_sep], np.union1d(odd, plus)
-    if odd.size > _MAX_ODD_BYTES:
+    if odd.size > _MAX_ODD_BYTES or not _IS_SEPARATOR[b[seps]].all():
         return _parse_piece(block)
     edges = np.concatenate(([-1], seps, [b.size]))
     text = block
@@ -266,16 +260,12 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     ):
         return _parse_piece(block)
     del seps
-    # A first token whose dot is further in than two digits: likely the rest too.
-    dots = _token_dots(b, first, ends, wide=text.find(b".", first[0]) > first[0] + 2)
+    dots = _token_dots(b, first, ends)
     if dots is None:
         return _parse_piece(block)
     fraction = ends - dots - 1
     slow = digits > _MAX_DIGITS
-    long = np.flatnonzero(slow)
-    if long.size:
-        slow[long[_few_significant_digits(b, first[long], dots[long], digits[long], fraction[long])]] = False
-        fraction[slow] = 0
+    fraction[slow] = 0
     del first, digits, dots  # the peak below is then a few bytes per chunk byte
     quotient = _POW10[fraction]
     del fraction
@@ -294,44 +284,26 @@ def _parse_fast(block: bytes) -> np.ndarray | None:
     return values
 
 
-def _token_dots(b: np.ndarray, first: np.ndarray, ends: np.ndarray, wide: bool) -> np.ndarray | None:
+def _token_dots(b: np.ndarray, first: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """Each token's '.', or None unless each token holds one.
 
     Most tokens have it one or two digits in, so one gather over all tokens
     looks there, and the rest step through the other offsets as one subset.
-    A ``wide`` chunk, or a token whose dot is over _MAX_DIGITS digits in,
-    takes one search for every dot instead.
+    If a token's dot is over _MAX_DIGITS digits in, one search finds every dot.
     """
-    if not wide:
-        last = ends - 1
-        dots = np.minimum(first + 1, last)  # inside the token, so a '.' there is its own
-        rest = np.flatnonzero(b[dots] != 46)
-        for k in itertools.chain((2, 0), range(3, _MAX_DIGITS + 1)):
-            if not rest.size:
-                return dots
-            at = np.minimum(first[rest] + k, last[rest])
-            dots[rest] = at
-            rest = rest[b[at] != 46]
+    last = ends - 1
+    dots = np.minimum(first + 1, last)  # inside the token, so a '.' there is its own
+    rest = np.flatnonzero(b[dots] != 46)
+    for k in itertools.chain((2, 0), range(3, _MAX_DIGITS + 1)):
+        if not rest.size:
+            return dots
+        at = np.minimum(first[rest] + k, last[rest])
+        dots[rest] = at
+        rest = rest[b[at] != 46]
     dots = np.flatnonzero(b == 46)
     if dots.size == first.size and ((first <= dots) & (dots < ends)).all():
         return dots
     return None
-
-
-def _few_significant_digits(b, first, dots, digits, fraction) -> np.ndarray:
-    """Which of these tokens of over _MAX_DIGITS digits have at most that many
-    significant digits and at most 27 fraction digits: those whose first
-    digits - _MAX_DIGITS digits are zeros. Only tokens of at most 28 digits
-    are looked at, which covers every such token whose integer part is
-    not zero-padded; the others are re-parsed."""
-    look = np.flatnonzero((digits <= _POW10.size) & (fraction < _POW10.size))
-    if not look.size:
-        return look
-    n = digits[look] - _MAX_DIGITS
-    offsets = np.cumsum(n) - n
-    at = np.arange(n.sum()) + np.repeat(first[look] - offsets, n)
-    at += at >= np.repeat(dots[look], n)  # skip the dot
-    return look[np.add.reduceat(b[at] != 48, offsets) == 0]
 
 
 def _raise_token_error(path: Path) -> None:

@@ -266,11 +266,14 @@ def paired_ttest(
     the runs share labels, K and seed. A zero-spread difference vector is
     reported as degenerate: t = 0 and no rejection when the mean is also
     zero, otherwise an infinite t with a point confidence interval.
+    A NaN or infinite score is a ShapeError.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ShapeError(f"score vectors must be 1-D and equal length, got {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ShapeError("score vectors must be finite")
     k = a.shape[0]
     if k < 2:
         raise ConfigurationError(f"paired t-test needs at least 2 pairs, got {k}")

@@ -261,21 +261,15 @@ class TestFastParse:
 
     @pytest.mark.parametrize("lead", ["", "1.5,"], ids=["wide-first-token", "narrow-first-token"])
     def test_four_digit_integer_parts(self, monkeypatch, lead):
-        # %.6f text of values in [1000, 10000): every dot is four digits in. A
-        # wide first token sends the chunk to the all-dots search; after a narrow
-        # one, the other tokens step through the offsets to theirs.
+        # %.6f text of values in [1000, 10000): every dot is four digits in, and
+        # whatever the first token, the tokens step through the offsets to theirs.
         values = np.random.default_rng(14).uniform(1000, 10000, size=3000) * np.where(
             np.arange(3000) % 3, 1, -1
         )
         tokens = [lead.rstrip(",")] * bool(lead) + ["%.6f" % v for v in values]
         block = ("\n".join(tokens) + "\n").encode()
-        wide_calls, token_dots = [], dataset_mod._token_dots
-        monkeypatch.setattr(
-            dataset_mod, "_token_dots", lambda *a, wide: wide_calls.append(wide) or token_dots(*a, wide=wide)
-        )
         parsed, seen = parse_fast_spied(monkeypatch, block)
         assert len(seen) == 1 and len(seen[0]) < 100  # the midpoint re-parse, not the chunk
-        assert wide_calls == [not lead]
         assert parsed.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     @pytest.mark.parametrize(
@@ -306,18 +300,17 @@ class TestFastParse:
             load_segment(path)
         assert str(info.value) == f"{path}: {message}"
 
-    def test_leading_zeros_are_not_significant(self, monkeypatch):
-        # Up to 19 significant digits and 27 fraction digits go through the
-        # integer mantissa however many zeros lead them, as synth writes
-        # 1e-4 <= |x| < 1e-2; 20 significant digits or 28 fraction digits do not.
-        fast = [
+    def test_tokens_of_twenty_or_more_digits_are_reparsed(self, monkeypatch):
+        # A mantissa is read as uint64 only up to 19 digits, leading zeros
+        # counted: synth's 1e-4 <= |x| < 1e-2 tokens and zero-padded integer
+        # parts are re-parsed, and so is every longer token.
+        fast = ["0.012345678901234567", "-0.000000000000000001", "000000000000000001.5"]
+        slow = [
             "0.0012345678901234567",
             "-0.00098765432109876543",
             "0.000000001234567890123456789",
             "-0.000000000000000000000000001",
             "00000000000000000001.5",
-        ]
-        slow = [
             "0.12345678901234567890",
             "-0.0012345678901234567891",
             "0.0000000000000000000000000001",
@@ -332,7 +325,7 @@ class TestFastParse:
 
     @pytest.mark.parametrize("odd", ["1e-05", "+2.5"])
     def test_too_many_odd_tokens_parse_the_chunk_whole(self, monkeypatch, odd):
-        # Each "1e-05" token is counted by its letter, each "+2.5" by its sign.
+        # Each "1e-05" token is counted by its letter; a "+2.5" is no letter.
         tokens = [odd] * (dataset_mod._MAX_ODD_BYTES + 1) + ["2.5", "-0.75"]
         block = " ".join(tokens).encode() + b" "
         seen = []
@@ -345,10 +338,16 @@ class TestFastParse:
         values = dataset_mod._parse_fast(block)
         assert seen == [block]
         assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
-        # One token fewer is parsed token by token, the odd ones first.
+        # One token fewer is parsed token by token, the odd ones first; but a
+        # '+' is a byte below '-' that no separator is, so one sends its chunk whole.
         seen.clear()
-        dataset_mod._parse_fast(block[len(odd) + 1 :])
-        assert seen[0].split() == [odd.encode()] * dataset_mod._MAX_ODD_BYTES
+        if odd == "+2.5":
+            block = b"0.5 +2.5 -0.75 "
+            dataset_mod._parse_fast(block)
+            assert seen == [block]
+        else:
+            dataset_mod._parse_fast(block[len(odd) + 1 :])
+            assert seen[0].split() == [odd.encode()] * dataset_mod._MAX_ODD_BYTES
 
     def test_exponents_after_the_counted_prefix_still_parse_the_chunk_whole(self, monkeypatch):
         # Plain tokens fill the prefix whose 'e's are counted first; the

@@ -325,6 +325,15 @@ class TestPairedTTest:
         with pytest.raises(ConfigurationError):
             paired_ttest(np.ones(5), np.zeros(5), alpha=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_scores_are_refused(self, bad, side):
+        scores, other = np.full(10, 0.5), np.full(10, 0.5)
+        scores[3] = bad
+        args = (scores, other) if side == "a" else (other, scores)
+        with pytest.raises(ShapeError, match="finite"):
+            paired_ttest(*args)
+
 
 def blob_dataset(seed, n_per_class=30, n_classes=2, dim=6, spread=0.6):
     rng = np.random.default_rng(seed)
